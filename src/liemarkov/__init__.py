@@ -62,6 +62,7 @@ from .modelgen import (
     dedup_models,
     generic_support,
     is_reducible,
+    model_orbit,
     rate_basis,
     subspace_from_generators,
 )

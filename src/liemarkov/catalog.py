@@ -12,13 +12,16 @@ is 0-based.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from . import linalg
 from .cayley import CayleyTable, enumerate_semigroups, is_associative, make_table
@@ -35,10 +38,11 @@ from .modelgen import (
     absorbing_states,
     canonical_subspace,
     is_reducible,
+    model_orbit,
     rate_basis,
 )
 from .representation import regular_rep
-from .symmetry import SymmetryGroup, cycle_string, parse_perm, symmetry_group, variant_count
+from .symmetry import SymmetryGroup, cycle_string, name_group_elements, parse_perm
 
 logger = logging.getLogger(__name__)
 
@@ -147,8 +151,16 @@ def known_subspaces() -> dict[str, ModelSubspace]:
     }
 
 
-def build_registry() -> dict[tuple[int, RrefKey], str]:
-    """Canonical-key fingerprints of the known models; keys must be distinct."""
+Registry = Mapping[tuple[int, RrefKey], str]
+
+
+@functools.cache
+def build_registry() -> Registry:
+    """Canonical-key fingerprints of the known models; keys must be distinct.
+
+    Built on the first call and shared by every later one, so it is
+    returned read-only.
+    """
     registry: dict[tuple[int, RrefKey], str] = {}
     for name, sub in known_subspaces().items():
         key = (sub.order, canonical_subspace(sub))
@@ -157,7 +169,7 @@ def build_registry() -> dict[tuple[int, RrefKey], str]:
                 f"registry collision: {name} and {registry[key]}"
             )
         registry[key] = name
-    return registry
+    return MappingProxyType(registry)
 
 
 # --- pipeline ----------------------------------------------------------------
@@ -167,7 +179,7 @@ def classify_model(
     sub: ModelSubspace,
     member_indices: Sequence[int],
     tables: Sequence[CayleyTable],
-    registry: dict[tuple[int, RrefKey], str],
+    registry: Registry,
 ) -> CatalogEntry:
     lie = check_lie_closed(sub)
     if not lie.closed:
@@ -176,15 +188,22 @@ def classify_model(
             f"({lie.witness.i}, {lie.witness.j})"
         )
     algebra = check_algebra_closed(sub)
-    sym = symmetry_group(sub)
-    key = canonical_subspace(sub)
+    orbit = model_orbit(sub)
+    if len(orbit.group) * orbit.variants != math.factorial(sub.order):
+        raise PipelineInvariantError(
+            f"orbit-stabilizer fails: |G| = {len(orbit.group)}, "
+            f"{orbit.variants} variants, k = {sub.order}"
+        )
+    key = orbit.key
     report = ModelReport(
         subspace=sub,
         dimension=sub.dim,
         absorbing=frozenset(absorbing_states(sub)),
         reducible=is_reducible(sub),
-        symmetry=sym,
-        variant_count=variant_count(sym),
+        symmetry=SymmetryGroup(
+            sub.order, orbit.group, name_group_elements(sub.order, orbit.group)
+        ),
+        variant_count=orbit.variants,
         lie_closed=lie.closed,
         algebra_closed=algebra.closed,
         known_label=registry.get((sub.order, key)),

@@ -19,7 +19,7 @@ from . import catalog as cat
 from .cayley import CayleyFormatError, parse_tables, format_tables, enumerate_semigroups
 from .closure import verify_multiplicative_closure
 from .constructors import equivariant_model, fixture, group_spec
-from .modelgen import ModelSubspace, canonical_subspace
+from .modelgen import ModelSubspace, model_orbit
 from .symmetry import parse_perm
 
 USAGE_ERROR = 1
@@ -75,7 +75,7 @@ def _entries_for(args, cfg) -> list[cat.CatalogEntry]:
 
 def _single_model_doc(sub: ModelSubspace, label: str | None) -> str:
     registry = cat.build_registry()
-    key = canonical_subspace(sub)
+    key = model_orbit(sub).key
     entry_like = {
         "model_id": cat.model_id(sub.order, key),
         "dimension": sub.dim,

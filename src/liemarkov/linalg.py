@@ -100,37 +100,63 @@ def unvectorize(v: Sequence[Scalar], k: int) -> Matrix:
     return tuple(tuple(v[i * k + j] for j in range(k)) for i in range(k))
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Vector, ...]:
-    """Reduced row-echelon form over the rationals.
+def _eliminate(work: list[list[Scalar]], ncols: int) -> int:
+    """Gauss-Jordan elimination of ``work`` in place; returns the rank.
 
-    Zero rows are dropped, pivots are normalized to 1, and pivot columns
-    are cleared above and below, so the result is the unique canonical
-    basis of the row space: two spans are equal iff their rrefs are.
+    Pivots are sought only in the first ``ncols`` columns, normalized to
+    1 and cleared above and below; the rank rows come first, the zero
+    rows after.  An all-``int`` matrix is eliminated in ``int`` while
+    every pivot divides its row; at the first pivot that does not, the
+    whole matrix switches to ``Fraction`` and elimination continues.
+    Every step so far was exact, so both paths give the same values.
     """
-    work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return ()
-    ncols = len(work[0])
+    integral = all(type(x) is int for row in work for x in row)
+    if not integral:
+        work[:] = [[Fraction(x) for x in row] for row in work]
+    n = len(work)
     pivot_row = 0
     for col in range(ncols):
         found = None
-        for r in range(pivot_row, len(work)):
+        for r in range(pivot_row, n):
             if work[r][col] != 0:
                 found = r
                 break
         if found is None:
             continue
         work[pivot_row], work[found] = work[found], work[pivot_row]
-        inv = 1 / work[pivot_row][col]
-        work[pivot_row] = [x * inv for x in work[pivot_row]]
-        for r in range(len(work)):
-            if r != pivot_row and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[pivot_row])]
+        prow = work[pivot_row]
+        p = prow[col]
+        if p != 1:
+            if integral and any(x % p for x in prow):
+                integral = False
+                work[:] = [[Fraction(x) for x in row] for row in work]
+                prow = work[pivot_row]
+            prow = [x // p for x in prow] if integral else [x / p for x in prow]
+            work[pivot_row] = prow
+        for r in range(n):
+            f = work[r][col]
+            if r != pivot_row and f != 0:
+                work[r] = [x - f * y for x, y in zip(work[r], prow)]
         pivot_row += 1
-        if pivot_row == len(work):
+        if pivot_row == n:
             break
-    return tuple(tuple(row) for row in work[:pivot_row] if any(x != 0 for x in row))
+    return pivot_row
+
+
+def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Vector, ...]:
+    """Reduced row-echelon form over the rationals.
+
+    Zero rows are dropped, pivots are normalized to 1, and pivot columns
+    are cleared above and below, so the result is the unique canonical
+    basis of the row space: two spans are equal iff their rrefs are.
+    Integer input whose elimination stays integral comes back as ``int``
+    entries, equal to the ``Fraction`` ones of the general path.
+    """
+    work = [list(row) for row in rows]
+    if not work:
+        return ()
+    rank = _eliminate(work, len(work[0]))
+    return tuple(tuple(row) for row in work[:rank])
 
 
 def pivot_columns(rref_rows: Sequence[Vector]) -> list[int]:
@@ -149,9 +175,14 @@ def solve_in_rowspace(
     """Coefficients of ``v`` over canonical rref rows, or None if outside.
 
     The pivot columns of an rref basis read the coefficients off directly;
-    the residual check then decides membership exactly.
+    the residual check then decides membership exactly.  When the rows and
+    ``v`` are all ``int`` the arithmetic stays in ``int``.
     """
-    v = [Fraction(x) for x in v]
+    if not (
+        all(type(x) is int for x in v)
+        and all(type(x) is int for row in rref_rows for x in row)
+    ):
+        v = [Fraction(x) for x in v]
     coeffs = [v[c] for c in pivot_columns(rref_rows)]
     residual = list(v)
     for c, row in zip(coeffs, rref_rows):
@@ -174,31 +205,8 @@ def rref_with_transform(
     if n == 0:
         return (), ()
     ncols = len(rows[0])
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    pivot_row = 0
-    for col in range(ncols):
-        found = None
-        for r in range(pivot_row, n):
-            if aug[r][col] != 0:
-                found = r
-                break
-        if found is None:
-            continue
-        aug[pivot_row], aug[found] = aug[found], aug[pivot_row]
-        inv = 1 / aug[pivot_row][col]
-        aug[pivot_row] = [x * inv for x in aug[pivot_row]]
-        for r in range(n):
-            if r != pivot_row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[pivot_row])]
-        pivot_row += 1
-        if pivot_row == n:
-            break
-    rank = 0
-    for r in range(n):
-        if any(x != 0 for x in aug[r][:ncols]):
-            rank = r + 1
-    basis = tuple(tuple(aug[r][:ncols]) for r in range(rank))
-    transform = tuple(tuple(aug[r][ncols:]) for r in range(rank))
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    rank = _eliminate(aug, ncols)
+    basis = tuple(tuple(row[:ncols]) for row in aug[:rank])
+    transform = tuple(tuple(row[ncols:]) for row in aug[:rank])
     return basis, transform

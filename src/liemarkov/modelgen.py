@@ -11,6 +11,7 @@ membership, and cross-run canonical keys are all exact decisions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,9 +38,6 @@ class ModelSubspace:
 
     def rref_matrices(self) -> tuple[Matrix, ...]:
         return tuple(linalg.unvectorize(row, self.order) for row in self.rref)
-
-    def spans_equal(self, other: "ModelSubspace") -> bool:
-        return self.order == other.order and self.rref == other.rref
 
 
 def subspace_from_generators(
@@ -148,6 +146,54 @@ def conjugate_subspace(m: ModelSubspace, perm: Sequence[int]) -> ModelSubspace:
     return ModelSubspace(m.order, gens, linalg.rref(rows))
 
 
+@functools.cache
+def _conjugation_gathers(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per permutation p of range(k): the gather that conjugates a vector.
+
+    ``vectorize(conjugate(a, p))[t] == vectorize(a)[src[t]]``, so a
+    relabeled row is ``tuple(row[s] for s in src)``; ``src`` is the
+    relabeled matrix of positions.  Permutations come in lexicographic
+    order.
+    """
+    positions = linalg.unvectorize(range(k * k), k)
+    return tuple(
+        (p, linalg.vectorize(linalg.conjugate(positions, p)))
+        for p in itertools.permutations(range(k))
+    )
+
+
+@dataclass(frozen=True)
+class ModelOrbit:
+    """What one pass over the k! relabelings of a model determines.
+
+    ``key`` is the minimal conjugate rref (the canonical key), ``group``
+    the permutations that fix the rref (sorted), ``variants`` the number
+    of distinct conjugate rrefs and ``to_key`` the permutations that map
+    the model onto its key (sorted).  Orbit-stabilizer makes
+    ``len(group) * variants == k!``.
+    """
+
+    key: RrefKey
+    group: tuple[tuple[int, ...], ...]
+    variants: int
+    to_key: tuple[tuple[int, ...], ...]
+
+
+def model_orbit(m: ModelSubspace) -> ModelOrbit:
+    """Row-reduce each of the k! relabelings of ``m.rref`` exactly once."""
+    conjugates = [
+        (p, linalg.rref([tuple(row[s] for s in src) for row in m.rref]))
+        for p, src in _conjugation_gathers(m.order)
+    ]
+    key = min(r for _, r in conjugates)
+    return ModelOrbit(
+        key=key,
+        group=tuple(p for p, r in conjugates if r == m.rref),
+        variants=len({r for _, r in conjugates}),
+        to_key=tuple(p for p, r in conjugates if r == key),
+    )
+
+
 def canonical_subspace(m: ModelSubspace) -> RrefKey:
     """Canonical key: minimal rref over all simultaneous state relabelings.
 
@@ -156,14 +202,7 @@ def canonical_subspace(m: ModelSubspace) -> RrefKey:
     exact rational entries, with the row-major vectorization fixed so the
     key is reproducible bit for bit.
     """
-    best: RrefKey | None = None
-    for p in itertools.permutations(range(m.order)):
-        rows = [linalg.vectorize(linalg.conjugate(g, p)) for g in m.basis]
-        key = linalg.rref(rows)
-        if best is None or key < best:
-            best = key
-    assert best is not None
-    return best
+    return model_orbit(m).key
 
 
 @dataclass(frozen=True)
@@ -183,26 +222,19 @@ def dedup_models(models: Sequence[ModelSubspace]) -> list[ModelClass]:
     member that minimizes them, sorted.  That keeps rendered catalogs
     byte-identical however the inputs were ordered.
     """
+    orbits = [model_orbit(m) for m in models]
     groups: dict[RrefKey, list[int]] = {}
-    for idx, m in enumerate(models):
-        groups.setdefault(canonical_subspace(m), []).append(idx)
+    for idx, orbit in enumerate(orbits):
+        groups.setdefault(orbit.key, []).append(idx)
 
     classes = []
     for key in sorted(groups):
         indices = groups[key]
-        best_gens: tuple[Matrix, ...] | None = None
-        for idx in indices:
-            m = models[idx]
-            for p in itertools.permutations(range(m.order)):
-                gens = tuple(
-                    sorted(linalg.conjugate(g, p) for g in m.basis)
-                )
-                rows = [linalg.vectorize(g) for g in gens]
-                if linalg.rref(rows) != key:
-                    continue
-                if best_gens is None or gens < best_gens:
-                    best_gens = gens
-        assert best_gens is not None
+        best_gens = min(
+            tuple(sorted(linalg.conjugate(g, p) for g in models[idx].basis))
+            for idx in indices
+            for p in orbits[idx].to_key
+        )
         rep = ModelSubspace(models[indices[0]].order, best_gens, key)
         classes.append(ModelClass(key, rep, tuple(indices)))
     return classes

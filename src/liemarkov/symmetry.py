@@ -3,20 +3,18 @@
 A state permutation is a symmetry of a model when conjugating every rate
 matrix by the corresponding permutation matrix lands back in the model.
 Conjugation preserves nonnegativity of off-diagonal entries, so testing
-span preservation is equivalent to testing the stochastic cone.  With
-k <= 4 the maximal symmetry group is found by brute force over all k!
-candidates.
+span preservation is equivalent to testing the stochastic cone.  The
+maximal symmetry group is the stabilizer of the model's rref in the
+single orbit pass of :func:`liemarkov.modelgen.model_orbit`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from . import linalg
 from .cayley import Perm, compose, identity_perm, invert
 from .linalg import Matrix
-from .modelgen import ModelSubspace, contains
+from .modelgen import ModelSubspace, model_orbit
 
 
 @dataclass(frozen=True)
@@ -94,17 +92,10 @@ def parse_perm(text: str, k: int) -> Perm:
 def symmetry_group(m: ModelSubspace) -> SymmetryGroup:
     """The maximal group of state permutations preserving the span.
 
-    Testing all k! candidates makes maximality automatic; membership of
-    every conjugated rref basis element is decided exactly.
+    All k! candidates are tested, so maximality is automatic: a
+    permutation belongs iff the relabeled span has the same exact rref.
     """
-    elements = []
-    for p in itertools.permutations(range(m.order)):
-        if all(
-            contains(m, linalg.conjugate(b, p)) is not None
-            for b in m.rref_matrices()
-        ):
-            elements.append(tuple(p))
-    g = tuple(sorted(elements))
+    g = model_orbit(m).group
     return SymmetryGroup(m.order, g, name_group_elements(m.order, g))
 
 

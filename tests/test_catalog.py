@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -45,6 +46,27 @@ def test_registry_keys_distinct_and_labels_complete():
     registry = build_registry()
     assert len(registry) == len(known_subspaces()) == 9
     assert sorted(registry.values()) == sorted(KNOWN_IDS)
+
+
+def test_registry_is_built_once_and_read_only():
+    registry = build_registry()
+    assert build_registry() is registry
+    with pytest.raises(TypeError):
+        registry[(4, ())] = "zero"
+
+
+def test_classify_model_checks_orbit_stabilizer(monkeypatch):
+    from liemarkov import catalog
+
+    sub = known_subspaces()["K3ST"]
+    orbit = catalog.model_orbit(sub)
+    monkeypatch.setattr(
+        catalog,
+        "model_orbit",
+        lambda m: dataclasses.replace(orbit, variants=orbit.variants + 1),
+    )
+    with pytest.raises(PipelineInvariantError, match="orbit-stabilizer"):
+        catalog.classify_model(sub, [], [], build_registry())
 
 
 def test_model_ids_stable():

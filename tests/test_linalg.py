@@ -8,6 +8,38 @@ def random_matrix(rng, rows, cols, lo=-5, hi=5):
     return [[Fraction(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)]
 
 
+def reference_rref(rows, ncols=None):
+    """Plain Fraction Gauss-Jordan elimination, pivoting in the first ncols columns.
+
+    The oracle for both elimination paths of linalg: the nonzero rows of
+    the reduced matrix, in order.
+    """
+    work = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(work[0]) if ncols is None else ncols
+    pivot_row = 0
+    for col in range(ncols):
+        found = next((r for r in range(pivot_row, len(work)) if work[r][col] != 0), None)
+        if found is None:
+            continue
+        work[pivot_row], work[found] = work[found], work[pivot_row]
+        inv = 1 / work[pivot_row][col]
+        work[pivot_row] = [x * inv for x in work[pivot_row]]
+        for r in range(len(work)):
+            if r != pivot_row and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[pivot_row])]
+        pivot_row += 1
+    return tuple(tuple(row) for row in work[:pivot_row])
+
+
+def is_integral(rows):
+    return all(type(x) is int for row in rows for x in row)
+
+
+def as_fractions(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
 def test_rref_canonical_for_row_space():
     rng = random.Random(1)
     for _ in range(30):
@@ -33,6 +65,48 @@ def test_rref_pivots_normalized():
 def test_rref_drops_zero_rows():
     rows = [[0, 0, 0], [1, 2, 3], [2, 4, 6]]
     assert linalg.rref(rows) == ((Fraction(1), Fraction(2), Fraction(3)),)
+
+
+def test_rref_int_and_fraction_paths_agree():
+    rng = random.Random(5)
+    paths = {True: 0, False: 0}
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 6)
+        rows = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)]
+        expected = reference_rref(rows)
+        fast = linalg.rref(rows)
+        assert fast == expected
+        assert linalg.rref(as_fractions(rows)) == expected
+        paths[is_integral(fast)] += 1
+        aug = [row + [int(i == j) for j in range(nrows)] for i, row in enumerate(rows)]
+        ref_aug = reference_rref(aug, ncols)
+        basis, transform = linalg.rref_with_transform(rows)
+        assert basis == tuple(r[:ncols] for r in ref_aug)
+        assert transform == tuple(r[ncols:] for r in ref_aug)
+        assert linalg.rref_with_transform(as_fractions(rows)) == (basis, transform)
+    # both the int path and the Fraction fallback were exercised
+    assert paths[True] > 20 and paths[False] > 20
+
+
+def test_rref_falls_back_when_a_pivot_does_not_divide_its_row():
+    # pivot 2 divides (2, 4) but not (2, 1): the second input needs Fraction
+    divisible = linalg.rref([[2, 4], [1, 3]])
+    assert divisible == ((1, 0), (0, 1)) and is_integral(divisible)
+    fallback = linalg.rref([[0, 2, 1, 0], [3, 0, 0, 3]])
+    assert fallback == ((1, 0, 0, 1), (0, 1, Fraction(1, 2), 0))
+    assert all(type(x) is Fraction for row in fallback for x in row)
+
+
+def test_solve_in_rowspace_int_path():
+    rows = linalg.rref([[1, 0, 2, -1], [0, 1, -1, 3]])
+    assert is_integral(rows)
+    coeffs = linalg.solve_in_rowspace(rows, [2, -3, 7, -11])
+    assert coeffs == (2, -3) and all(type(c) is int for c in coeffs)
+    assert linalg.solve_in_rowspace(rows, [2, -3, 7, 0]) is None
+    assert linalg.solve_in_rowspace(rows, [Fraction(1, 2), 0, 1, Fraction(-1, 2)]) == (
+        Fraction(1, 2),
+        0,
+    )
 
 
 def test_solve_in_rowspace_membership():

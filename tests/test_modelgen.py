@@ -1,10 +1,14 @@
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from liemarkov import linalg
+from liemarkov.catalog import known_subspaces
 from liemarkov.cayley import make_table
 from liemarkov.closure import commutator
 from liemarkov.constructors import fixture
@@ -17,10 +21,13 @@ from liemarkov.modelgen import (
     dedup_models,
     generic_support,
     is_reducible,
+    model_orbit,
     rate_basis,
     subspace_from_generators,
 )
 from liemarkov.representation import regular_rep
+
+GOLDEN = Path(__file__).parent / "golden" / "catalog_k4.json"
 
 EQUAL_INPUT_4 = make_table([[i] * 4 for i in range(4)])
 RIGHT_CONST_4 = make_table([[j for j in range(4)] for _ in range(4)])
@@ -216,3 +223,56 @@ def test_dedup_representative_rref_matches_key(semigroups4):
     subs = [rate_basis(regular_rep(t)) for t in semigroups4[:40]]
     for cls in dedup_models(subs):
         assert cls.representative.rref == cls.key
+
+
+@pytest.fixture(scope="module")
+def orbit_models():
+    """Every golden order-4 span plus every registry model, with its orbit."""
+    doc = json.loads(GOLDEN.read_text())
+    models = [
+        subspace_from_generators(
+            4, [[[int(x) for x in row] for row in g] for g in entry["generators"]]
+        )
+        for entry in doc["entries"]
+    ]
+    models += known_subspaces().values()
+    assert len(models) == 131 + 9
+    return [(m, model_orbit(m)) for m in models]
+
+
+def brute_force_conjugate_rrefs(m):
+    """Rref of every relabeled generator set, in exact Fraction arithmetic."""
+    return {
+        p: linalg.rref(
+            [[Fraction(x) for x in linalg.vectorize(linalg.conjugate(g, p))] for g in m.basis]
+        )
+        for p in itertools.permutations(range(m.order))
+    }
+
+
+def membership_group(m):
+    """Permutations that map every rref basis matrix back into the span."""
+    return tuple(
+        p
+        for p in itertools.permutations(range(m.order))
+        if all(contains(m, linalg.conjugate(b, p)) is not None for b in m.rref_matrices())
+    )
+
+
+def test_model_orbit_key_is_brute_force_minimum(orbit_models):
+    for m, orbit in orbit_models:
+        conj = brute_force_conjugate_rrefs(m)
+        key = min(conj.values())
+        assert orbit.key == key
+        assert orbit.to_key == tuple(p for p, r in conj.items() if r == key)
+        assert orbit.variants == len(set(conj.values()))
+
+
+def test_model_orbit_group_matches_membership_oracle(orbit_models):
+    for m, orbit in orbit_models:
+        assert orbit.group == membership_group(m)
+
+
+def test_model_orbit_stabilizer_identity(orbit_models):
+    for m, orbit in orbit_models:
+        assert len(orbit.group) * orbit.variants == math.factorial(m.order)
