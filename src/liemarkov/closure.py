@@ -15,6 +15,7 @@ package only here, in expm/logm and the sampled verification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -104,96 +105,118 @@ def check_algebra_closed(m: ModelSubspace) -> ClosureCheck:
     return ClosureCheck(True, None)
 
 
-def _norm1(a: np.ndarray) -> float:
-    """Maximum absolute column sum."""
-    return float(np.abs(a).sum(axis=0).max(initial=0.0))
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """Maximum absolute column sum of each matrix in a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
 
 
-def expm(q: Sequence[Sequence[float]], t: float = 1.0) -> np.ndarray:
+def _as_stack(a: np.ndarray | Sequence, name: str) -> tuple[np.ndarray, bool]:
+    """A float (n, k, k) stack, and whether the input was one (k, k) matrix."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"{name} needs a square matrix or a stack of them")
+    return (a[None] if a.ndim == 2 else a), a.ndim == 2
+
+
+def expm(q: np.ndarray | Sequence, t: float | np.ndarray = 1.0) -> np.ndarray:
     """Matrix exponential e^{Qt} by scaling and squaring.
 
-    The scaled matrix has 1-norm <= 0.5 and the Taylor series is summed
-    until the term norm drops below 1e-18.  For a rate matrix Q and
-    t >= 0 the result is column-stochastic to high accuracy.
+    ``q`` is one (k, k) matrix or a stack (n, k, k); ``t`` is a scalar or
+    one time per matrix.  Each matrix is scaled by its own power of two
+    to 1-norm <= 0.5, its Taylor series is summed until its term norm
+    drops below 1e-18, and it is squared back as often as it was scaled.
+    For a rate matrix Q and t >= 0 the result is column-stochastic to
+    high accuracy.
     """
-    a = np.asarray(q, dtype=float) * float(t)
-    k = a.shape[0]
-    norm = _norm1(a)
-    s = 0
-    while norm > EXPM_SCALE_LIMIT:
-        norm /= 2.0
-        s += 1
-    x = a / (2.0**s)
-    result = np.eye(k)
-    term = np.eye(k)
-    n = 1
-    while True:
+    q, single = _as_stack(q, "expm")
+    t = np.broadcast_to(np.asarray(t, dtype=float), q.shape[:1])
+    a = q * t[:, None, None]
+    # norm / limit = m * 2**e with 0.5 <= m < 1, so the least s >= 0 with
+    # norm / 2**s <= limit is e, or e - 1 when norm / limit is a power of 2
+    m, e = np.frexp(_norm1(a) / EXPM_SCALE_LIMIT)
+    s = np.maximum(e - (m == 0.5), 0)
+    x = np.ldexp(a, -s[:, None, None])
+    result = np.broadcast_to(np.eye(q.shape[-1]), q.shape).copy()
+    term = result
+    live = np.ones(len(q), dtype=bool)
+    for n in range(1, 62):
         term = term @ x / n
-        result = result + term
-        if _norm1(term) < EXPM_TERM_TOL or n > 60:
+        result += term * live[:, None, None]
+        live &= _norm1(term) >= EXPM_TERM_TOL
+        if not live.any():
             break
-        n += 1
-    for _ in range(s):
-        result = result @ result
-    return result
+    for j in range(s.max(initial=0)):
+        todo = s > j
+        result[todo] = result[todo] @ result[todo]
+    return result[0] if single else result
 
 
-def _sqrtm_principal(a: np.ndarray) -> np.ndarray:
-    """Principal square root by the Denman-Beavers iteration."""
-    y = a
-    z = np.eye(a.shape[0])
+def _sqrtm_stack(a: np.ndarray) -> np.ndarray:
+    """Principal square roots of a stack by the Denman-Beavers iteration.
+
+    Y <- (Y + Z^-1) / 2 and Z <- (Z + Y^-1) / 2 from Y = A, Z = I, with
+    each (Y, Z) pair stored side by side so that one batched inverse
+    serves both updates.  Each matrix stops once its own step is small.
+    """
+    yz = np.stack([a, np.broadcast_to(np.eye(a.shape[-1]), a.shape)], axis=1)
+    todo = np.arange(len(a))
     for _ in range(64):
+        cur = yz[todo]
         try:
-            y_next = 0.5 * (y + np.linalg.inv(z))
-            z_next = 0.5 * (z + np.linalg.inv(y))
+            nxt = 0.5 * (cur + np.linalg.inv(cur)[:, ::-1])
         except np.linalg.LinAlgError as exc:
             raise LogmConvergenceError(f"singular iterate: {exc}") from None
-        delta = _norm1(y_next - y)
-        y, z = y_next, z_next
-        if delta <= 1e-15 * max(1.0, _norm1(y)):
-            return y
+        yz[todo] = nxt
+        y = nxt[:, 0]
+        # written as not-converged so that a NaN step never counts as converged
+        todo = todo[~(_norm1(y - cur[:, 0]) <= 1e-15 * np.maximum(1.0, _norm1(y)))]
+        if not todo.size:
+            return yz[:, 0]
     raise LogmConvergenceError("square-root iteration did not converge")
 
 
-def logm(p: Sequence[Sequence[float]]) -> np.ndarray:
+def logm(p: np.ndarray | Sequence) -> np.ndarray:
     """Principal matrix logarithm by inverse scaling and squaring.
 
-    Repeated principal square roots bring the argument within 1-norm
-    0.25 of the identity, where the alternating power series converges
-    fast; the series sum is then scaled back up.  Products of
-    substitution matrices can sit far from the identity, hence the
-    square-root stage; depth is capped at 40.
+    ``p`` is one (k, k) matrix or a stack (n, k, k).  Each matrix takes
+    repeated principal square roots until it is within 1-norm 0.25 of the
+    identity, where the alternating power series converges fast; the
+    series is summed until its own term norm drops below 1e-18, and the
+    sum is scaled back up by its own depth.  Products of substitution
+    matrices can sit far from the identity, hence the square-root stage;
+    depth is capped at 40.  Raises LogmConvergenceError if any matrix of
+    the stack fails.
     """
-    a = np.asarray(p, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("logm needs a square matrix")
-    k = a.shape[0]
+    a, single = _as_stack(p, "logm")
+    a = a.copy()
+    n_mats, k, _ = a.shape
     ident = np.eye(k)
-    depth = 0
-    while _norm1(a - ident) >= LOGM_SERIES_RADIUS:
-        if depth >= LOGM_MAX_SQRT_DEPTH:
-            raise LogmConvergenceError(
-                f"still outside series radius after {depth} square roots"
-            )
-        a = _sqrtm_principal(a)
-        depth += 1
+    depth = np.zeros(n_mats, dtype=int)
+    todo = np.flatnonzero(_norm1(a - ident) >= LOGM_SERIES_RADIUS)
+    for _ in range(LOGM_MAX_SQRT_DEPTH):
+        if not todo.size:
+            break
+        root = _sqrtm_stack(a[todo])
+        a[todo] = root
+        depth[todo] += 1
+        todo = todo[_norm1(root - ident) >= LOGM_SERIES_RADIUS]
+    if todo.size:
+        raise LogmConvergenceError(
+            f"still outside series radius after {LOGM_MAX_SQRT_DEPTH} square roots"
+        )
     x = a - ident
     total = np.zeros_like(a)
-    power = ident
+    power = np.broadcast_to(ident, a.shape)
+    live = np.ones(n_mats, dtype=bool)
     for n in range(1, 200):
         power = power @ x
         term = power / n
-        total = total + (term if n % 2 else -term)
-        if _norm1(term) < EXPM_TERM_TOL:
+        total += (term if n % 2 else -term) * live[:, None, None]
+        live &= _norm1(term) >= EXPM_TERM_TOL
+        if not live.any():
             break
-    return total * (2.0**depth)
-
-
-def _span_projector(m: ModelSubspace) -> np.ndarray | None:
-    if m.dim == 0:
-        return None
-    rows = np.array([[float(x) for x in row] for row in m.rref])
-    return rows.T  # k^2 x dim
+    total = np.ldexp(total, depth[:, None, None])
+    return total[0] if single else total
 
 
 def verify_multiplicative_closure(
@@ -209,52 +232,71 @@ def verify_multiplicative_closure(
     Each trial draws Q1, Q2 as random positive combinations of the
     generators (coefficients uniform in (0, 1]) and times in (0, t_max],
     multiplies the two substitution matrices, takes the principal log,
-    and measures the max-abs residual against the least-squares
-    projection onto the span.  Membership of a subspace is scale
-    invariant, so the unnormalized log is tested.
+    and measures the max-abs residual against the orthogonal projection
+    onto the span.  Membership of a subspace is scale invariant, so the
+    unnormalized log is tested.
 
-    Per-trial RNG streams are derived from (seed, trial) so runs are
-    reproducible and order-independent.  A trial whose logarithm fails to
-    converge is resampled up to ``retry_budget`` times; if any trial
-    exhausts the budget the verdict is "inconclusive" rather than a
-    pass or fail.
+    Per-trial RNG streams are derived from (seed, trial, attempt) so runs
+    are reproducible and order-independent.  The trials run in rounds:
+    one stacked expm and one stacked logm per round, over every trial
+    still pending.  A trial whose logarithm fails to converge is redrawn
+    with the next attempt, up to ``retry_budget`` attempts; if any trial
+    exhausts the budget the verdict is "inconclusive" rather than a pass
+    or fail.  Raises ValueError for a dimension-0 model and for
+    ``trials`` or ``retry_budget`` below 1, or ``t_max`` or ``tol`` not
+    a finite positive number.
     """
     if m.dim < 1:
         raise ValueError("degenerate model: dimension 0")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if retry_budget < 1:
+        raise ValueError(f"retry_budget must be at least 1, got {retry_budget}")
+    for name, value in (("t_max", t_max), ("tol", tol)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite positive number, got {value}")
     gens = np.array(
         [[[float(x) for x in row] for row in g] for g in m.basis]
     )
-    proj = _span_projector(m)
+    d = len(gens)
+    # orthonormal basis of the span, one column per rref row
+    span, _ = np.linalg.qr(np.array([[float(x) for x in row] for row in m.rref]).T)
     max_residual = 0.0
     discarded = 0
-    exhausted = False
-    for trial in range(trials):
-        done = False
-        for attempt in range(retry_budget):
-            rng = np.random.default_rng([seed, trial, attempt])
-            c1 = 1.0 - rng.random(len(gens))
-            c2 = 1.0 - rng.random(len(gens))
-            t1 = (1.0 - rng.random()) * t_max
-            t2 = (1.0 - rng.random()) * t_max
-            q1 = np.tensordot(c1, gens, axes=1)
-            q2 = np.tensordot(c2, gens, axes=1)
-            prod = expm(q1, t1) @ expm(q2, t2)
-            try:
-                x = logm(prod)
-            except LogmConvergenceError:
-                discarded += 1
-                continue
-            v = x.reshape(-1)
-            coeffs, *_ = np.linalg.lstsq(proj, v, rcond=None)
-            residual = float(np.abs(v - proj @ coeffs).max())
-            max_residual = max(max_residual, residual)
-            done = True
+    pending = list(range(trials))
+    for attempt in range(retry_budget):
+        n = len(pending)
+        # One draw of 2d + 2 uniforms is the same stream as drawing c1, c2,
+        # t1 and t2 one after another.
+        u = 1.0 - np.array(
+            [np.random.default_rng([seed, trial, attempt]).random(2 * d + 2) for trial in pending]
+        )
+        c = np.concatenate([u[:, :d], u[:, d : 2 * d]])
+        t = np.concatenate([u[:, 2 * d], u[:, 2 * d + 1]]) * t_max
+        subst = expm(np.tensordot(c, gens, axes=1), t)
+        prods = subst[:n] @ subst[n:]
+        try:
+            logs = logm(prods)
+            ok = np.ones(n, dtype=bool)
+        except LogmConvergenceError:
+            logs = np.zeros_like(prods)
+            ok = np.zeros(n, dtype=bool)
+            for i, prod in enumerate(prods):
+                try:
+                    logs[i] = logm(prod)
+                    ok[i] = True
+                except LogmConvergenceError:
+                    pass
+        v = logs[ok].reshape(-1, m.order**2)
+        residual = np.abs(v - (v @ span) @ span.T).max(initial=0.0)
+        max_residual = max(max_residual, float(residual))
+        discarded += n - int(ok.sum())
+        pending = [trial for trial, good in zip(pending, ok) if not good]
+        if not pending:
             break
-        if not done:
-            exhausted = True
     lie = check_lie_closed(m)
     algebra = check_algebra_closed(m)
-    if exhausted:
+    if pending:
         status = "inconclusive"
     else:
         status = "pass" if max_residual < tol else "fail"

@@ -46,12 +46,20 @@ def subspace_from_generators(
     """Build a ModelSubspace; with ``drop``, zero and repeated generators go.
 
     Every generator must have zero column sums (membership in the ambient
-    space of rate matrices with sign constraint relaxed).
+    space of rate matrices with sign constraint relaxed).  Integral
+    entries are stored as ``int``, so the exact checks on the span take
+    the integer fast paths whatever type the caller used.
     """
     gens: list[Matrix] = []
     seen = set()
     for g in generators:
-        g = linalg.mat(g)
+        g = linalg.mat(
+            [
+                x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+                for x in row
+            ]
+            for row in g
+        )
         if not linalg.has_zero_column_sums(g):
             raise ValueError(f"generator has nonzero column sums: {g}")
         if drop and (linalg.is_zero(g) or g in seen):

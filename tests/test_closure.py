@@ -1,10 +1,13 @@
+import json
 import math
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from liemarkov import linalg
+from liemarkov import cli, linalg
 from liemarkov.catalog import known_subspaces
 from liemarkov.cayley import enumerate_semigroups, make_table
 from liemarkov.closure import (
@@ -17,8 +20,10 @@ from liemarkov.closure import (
     verify_multiplicative_closure,
 )
 from liemarkov.constructors import fixture
-from liemarkov.modelgen import rate_basis
+from liemarkov.modelgen import rate_basis, subspace_from_generators
 from liemarkov.representation import regular_rep
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def f81():
@@ -224,6 +229,56 @@ def test_logm_nonconvergence_raises():
         logm(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+# --- stacked kernels -----------------------------------------------------------
+
+
+def test_expm_stack_matches_single_calls():
+    rng = np.random.default_rng(8)
+    qs = np.array([random_rate_matrix(rng, 4) for _ in range(7)])
+    # from no scaling (t = 0, t = 1e-3) to many squarings (t = 25)
+    ts = np.array([0.0, 1e-3, 0.2, 1.0, 3.0, 9.0, 25.0])
+    stacked = expm(qs, ts)
+    assert stacked.shape == (7, 4, 4)
+    for q, t, m in zip(qs, ts, stacked):
+        assert np.abs(m - expm(q, t)).max() < 1e-14
+    shared = expm(qs, 0.7)
+    for q, m in zip(qs, shared):
+        assert np.abs(m - expm(q, 0.7)).max() < 1e-14
+
+
+def test_logm_stack_matches_single_calls():
+    rng = np.random.default_rng(21)
+    q1, q2, q3 = (random_rate_matrix(rng, 4) for _ in range(3))
+    ps = np.array([
+        np.eye(4),
+        expm(q1, 0.02),
+        expm(q1, 0.4) @ expm(q2, 0.9),
+        expm(q2, 1.5) @ expm(q3, 2.0),
+        expm(q3, 4.0),
+    ])
+    # distances from the identity that need from 0 to several square roots
+    dist = np.abs(ps - np.eye(4)).sum(axis=1).max(axis=1)
+    assert dist[0] == 0.0 and dist[1] < 0.25 and dist[-1] > 1.0
+    stacked = logm(ps)
+    assert stacked.shape == ps.shape
+    for p, x in zip(ps, stacked):
+        assert np.abs(x - logm(p)).max() < 1e-12
+    assert np.abs(stacked[-1] - 4.0 * q3).max() < 1e-8
+
+
+def test_logm_stack_raises_if_any_matrix_fails():
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(LogmConvergenceError):
+        logm(np.array([np.eye(2), swap]))
+
+
+def test_stacked_kernels_reject_bad_shapes():
+    with pytest.raises(ValueError):
+        expm(np.ones((2, 2, 3)))
+    with pytest.raises(ValueError):
+        logm(np.ones((2, 2, 2, 2)))
+
+
 # --- sampled multiplicative closure -------------------------------------------
 
 
@@ -269,3 +324,125 @@ def test_verify_closure_inconclusive_when_log_never_converges(monkeypatch):
     assert report.status == "inconclusive"
     assert report.discarded_trials == 6
     assert report.max_residual == 0.0
+
+
+def _draw_product(m, seed, trial, attempt, t_max=1.0):
+    """The product e^{Q1 t1} e^{Q2 t2} that a trial's RNG stream draws."""
+    gens = np.array([[[float(v) for v in row] for row in g] for g in m.basis])
+    rng = np.random.default_rng([seed, trial, attempt])
+    c1 = 1.0 - rng.random(len(gens))
+    c2 = 1.0 - rng.random(len(gens))
+    t1 = (1.0 - rng.random()) * t_max
+    t2 = (1.0 - rng.random()) * t_max
+    q1 = np.tensordot(c1, gens, axes=1)
+    q2 = np.tensordot(c2, gens, axes=1)
+    return expm(q1, t1) @ expm(q2, t2)
+
+
+def _reference_verify(m, trials, tol, seed, t_max=1.0, retry_budget=5):
+    """The per-trial loop: one expm pair, one logm and one lstsq per trial."""
+    basis = np.array([[float(v) for v in row] for row in m.rref]).T
+    max_residual = 0.0
+    discarded = 0
+    exhausted = False
+    for trial in range(trials):
+        for attempt in range(retry_budget):
+            try:
+                x = logm(_draw_product(m, seed, trial, attempt, t_max)).reshape(-1)
+            except LogmConvergenceError:
+                discarded += 1
+                continue
+            coeffs, *_ = np.linalg.lstsq(basis, x, rcond=None)
+            max_residual = max(max_residual, float(np.abs(x - basis @ coeffs).max()))
+            break
+        else:
+            exhausted = True
+    if exhausted:
+        return "inconclusive", discarded, max_residual
+    return ("pass" if max_residual < tol else "fail"), discarded, max_residual
+
+
+def golden_spans(every=13):
+    doc = json.loads((ROOT / "tests" / "golden" / "catalog_k4.json").read_text())
+    return [
+        subspace_from_generators(
+            4, [[[Fraction(x) for x in row] for row in g] for g in e["generators"]]
+        )
+        for e in doc["entries"][::every]
+    ]
+
+
+def test_verify_closure_matches_per_trial_reference():
+    known = known_subspaces()
+    models = [known["F81"], known["K3ST"], fixture("SYM").subspace] + golden_spans()
+    assert len(models) >= 13
+    for seed in (0, 7, 123):
+        for idx, m in enumerate(models):
+            report = verify_multiplicative_closure(
+                m, trials=10, tol=1e-6, seed=seed * 100 + idx, t_max=2.0
+            )
+            status, discarded, max_residual = _reference_verify(
+                m, trials=10, tol=1e-6, seed=seed * 100 + idx, t_max=2.0
+            )
+            assert (report.status, report.discarded_trials) == (status, discarded)
+            assert abs(report.max_residual - max_residual) < 1e-12
+
+
+def test_verify_closure_redraws_only_the_failing_trial(monkeypatch):
+    import liemarkov.closure as closure_mod
+
+    m, seed, bad = f81(), 3, 2
+    target = _draw_product(m, seed, bad, 0)
+    calls = []
+
+    def fails_on_target(p):
+        p = np.asarray(p)
+        calls.append(p)
+        if any(np.array_equal(x, target) for x in p.reshape(-1, 4, 4)):
+            raise LogmConvergenceError("forced")
+        return logm(p)
+
+    monkeypatch.setattr(closure_mod, "logm", fails_on_target)
+    report = verify_multiplicative_closure(m, trials=5, tol=1e-6, seed=seed)
+    assert report.status == "pass"
+    assert report.discarded_trials == 1
+    assert report.max_residual < 1e-9
+    # one stacked call, the per-matrix fallback, then the redraw alone
+    assert [c.shape for c in calls] == [(5, 4, 4)] + [(4, 4)] * 5 + [(1, 4, 4)]
+    assert np.allclose(calls[-1][0], _draw_product(m, seed, bad, 1), atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"trials": 0},
+        {"trials": -5},
+        {"retry_budget": 0},
+        {"t_max": -1.0},
+        {"t_max": 0.0},
+        {"t_max": math.inf},
+        {"tol": 0.0},
+        {"tol": -1e-6},
+        {"tol": math.nan},
+        {"tol": math.inf},
+    ],
+)
+def test_verify_closure_rejects_vacuous_settings(kwargs):
+    # SYM fails Lie closure, so no setting may turn it into a pass
+    with pytest.raises(ValueError):
+        verify_multiplicative_closure(fixture("SYM").subspace, **kwargs)
+
+
+@pytest.mark.parametrize("flags", [["--trials", "-5"], ["--trials", "0"], ["--tol", "nan"]])
+def test_cli_verify_closure_rejects_vacuous_settings(flags, capsys):
+    args = ["verify-closure", "--order", "2", "--model-id", "13f11cde8450671b"]
+    assert cli.main(args + flags) == 1
+    out = capsys.readouterr()
+    assert "PASS" not in out.out
+    assert out.err.startswith("error:")
+
+
+def test_cli_verify_closure_passes(capsys):
+    args = ["verify-closure", "--order", "2", "--model-id", "13f11cde8450671b"]
+    assert cli.main(args + ["--trials", "5"]) == 0
+    assert capsys.readouterr().out.startswith("PASS model 13f11cde8450671b")

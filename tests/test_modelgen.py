@@ -276,3 +276,46 @@ def test_model_orbit_group_matches_membership_oracle(orbit_models):
 def test_model_orbit_stabilizer_identity(orbit_models):
     for m, orbit in orbit_models:
         assert len(orbit.group) * orbit.variants == math.factorial(m.order)
+
+
+def _all_int(rows):
+    return all(type(x) is int for row in rows for x in row)
+
+
+def test_integral_fraction_generators_are_stored_as_int():
+    doc = json.loads(GOLDEN.read_text())
+    for entry in doc["entries"]:
+        as_int = subspace_from_generators(
+            4, [[[int(x) for x in row] for row in g] for g in entry["generators"]]
+        )
+        as_fraction = subspace_from_generators(
+            4, [[[Fraction(x) for x in row] for row in g] for g in entry["generators"]]
+        )
+        assert all(_all_int(g) for g in as_fraction.basis)
+        assert _all_int(as_fraction.rref)
+        assert as_fraction == as_int
+    # Registry spans rebuilt from Fraction generators equal the originals
+    # entry for entry and type for type (K2ST's rref has genuine halves),
+    # so their canonical keys, and the ids test_model_ids_stable pins, hold.
+    for sub in known_subspaces().values():
+        rebuilt = subspace_from_generators(
+            sub.order, [[[Fraction(x) for x in row] for row in g] for g in sub.basis]
+        )
+        assert all(_all_int(g) for g in rebuilt.basis)
+        assert rebuilt == sub
+        assert [list(map(type, row)) for row in rebuilt.rref] == [
+            list(map(type, row)) for row in sub.rref
+        ]
+        assert canonical_subspace(rebuilt) == canonical_subspace(sub)
+
+
+def test_non_integral_entries_stay_fraction():
+    half = Fraction(1, 2)
+    sub = subspace_from_generators(
+        2, [((-half, 1), (half, -1)), ((-1, half), (1, -half))]
+    )
+    assert sub.basis[0] == ((-half, 1), (half, -1))
+    assert type(sub.basis[0][0][0]) is Fraction
+    assert type(sub.basis[0][0][1]) is int
+    assert sub.dim == 2
+    assert any(type(x) is Fraction for row in sub.rref for x in row)
