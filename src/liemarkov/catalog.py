@@ -18,6 +18,7 @@ import io
 import json
 import logging
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -237,8 +238,14 @@ def run_pipeline(
     if tables is None:
         if not 2 <= order <= 4:
             raise ValueError(f"enumeration pipeline supports orders 2..4, got {order}")
+        start = time.perf_counter()
         tables = enumerate_semigroups(order)
-        logger.info("order %d: %d semigroup classes", order, len(tables))
+        logger.info(
+            "order %d: %d semigroup classes (enumerated in %.3f s)",
+            order,
+            len(tables),
+            time.perf_counter() - start,
+        )
     else:
         tables = list(tables)
         if not tables:

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 Perm = tuple[int, ...]
 """A permutation of {0..k-1} stored as an image array: p[i] is the image of i."""
 
-MAX_ENUM_ORDER = 4
+MAX_ENUM_ORDER = 5
 
 
 class MalformedTableError(ValueError):
@@ -145,11 +145,17 @@ def _relabel_rows(m, p, k) -> tuple[tuple[int, ...], ...]:
 def enumerate_semigroups(k: int) -> list[CayleyTable]:
     """All semigroups of order k up to isomorphism, canonical and sorted.
 
-    Depth-first fill of the table in row-major order with incremental
-    associativity pruning: after each placement, every triple whose four
-    participating products just became defined is checked.  A completed
-    table is kept only if it equals its own canonical form, so the result
-    holds exactly one representative per isomorphism class.
+    Depth-first fill of the table in row-major order with two prunings
+    after each placement.  Associativity: every triple whose four
+    participating products just became defined is checked.  Canonicity:
+    for every non-identity relabeling p, the relabeled partial table
+    ``p(m[p^-1 i][p^-1 j])`` is compared with the partial table cell by
+    cell in row-major order, up to the first cell where either side is
+    still undefined; if the first cell that differs is smaller under p,
+    every completion has a smaller relabeling, so the subtree is cut.
+    On a complete table this is the full test against
+    :func:`canonical_form`, so the result holds exactly one
+    representative, the canonical form, of each isomorphism class.
     Anti-isomorphic classes are kept separate.
     """
     if not 1 <= k <= MAX_ENUM_ORDER:
@@ -157,72 +163,91 @@ def enumerate_semigroups(k: int) -> list[CayleyTable]:
             f"order {k} not supported: enumeration is limited to "
             f"1 <= k <= {MAX_ENUM_ORDER}"
         )
-    found: list[tuple[tuple[int, ...], ...]] = []
-    cells = [(i, j) for i in range(k) for j in range(k)]
-    m = [[-1] * k for _ in range(k)]
+    n = k * k
+    found: list[tuple[int, ...]] = []
+    # m[i * k + j] is the product a_i * a_j, or -1 while undefined
+    m = [-1] * n
     # occ[v] lists the (a, b) cells currently holding value v, so triples in
     # which a fresh cell participates as an *outer* product are found fast.
     occ: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     rng = range(k)
-    perms = list(itertools.permutations(range(k)))
+    rows = [i * k for i in rng]
+    # per relabeling p: the relabeled table is (p[m[s]] for s in src)
+    gathers = []
+    for p in itertools.permutations(rng):
+        if p != identity_perm(k):
+            q = invert(p)
+            gathers.append((p, tuple(q[i] * k + q[j] for i in rng for j in rng)))
 
-    def consistent(i: int, j: int) -> bool:
-        v = m[i][j]
+    def consistent(i: int, j: int, v: int) -> bool:
+        ri, rj, rv = rows[i], rows[j], rows[v]
         # (i, j, c): products t[i][j]=v and t[j][c]; outer t[v][c], t[i][t[j][c]]
-        mj = m[j]
-        mv = m[v]
-        mi = m[i]
         for c in rng:
-            jc = mj[c]
+            jc = m[rj + c]
             if jc >= 0:
-                left = mv[c]
-                right = mi[jc]
+                left = m[rv + c]
+                right = m[ri + jc]
                 if left >= 0 and right >= 0 and left != right:
                     return False
         # (a, i, j): products t[a][i], t[i][j]=v; outer t[t[a][i]][j], t[a][v]
-        for a in rng:
-            ai = m[a][i]
+        for ra in rows:
+            ai = m[ra + i]
             if ai >= 0:
-                left = m[ai][j]
-                right = m[a][v]
+                left = m[rows[ai] + j]
+                right = m[ra + v]
                 if left >= 0 and right >= 0 and left != right:
                     return False
         # (a, b, j) with t[a][b] == i: outer product on the left is the new cell
         for (a, b) in occ[i]:
-            bj = m[b][j]
+            bj = m[rows[b] + j]
             if bj >= 0:
-                right = m[a][bj]
+                right = m[rows[a] + bj]
                 if right >= 0 and right != v:
                     return False
         # (i, b, c) with t[b][c] == j: outer product on the right is the new cell
         for (b, c) in occ[j]:
-            ib = m[i][b]
+            ib = m[ri + b]
             if ib >= 0:
-                left = m[ib][c]
+                left = m[rows[ib] + c]
                 if left >= 0 and left != v:
                     return False
         return True
 
+    def beaten() -> bool:
+        # the defined cells of m form a row-major prefix, so x < 0 ends it
+        for p, src in gathers:
+            for s, x in zip(src, m):
+                if x < 0:
+                    break
+                y = m[s]
+                if y < 0:
+                    break
+                y = p[y]
+                if y != x:
+                    if y < x:
+                        return True
+                    break
+        return False
+
     def fill(pos: int):
-        if pos == len(cells):
-            table = tuple(tuple(row) for row in m)
-            for p in perms:
-                if _relabel_rows(table, p, k) < table:
-                    return
-            found.append(table)
+        if pos == n:
+            found.append(tuple(m))
             return
-        i, j = cells[pos]
+        i, j = divmod(pos, k)
         for v in rng:
-            m[i][j] = v
+            m[pos] = v
             occ[v].append((i, j))
-            if consistent(i, j):
+            if consistent(i, j, v) and not beaten():
                 fill(pos + 1)
             occ[v].pop()
-        m[i][j] = -1
+        m[pos] = -1
 
     fill(0)
-    found.sort()
-    return [CayleyTable(k, t) for t in found]
+    # values are tried in increasing order on a row-major fill, so tables
+    # are found in sorted order
+    return [
+        CayleyTable(k, tuple(t[r : r + k] for r in rows)) for t in found
+    ]
 
 
 def anti_iso_census(tables: Iterable[CayleyTable]) -> tuple[int, int]:

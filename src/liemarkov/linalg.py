@@ -26,20 +26,8 @@ def identity(k: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
 
 
-def zeros(k: int) -> Matrix:
-    return tuple((0,) * k for _ in range(k))
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c: Scalar, a: Matrix) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cayley import CayleyTable, is_associative
-from .linalg import Matrix, mat_mul
+from .linalg import Matrix
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,3 @@ def regular_rep(t: CayleyTable) -> RegularRep:
 def rep_is_injective(r: RegularRep) -> bool:
     """True iff all k matrices are pairwise distinct."""
     return len(set(r.matrices)) == r.order
-
-
-def check_homomorphism(r: RegularRep, t: CayleyTable) -> bool:
-    """A_i A_j == A_{t[i][j]} entrywise for all pairs."""
-    for i in range(t.order):
-        for j in range(t.order):
-            if mat_mul(r.matrices[i], r.matrices[j]) != r.matrices[t.table[i][j]]:
-                return False
-    return True

@@ -1,10 +1,12 @@
 import dataclasses
 import json
+import logging
+import re
 from fractions import Fraction
 
 import pytest
 
-from liemarkov import cli
+from liemarkov import catalog, cli
 from liemarkov.catalog import (
     PipelineInvariantError,
     build_registry,
@@ -56,8 +58,6 @@ def test_registry_is_built_once_and_read_only():
 
 
 def test_classify_model_checks_orbit_stabilizer(monkeypatch):
-    from liemarkov import catalog
-
     sub = known_subspaces()["K3ST"]
     orbit = catalog.model_orbit(sub)
     monkeypatch.setattr(
@@ -155,6 +155,26 @@ def test_pipeline_rejects_bad_arguments():
         run_pipeline(
             tables=[make_table([[0, 0], [0, 0]]), make_table([[1, 0], [0, 0]])]
         )
+
+
+def test_pipeline_rejects_order5_before_enumerating(monkeypatch):
+    # enumeration covers order 5, derivation does not: the pipeline's own
+    # order check must refuse it before any enumeration starts
+    def refuse(k):
+        raise AssertionError(f"enumerated order {k}")
+
+    monkeypatch.setattr(catalog, "enumerate_semigroups", refuse)
+    with pytest.raises(ValueError, match="orders 2..4"):
+        run_pipeline(order=5)
+
+
+def test_pipeline_logs_enumeration_time(caplog):
+    with caplog.at_level(logging.INFO, logger=catalog.logger.name):
+        run_pipeline(order=2)
+    assert re.search(
+        r"order 2: 5 semigroup classes \(enumerated in \d+\.\d{3} s\)",
+        caplog.text,
+    )
 
 
 def test_pipeline_from_tables_matches_enumeration(catalog2):

@@ -150,7 +150,7 @@ def test_enumerate_k2_tables_exactly():
 
 def test_enumerate_rejects_large_order():
     with pytest.raises(ValueError):
-        enumerate_semigroups(5)
+        enumerate_semigroups(6)
     with pytest.raises(ValueError):
         enumerate_semigroups(0)
 
@@ -162,6 +162,76 @@ def test_enumerated_tables_are_associative_canonical_sorted(semigroups4):
             assert t.order == k
             assert is_associative(t)
             assert canonical_form(t) == t
+
+
+def reference_enumerate(k: int) -> list[CayleyTable]:
+    # the enumerator before partial-table pruning: associativity pruning
+    # only, and the canonicity filter applied to complete tables
+    found = []
+    cells = [(i, j) for i in range(k) for j in range(k)]
+    m = [[-1] * k for _ in range(k)]
+    occ = [[] for _ in range(k)]
+    rng = range(k)
+
+    def consistent(i, j):
+        v = m[i][j]
+        for c in rng:
+            jc = m[j][c]
+            if jc >= 0:
+                left, right = m[v][c], m[i][jc]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+        for a in rng:
+            ai = m[a][i]
+            if ai >= 0:
+                left, right = m[ai][j], m[a][v]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+        for (a, b) in occ[i]:
+            bj = m[b][j]
+            if bj >= 0 and m[a][bj] >= 0 and m[a][bj] != v:
+                return False
+        for (b, c) in occ[j]:
+            ib = m[i][b]
+            if ib >= 0 and m[ib][c] >= 0 and m[ib][c] != v:
+                return False
+        return True
+
+    def fill(pos):
+        if pos == len(cells):
+            table = CayleyTable(k, tuple(tuple(row) for row in m))
+            if canonical_form(table) == table:
+                found.append(table)
+            return
+        i, j = cells[pos]
+        for v in rng:
+            m[i][j] = v
+            occ[v].append((i, j))
+            if consistent(i, j):
+                fill(pos + 1)
+            occ[v].pop()
+        m[i][j] = -1
+
+    fill(0)
+    return sorted(found)
+
+
+def test_pruned_enumeration_matches_complete_table_filter(semigroups4):
+    for k in (1, 2, 3):
+        assert enumerate_semigroups(k) == reference_enumerate(k)
+    assert semigroups4 == reference_enumerate(4)
+
+
+@pytest.mark.slow
+def test_enumerate_order5_matches_oeis():
+    tables = enumerate_semigroups(5)
+    assert len(tables) == 1915  # OEIS A027851
+    assert tables == sorted(tables, key=lambda t: t.table)
+    for t in tables:
+        assert is_associative(t)
+        assert canonical_form(t) == t
+    # 405 self-dual classes + 755 reversal pairs = 1160, OEIS A001423
+    assert anti_iso_census(tables) == (405, 755)
 
 
 def test_anti_iso_census_k2():

@@ -2,12 +2,18 @@ import pytest
 
 from liemarkov.cayley import make_table
 from liemarkov.constructors import cyclic_group, klein_group, symmetric_group_3
-from liemarkov.linalg import identity
-from liemarkov.representation import (
-    check_homomorphism,
-    regular_rep,
-    rep_is_injective,
-)
+from liemarkov.linalg import identity, mat_mul
+from liemarkov.representation import regular_rep, rep_is_injective
+
+
+def check_homomorphism(r, t):
+    """A_i A_j == A_{t[i][j]} entrywise for all pairs."""
+    for i in range(t.order):
+        for j in range(t.order):
+            if mat_mul(r.matrices[i], r.matrices[j]) != r.matrices[t.table[i][j]]:
+                return False
+    return True
+
 
 ABSORB_2 = make_table([[0, 0], [0, 0]])
 ABSORB_2_WITH_IDENTITY = make_table([[0, 0], [0, 1]])
