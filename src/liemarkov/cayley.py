@@ -15,6 +15,7 @@ reversal-invariant).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -121,25 +122,36 @@ def reverse(t: CayleyTable) -> CayleyTable:
 def canonical_form(t: CayleyTable) -> CayleyTable:
     """Lexicographically minimal relabeling (row-major entry comparison).
 
-    Two tables are isomorphic iff their canonical forms are equal.
+    Two tables are isomorphic iff their canonical forms are equal.  Each
+    relabeling is built row by row and dropped at the first row that is
+    already larger than the best table so far; once a row is smaller, the
+    rest is built without comparison and becomes the new best.
     """
     k = t.order
-    best = t.table
-    for p in itertools.permutations(range(k)):
-        cand = _relabel_rows(t.table, p, k)
-        if cand < best:
-            best = cand
+    m = t.table
+    best = m
+    for p, inv in _perms_with_inverses(k):
+        rows = []
+        smaller = False
+        # row i of the relabeled table is p(t[inv(i)][inv(j)])
+        for inv_i in inv:
+            m_row = m[inv_i]
+            row = tuple([p[m_row[inv_j]] for inv_j in inv])
+            if not smaller:
+                if row > best[len(rows)]:
+                    break
+                smaller = row < best[len(rows)]
+            rows.append(row)
+        else:
+            if smaller:
+                best = tuple(rows)
     return CayleyTable(k, best)
 
 
-def _relabel_rows(m, p, k) -> tuple[tuple[int, ...], ...]:
-    inv = [0] * k
-    for i, x in enumerate(p):
-        inv[x] = i
-    # row i of the relabeled table is p(t[inv(i)][inv(j)])
-    return tuple(
-        tuple(p[m[inv_i][inv_j]] for inv_j in inv) for inv_i in inv
-    )
+@functools.cache
+def _perms_with_inverses(k: int) -> tuple[tuple[Perm, Perm], ...]:
+    """Every permutation of {0..k-1} with its inverse, the identity first."""
+    return tuple((p, invert(p)) for p in itertools.permutations(range(k)))
 
 
 def enumerate_semigroups(k: int) -> list[CayleyTable]:
@@ -173,11 +185,10 @@ def enumerate_semigroups(k: int) -> list[CayleyTable]:
     rng = range(k)
     rows = [i * k for i in rng]
     # per relabeling p: the relabeled table is (p[m[s]] for s in src)
-    gathers = []
-    for p in itertools.permutations(rng):
-        if p != identity_perm(k):
-            q = invert(p)
-            gathers.append((p, tuple(q[i] * k + q[j] for i in rng for j in rng)))
+    gathers = [
+        (p, tuple(q[i] * k + q[j] for i in rng for j in rng))
+        for p, q in _perms_with_inverses(k)[1:]
+    ]
 
     def consistent(i: int, j: int, v: int) -> bool:
         ri, rj, rv = rows[i], rows[j], rows[v]

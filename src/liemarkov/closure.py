@@ -11,6 +11,14 @@ Two exact decisions and one numerical verification:
 
 The first two run on exact rational matrices.  Floating point enters the
 package only here, in expm/logm and the sampled verification.
+
+logm takes one of two routes for each matrix.  A matrix whose eigenvalues
+avoid the closed negative real axis and whose eigenvector matrix is
+well conditioned (1-norm condition number at most LOGM_EIG_MAX_COND) gets
+V log(w) V^-1 from one batched eigendecomposition.  Every other matrix,
+defective or nearly so, goes through inverse scaling and squaring:
+Denman-Beavers square roots down to the series radius, then the log
+series.
 """
 
 from __future__ import annotations
@@ -29,6 +37,10 @@ EXPM_TERM_TOL = 1e-18
 EXPM_SCALE_LIMIT = 0.5
 LOGM_SERIES_RADIUS = 0.25
 LOGM_MAX_SQRT_DEPTH = 40
+# The eigen route's error grows with this bound.  The 1-norm eigenvector
+# condition numbers of sampled closure products are either below about 250
+# or above about 1e7, so any bound in between routes them alike.
+LOGM_EIG_MAX_COND = 1e3
 
 
 class LogmConvergenceError(ArithmeticError):
@@ -175,7 +187,45 @@ def _sqrtm_stack(a: np.ndarray) -> np.ndarray:
     raise LogmConvergenceError("square-root iteration did not converge")
 
 
-def logm(p: np.ndarray | Sequence) -> np.ndarray:
+def _logm_eig_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logarithms of a stack as V log(w) V^-1, and which of them to trust.
+
+    A matrix is served when its eigenvalues and eigenvectors are finite,
+    no eigenvalue is real and <= 0, the 1-norm condition number of its
+    eigenvector matrix V is at most LOGM_EIG_MAX_COND, and the imaginary
+    part of its result is at rounding level, i.e. at most k * cond(V) *
+    eps * max|log w| in the 1-norm.  Its error is then of order cond(V) *
+    eps * |log w| (Higham, Functions of Matrices, section 4.5).  The
+    entries of the other matrices are unspecified.
+    """
+    try:
+        w, v = np.linalg.eig(a)
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        # LAPACK refuses the whole batch for one bad matrix; decide one by one
+        if len(a) == 1:
+            return np.zeros_like(a), np.zeros(1, dtype=bool)
+        parts = [_logm_eig_route(x[None]) for x in a]
+        return np.concatenate([x for x, _ in parts]), np.concatenate([ok for _, ok in parts])
+    with np.errstate(invalid="ignore", over="ignore"):
+        cond = _norm1(v) * _norm1(v_inv)
+    ok = (
+        np.isfinite(w).all(axis=-1)
+        & ~((w.imag == 0) & (w.real <= 0)).any(axis=-1)
+        & (cond <= LOGM_EIG_MAX_COND)
+    )
+    logs = np.zeros_like(a)
+    idx = np.flatnonzero(ok)
+    log_w = np.log(w[idx])
+    x = (v[idx] * log_w[:, None, :]) @ v_inv[idx]
+    scale = np.abs(log_w).max(axis=-1, initial=0.0)
+    real = _norm1(x.imag) <= a.shape[-1] * cond[idx] * np.finfo(float).eps * scale
+    logs[idx[real]] = x.real[real]
+    ok[idx[~real]] = False
+    return logs, ok
+
+
+def _logm_sqrt_route(p: np.ndarray | Sequence) -> np.ndarray:
     """Principal matrix logarithm by inverse scaling and squaring.
 
     ``p`` is one (k, k) matrix or a stack (n, k, k).  Each matrix takes
@@ -217,6 +267,29 @@ def logm(p: np.ndarray | Sequence) -> np.ndarray:
             break
     total = np.ldexp(total, depth[:, None, None])
     return total[0] if single else total
+
+
+def logm(p: np.ndarray | Sequence) -> np.ndarray:
+    """Principal matrix logarithm, routed per matrix.
+
+    ``p`` is one (k, k) matrix or a stack (n, k, k).  One batched
+    eigendecomposition serves every matrix that is diagonalizable by a
+    well-conditioned eigenvector matrix V with no eigenvalue on the closed
+    negative real axis: its logarithm is V log(w) V^-1, real part kept
+    (see ``_logm_eig_route`` for the exact rule).  Every other matrix,
+    e.g. a defective one, goes through inverse scaling and squaring
+    (``_logm_sqrt_route``).  The route depends only on the matrix itself,
+    so a stack gives the same results as single calls.  Raises
+    LogmConvergenceError if any matrix of the stack has no real principal
+    logarithm that the square-root route can reach, e.g. one with an
+    eigenvalue on the closed negative real axis.
+    """
+    a, single = _as_stack(p, "logm")
+    logs, ok = _logm_eig_route(a)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        logs[rest] = _logm_sqrt_route(a[rest])
+    return logs[0] if single else logs
 
 
 def verify_multiplicative_closure(

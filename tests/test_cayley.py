@@ -108,6 +108,36 @@ def test_canonical_form_recovers_relabeled_copy():
     assert canonical_form(relabeled) == LEFT_ZERO_2
 
 
+def full_build_canonical_form(t: CayleyTable) -> CayleyTable:
+    # reference: build all k! relabeled tables in full, keep the least
+    k = t.order
+    best = t.table
+    for p in itertools.permutations(range(k)):
+        inv = [0] * k
+        for i, x in enumerate(p):
+            inv[x] = i
+        cand = tuple(tuple(p[t.table[a][b]] for b in inv) for a in inv)
+        if cand < best:
+            best = cand
+    return CayleyTable(k, best)
+
+
+def test_canonical_form_matches_full_build(semigroups4):
+    rng = random.Random(77)
+    tables = [t for k in (1, 2, 3) for t in enumerate_semigroups(k)] + semigroups4
+    tables += [reverse(t) for t in tables]
+    tables += [apply_perm(t, tuple(rng.sample(range(t.order), t.order))) for t in tables]
+    # arbitrary, mostly non-associative tables too
+    for k in (3, 4):
+        tables += [
+            make_table([[rng.randrange(k) for _ in range(k)] for _ in range(k)])
+            for _ in range(100)
+        ]
+    assert len(tables) == 4 * 218 + 200
+    for t in tables:
+        assert canonical_form(t) == full_build_canonical_form(t)
+
+
 def test_canonical_form_idempotent():
     for t in enumerate_semigroups(3):
         assert canonical_form(canonical_form(t)) == canonical_form(t)
@@ -200,7 +230,7 @@ def reference_enumerate(k: int) -> list[CayleyTable]:
     def fill(pos):
         if pos == len(cells):
             table = CayleyTable(k, tuple(tuple(row) for row in m))
-            if canonical_form(table) == table:
+            if full_build_canonical_form(table) == table:
                 found.append(table)
             return
         i, j = cells[pos]

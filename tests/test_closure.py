@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from liemarkov.catalog import known_subspaces
 from liemarkov.cayley import enumerate_semigroups, make_table
 from liemarkov.closure import (
     LogmConvergenceError,
+    _logm_eig_route,
+    _logm_sqrt_route,
     check_algebra_closed,
     check_lie_closed,
     commutator,
@@ -242,6 +245,89 @@ def test_logm_nonconvergence_raises():
         logm(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+# --- logm routes ---------------------------------------------------------------
+
+# 3-state chain 0 -> 1 -> 2 with equal rates: the eigenvalue -1 has a
+# Jordan block, so e^{Qt} is defective
+JORDAN_RATES = np.array([[-1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
+# 3-state cycle 0 -> 1 -> 2 -> 0: eigenvalues 0 and -3/2 +- i sqrt(3)/2
+CYCLIC_RATES = np.array([[-1.0, 0.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+
+
+def eig_routed(p):
+    return bool(_logm_eig_route(np.asarray(p)[None])[1][0])
+
+
+def test_logm_defective_input_takes_square_root_route():
+    for t in (0.1, 0.7, 2.0, 5.0):
+        p = expm(JORDAN_RATES, t)
+        assert not eig_routed(p)
+        x = logm(p)
+        assert np.array_equal(x, _logm_sqrt_route(p))
+        assert np.abs(x - JORDAN_RATES * t).max() < 1e-8
+
+
+def test_logm_complex_eigenvalues_take_eigen_route():
+    for t in (0.3, 1.0, 2.5):
+        p = expm(CYCLIC_RATES, t)
+        assert np.iscomplexobj(np.linalg.eigvals(p))
+        assert eig_routed(p)
+        x = logm(p)
+        assert x.dtype == np.float64
+        assert np.abs(x - _logm_sqrt_route(p)).max() < 1e-12
+        assert np.abs(x - CYCLIC_RATES * t).max() < 1e-12
+
+
+def test_logm_mixed_route_stack_matches_single_calls():
+    rng = np.random.default_rng(12)
+    q1, q2 = (random_rate_matrix(rng, 3) for _ in range(2))
+    ps = np.array([
+        np.eye(3),
+        expm(JORDAN_RATES, 0.4),
+        expm(CYCLIC_RATES, 1.2),
+        expm(q1, 0.8) @ expm(q2, 1.5),
+        expm(JORDAN_RATES, 3.0) @ expm(JORDAN_RATES, 0.5),
+        expm(CYCLIC_RATES, 0.05),
+    ])
+    _, routed = _logm_eig_route(ps)
+    assert routed.tolist() == [True, False, True, True, False, True]
+    stacked = logm(ps)
+    for p, x in zip(ps, stacked):
+        assert np.abs(x - logm(p)).max() < 1e-12
+        assert np.abs(x - _logm_sqrt_route(p)).max() < 1e-12
+
+
+def test_logm_eig_failure_falls_back_per_matrix(monkeypatch):
+    bad = expm(CYCLIC_RATES, 0.9)
+    ps = np.array([expm(CYCLIC_RATES, 0.4), bad, expm(CYCLIC_RATES, 2.0)])
+    real_eig = np.linalg.eig
+
+    def eig_refuses_bad(a):
+        if any(np.array_equal(x, bad) for x in a.reshape(-1, 3, 3)):
+            raise np.linalg.LinAlgError("forced")
+        return real_eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", eig_refuses_bad)
+    _, routed = _logm_eig_route(ps)
+    assert routed.tolist() == [True, False, True]
+    stacked = logm(ps)
+    assert np.array_equal(stacked[1], _logm_sqrt_route(bad))
+    for p, x in zip(ps, stacked):
+        assert np.abs(x - logm(p)).max() < 1e-12
+
+
+def test_logm_negative_real_eigenvalue_still_raises():
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with warnings.catch_warnings():
+        # declined before its logarithm is taken, so np.log never sees -1
+        warnings.simplefilter("error")
+        assert not eig_routed(swap)
+    with pytest.raises(LogmConvergenceError):
+        _logm_sqrt_route(swap)
+    with pytest.raises(LogmConvergenceError):
+        logm(np.array([np.eye(2), swap, expm([[-1.0, 1.0], [1.0, -1.0]], 0.5)]))
+
+
 # --- stacked kernels -----------------------------------------------------------
 
 
@@ -399,6 +485,19 @@ def test_verify_closure_matches_per_trial_reference():
             )
             assert (report.status, report.discarded_trials) == (status, discarded)
             assert abs(report.max_residual - max_residual) < 1e-12
+
+
+def test_verify_closure_eigen_route_changes_no_verdict(monkeypatch):
+    import liemarkov.closure as closure_mod
+
+    models = golden_spans(every=1) + [fixture("SYM").subspace]
+    assert len(models) == 132
+    fast = [verify_multiplicative_closure(m, trials=5, seed=31) for m in models]
+    monkeypatch.setattr(closure_mod, "logm", _logm_sqrt_route)
+    for m, report in zip(models, fast):
+        ref = verify_multiplicative_closure(m, trials=5, seed=31)
+        assert (report.status, report.discarded_trials) == (ref.status, ref.discarded_trials)
+        assert abs(report.max_residual - ref.max_residual) < 1e-12
 
 
 def test_verify_closure_redraws_only_the_failing_trial(monkeypatch):
