@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .cayley import CayleyTable, enumerate_semigroups, is_associative, make_table
-from .closure import check_algebra_closed, check_lie_closed
+from .closure import check_algebra_closed, check_lie_closed, commutator
 from .constructors import (
     cyclic_group,
     equivariant_model,
@@ -41,9 +41,16 @@ from .modelgen import (
     is_reducible,
     model_orbit,
     rate_basis,
+    subspace_from_generators,
 )
 from .representation import regular_rep
-from .symmetry import SymmetryGroup, cycle_string, name_group_elements, parse_perm
+from .symmetry import (
+    SymmetryGroup,
+    cycle_string,
+    name_group_elements,
+    parse_perm,
+    perm_matrix,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -98,25 +105,12 @@ MODEL_33B_PERMS = ("(1 2)(3 4)", "(1 4 2 3)", "(1 3 2 4)")
 def _model_33b_subspace() -> ModelSubspace:
     # Twisted cousin of K3ST: alpha/beta/gamma sit on the cells of the
     # three listed permutations, which generate a cyclic group of order 4.
-    from .modelgen import subspace_from_generators
-    from .symmetry import perm_matrix
-
     ident = linalg.identity(4)
     gens = [
         linalg.mat_sub(perm_matrix(parse_perm(s, 4)), ident)
         for s in MODEL_33B_PERMS
     ]
     return subspace_from_generators(4, gens)
-
-
-def model_33b_table() -> CayleyTable:
-    """Multiplication table of the semigroup generating Model 3.3b.
-
-    This is the cyclic group of order 4 with elements ordered so that
-    left multiplication realizes exactly the three permutations of
-    MODEL_33B_PERMS plus the identity.
-    """
-    return make_table([[3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2], [0, 1, 2, 3]])
 
 
 def new_model_table() -> CayleyTable:
@@ -182,13 +176,14 @@ def classify_model(
     tables: Sequence[CayleyTable],
     registry: Registry,
 ) -> CatalogEntry:
-    lie = check_lie_closed(sub)
+    # algebra closure implies Lie closure, so a passing algebra check serves both
+    algebra = check_algebra_closed(sub)
+    lie = algebra if algebra.closed else check_lie_closed(sub)
     if not lie.closed:
         raise PipelineInvariantError(
             "semigroup-derived model failed Lie closure; witness pair "
             f"({lie.witness.i}, {lie.witness.j})"
         )
-    algebra = check_algebra_closed(sub)
     orbit = model_orbit(sub)
     if len(orbit.group) * orbit.variants != math.factorial(sub.order):
         raise PipelineInvariantError(
@@ -312,8 +307,6 @@ def commutator_table(
     Requires a Lie-closed subspace; a bracket outside the span is a
     structural inconsistency for derived models and raises.
     """
-    from .closure import commutator
-
     rows = [linalg.vectorize(g) for g in m.basis]
     basis, transform = linalg.rref_with_transform(rows)
     out = []
@@ -333,15 +326,13 @@ def commutator_table(
     return out
 
 
-def format_combination(coeffs: Sequence[Fraction], symbol: str = "L") -> str:
+def format_combination(coeffs: Sequence[Fraction]) -> str:
     """Render sum(c_i * L_i) like 'L1 - L2' or '3/2 L3'; zero is '0'."""
     parts = []
     for idx, c in enumerate(coeffs):
         if c == 0:
             continue
-        name = f"{symbol}{idx + 1}"
-        mag = abs(c)
-        body = name if mag == 1 else f"{mag} {name}"
+        body = f"L{idx + 1}" if abs(c) == 1 else f"{abs(c)} L{idx + 1}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -430,9 +421,9 @@ def render(
     raise ValueError(f"unknown format {fmt!r}; expected json, csv, or md")
 
 
-def _fmt_matrix(rows, pad: int = 3) -> str:
+def _fmt_matrix(rows) -> str:
     return "\n".join(
-        "  [" + " ".join(str(x).rjust(pad) for x in row) + "]" for row in rows
+        "  [" + " ".join(str(x).rjust(3) for x in row) + "]" for row in rows
     )
 
 

@@ -82,10 +82,6 @@ def identity_perm(k: int) -> Perm:
     return tuple(range(k))
 
 
-def all_perms(k: int) -> list[Perm]:
-    return [tuple(p) for p in itertools.permutations(range(k))]
-
-
 def compose(p: Perm, q: Perm) -> Perm:
     """(p o q)(x) = p(q(x))."""
     return tuple(p[q[x]] for x in range(len(p)))

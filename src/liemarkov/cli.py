@@ -18,7 +18,7 @@ from pathlib import Path
 from . import catalog as cat
 from .cayley import CayleyFormatError, parse_tables, format_tables, enumerate_semigroups
 from .closure import verify_multiplicative_closure
-from .constructors import equivariant_model, fixture, group_spec
+from .constructors import equivariant_model, fixture, group_based_model, group_spec
 from .modelgen import ModelSubspace, model_orbit
 from .symmetry import parse_perm
 
@@ -67,7 +67,7 @@ def _write_out(text: str, out: str | None, output_dir: str) -> None:
         target.write_text(text)
 
 
-def _entries_for(args, cfg) -> list[cat.CatalogEntry]:
+def _entries_for(args) -> list[cat.CatalogEntry]:
     if getattr(args, "tables", None):
         return cat.run_pipeline(tables=_read_tables(args.tables))
     return cat.run_pipeline(order=args.order)
@@ -95,7 +95,7 @@ def cmd_enumerate(args, cfg) -> int:
 
 
 def cmd_derive(args, cfg) -> int:
-    entries = _entries_for(args, cfg)
+    entries = _entries_for(args)
     order = entries[0].order if entries else args.order
     _write_out(cat.render(entries, args.format, order=order), args.out, cfg["output_dir"])
     return 0
@@ -138,8 +138,6 @@ def cmd_verify_closure(args, cfg) -> int:
 
 def cmd_construct(args, cfg) -> int:
     if args.kind == "group-based":
-        from .constructors import group_based_model
-
         tables = _read_tables(args.table)
         if len(tables) != 1:
             raise ValueError("group-based construction expects exactly one table block")

@@ -367,8 +367,8 @@ def verify_multiplicative_closure(
         pending = [trial for trial, good in zip(pending, ok) if not good]
         if not pending:
             break
-    lie = check_lie_closed(m)
     algebra = check_algebra_closed(m)
+    lie = algebra if algebra.closed else check_lie_closed(m)
     if pending:
         status = "inconclusive"
     else:

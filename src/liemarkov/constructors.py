@@ -26,10 +26,9 @@ class NotAGroupError(ValueError):
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A Cayley table known to be a group, with optional element labels."""
+    """A Cayley table known to be a group."""
 
     table: CayleyTable
-    element_names: tuple[str, ...] | None = None
 
     @property
     def order(self) -> int:
@@ -59,7 +58,7 @@ class GroupSpec:
         )
 
 
-def group_spec(rows: Sequence[Sequence[int]], names: Sequence[str] | None = None) -> GroupSpec:
+def group_spec(rows: Sequence[Sequence[int]]) -> GroupSpec:
     """Validate a table as a group: associative Latin square with identity."""
     t = make_table(rows)
     if not is_associative(t):
@@ -71,25 +70,19 @@ def group_spec(rows: Sequence[Sequence[int]], names: Sequence[str] | None = None
             raise NotAGroupError(f"row {i + 1} is not a permutation of the elements")
         if {t.table[j][i] for j in range(k)} != full:
             raise NotAGroupError(f"column {i + 1} is not a permutation of the elements")
-    g = GroupSpec(t, tuple(names) if names is not None else None)
+    g = GroupSpec(t)
     g.identity()  # raises if absent
     return g
 
 
 def cyclic_group(n: int) -> GroupSpec:
     """C_n with elements 0..n-1 under addition mod n."""
-    return group_spec(
-        [[(i + j) % n for j in range(n)] for i in range(n)],
-        [str(i) for i in range(n)],
-    )
+    return group_spec([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def klein_group() -> GroupSpec:
     """V4 = {e, (12)(34), (13)(24), (14)(23)} with xy indexing by XOR."""
-    return group_spec(
-        [[i ^ j for j in range(4)] for i in range(4)],
-        ["e", "(12)(34)", "(13)(24)", "(14)(23)"],
-    )
+    return group_spec([[i ^ j for j in range(4)] for i in range(4)])
 
 
 def symmetric_group_3() -> GroupSpec:
@@ -106,8 +99,7 @@ def symmetric_group_3() -> GroupSpec:
     table = [
         [index[tuple(p[q[x]] for x in range(3))] for q in elems] for p in elems
     ]
-    names = ["e", "(12)", "(123)", "(132)", "(23)", "(13)"]
-    return group_spec(table, names)
+    return group_spec(table)
 
 
 def regular_perm_matrices(g: GroupSpec) -> tuple[Matrix, ...]:
@@ -188,24 +180,17 @@ def equivariant_model(group: Sequence[Perm], k: int) -> ModelSubspace:
     if not is_closed_group(elements):
         raise ValueError("permutation set is not closed under composition")
     cells = [(i, j) for i in range(k) for j in range(k) if i != j]
-    unassigned = set(cells)
+    assigned = set()
     gens = []
-    for start in cells:
-        if start not in unassigned:
+    for i, j in cells:
+        if (i, j) in assigned:
             continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            (i, j) = frontier.pop()
-            for p in elements:
-                nxt = (p[i], p[j])
-                if nxt not in orbit:
-                    orbit.add(nxt)
-                    frontier.append(nxt)
-        unassigned -= orbit
+        # in a group, the images of one cell under the elements are its orbit
+        orbit = {(p[i], p[j]) for p in elements}
+        assigned |= orbit
         a = [[0] * k for _ in range(k)]
-        for (i, j) in orbit:
-            a[i][j] = 1
+        for r, c in orbit:
+            a[r][c] = 1
         for c in range(k):
             a[c][c] = -sum(a[r][c] for r in range(k) if r != c)
         gens.append(linalg.mat(a))

@@ -36,14 +36,9 @@ class ModelSubspace:
     def dim(self) -> int:
         return len(self.rref)
 
-    def rref_matrices(self) -> tuple[Matrix, ...]:
-        return tuple(linalg.unvectorize(row, self.order) for row in self.rref)
 
-
-def subspace_from_generators(
-    order: int, generators: Iterable[Matrix], drop: bool = True
-) -> ModelSubspace:
-    """Build a ModelSubspace; with ``drop``, zero and repeated generators go.
+def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelSubspace:
+    """Build a ModelSubspace; zero and repeated generators are dropped.
 
     Every generator must have zero column sums (membership in the ambient
     space of rate matrices with sign constraint relaxed).  Integral
@@ -62,7 +57,7 @@ def subspace_from_generators(
         )
         if not linalg.has_zero_column_sums(g):
             raise ValueError(f"generator has nonzero column sums: {g}")
-        if drop and (linalg.is_zero(g) or g in seen):
+        if linalg.is_zero(g) or g in seen:
             continue
         seen.add(g)
         gens.append(g)
@@ -129,8 +124,8 @@ def is_reducible(m: ModelSubspace) -> bool:
     """True iff the generic transition digraph is not strongly connected.
 
     The digraph has an edge j -> i for each True off-diagonal (i, j) of
-    the generic support.  At these sizes reachability by repeated
-    squaring of the adjacency closure is simplest.
+    the generic support; reachability comes from Warshall's transitive
+    closure of the adjacency matrix.
     """
     k = m.order
     sup = generic_support(m)

@@ -10,6 +10,7 @@ single orbit pass of :func:`liemarkov.modelgen.model_orbit`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cayley import Perm, compose, identity_perm, invert
@@ -109,40 +110,28 @@ def is_closed_group(elements: tuple[Perm, ...]) -> bool:
     )
 
 
-def name_group_elements(k: int, elements: tuple[Perm, ...]) -> str:
-    """Identify the abstract type of a subgroup of S_k, k <= 4.
+# (group order, largest element order) -> abstract type.  The key tells
+# apart every subgroup type of S_k for k <= 5, and every group of order
+# at most 4 in any S_k.
+_GROUP_NAMES = {
+    (1, 1): "trivial", (2, 2): "Z2", (3, 3): "Z3", (4, 2): "V4", (4, 4): "Z4",
+    (5, 5): "Z5", (6, 3): "S3", (6, 6): "Z6", (8, 4): "D4", (10, 5): "D5",
+    (12, 3): "A4", (12, 6): "D6", (20, 5): "F20", (24, 4): "S4", (60, 5): "A5",
+    (120, 6): "S5",
+}
 
-    Order plus element orders distinguish every subgroup type that
-    occurs: Z4 has an element of order 4 where V4 does not, S3 is the
-    only order-6 subgroup of S4, and so on.
+
+def name_group_elements(k: int, elements: tuple[Perm, ...]) -> str:
+    """Abstract type of a subgroup of S_k, looked up in _GROUP_NAMES.
+
+    Subgroups of S_k with k <= 5, and groups of order at most 4, are
+    named by their type; any other group is "order-N subgroup".
     """
     n = len(elements)
-    orders = sorted(perm_order(p) for p in elements)
-    if n == 1:
-        return "trivial"
-    if n == 2:
-        return "Z2"
-    if n == 3:
-        return "Z3"
-    if n == 4:
-        return "Z4" if 4 in orders else "V4"
-    if n == 6 and k <= 4:
-        return "S3"
-    if n == 8 and k == 4:
-        return "D4"
-    if n == 12 and k == 4:
-        return "A4"
-    if n == 24 and k == 4:
-        return "S4"
-    return f"order-{n} subgroup"
-
-
-def name_group(g: SymmetryGroup) -> str:
-    return name_group_elements(g.order_k, g.elements)
+    name = _GROUP_NAMES.get((n, max(perm_order(p) for p in elements)))
+    return name if name and (k <= 5 or n <= 4) else f"order-{n} subgroup"
 
 
 def variant_count(g: SymmetryGroup) -> int:
     """Number of distinct isomorphic variants of a model: k! / |G|."""
-    import math
-
     return math.factorial(g.order_k) // len(g.elements)

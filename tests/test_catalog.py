@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import re
@@ -15,7 +16,6 @@ from liemarkov.catalog import (
     find_entry,
     format_combination,
     known_subspaces,
-    model_33b_table,
     model_id,
     new_model_table,
     render,
@@ -28,6 +28,7 @@ from liemarkov.cayley import (
     make_table,
     parse_tables,
 )
+from liemarkov.constructors import fixture
 from liemarkov.modelgen import canonical_subspace, rate_basis
 from liemarkov.representation import regular_rep
 
@@ -69,6 +70,17 @@ def test_classify_model_checks_orbit_stabilizer(monkeypatch):
         catalog.classify_model(sub, [], [], build_registry())
 
 
+def test_classify_model_raises_on_lie_failure():
+    with pytest.raises(PipelineInvariantError, match=r"witness pair \(0, 1\)"):
+        catalog.classify_model(fixture("SYM").subspace, [], [], build_registry())
+
+
+def test_classify_model_keeps_lie_closure_when_algebra_fails():
+    report = catalog.classify_model(fixture("JJ3").subspace, [], [], build_registry()).report
+    assert report.lie_closed
+    assert not report.algebra_closed
+
+
 def test_model_ids_stable():
     for name, sub in known_subspaces().items():
         assert model_id(sub.order, canonical_subspace(sub)) == KNOWN_IDS[name]
@@ -81,7 +93,9 @@ def test_new_model_table_is_canonical_semigroup(semigroups4):
 
 
 def test_model_33b_table_generates_the_twisted_model():
-    t = model_33b_table()
+    # the cyclic group of order 4, its elements ordered so that left
+    # multiplication realizes the three permutations of MODEL_33B_PERMS
+    t = make_table([[3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2], [0, 1, 2, 3]])
     assert is_associative(t)
     sub = rate_basis(regular_rep(t))
     key = canonical_subspace(sub)
@@ -183,7 +197,7 @@ def test_pipeline_from_tables_matches_enumeration(catalog2):
 
 
 def test_pipeline_from_tables_supports_other_orders():
-    # enumeration is capped at order 4, but explicit tables are not
+    # order= stops at 4 and enumeration at 5, but explicit tables have no cap
     from liemarkov.constructors import symmetric_group_3
 
     entries = run_pipeline(tables=[symmetric_group_3().table])
@@ -284,6 +298,11 @@ def test_render_markdown_includes_commutators(catalog4):
     assert "[L1, L2] = L1 - L2" in text
     assert "[L1, L3] = 0" in text
     assert "- symmetry group: V4 (order 4)" in text
+
+
+def test_render_markdown_bytes_pinned(catalog4):
+    digest = hashlib.sha256(render(catalog4, "md").encode()).hexdigest()
+    assert digest == "511295f62ab5f8e36cc8e47e0772367725fdd1ad53e6e7a373c69417ab6ceb46"
 
 
 def test_render_unknown_format(catalog2):

@@ -487,6 +487,21 @@ def test_verify_closure_matches_per_trial_reference():
             assert abs(report.max_residual - max_residual) < 1e-12
 
 
+def test_verify_closure_reports_both_exact_checks():
+    # a passing algebra check also stands for the Lie check; a failing one
+    # must not
+    models = [fixture(n).subspace for n in ("SYM", "JJ3", "GM2")] + golden_spans(every=1)
+    assert len(models) == 134
+    for m in models:
+        report = verify_multiplicative_closure(m, trials=1)
+        lie, algebra = check_lie_closed(m), check_algebra_closed(m)
+        assert (report.lie_closed, report.lie_witness) == (lie.closed, lie.witness)
+        assert (report.algebra_closed, report.algebra_witness) == (
+            algebra.closed,
+            algebra.witness,
+        )
+
+
 def test_verify_closure_eigen_route_changes_no_verdict(monkeypatch):
     import liemarkov.closure as closure_mod
 

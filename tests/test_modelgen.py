@@ -131,7 +131,7 @@ def test_contains_exact_on_random_rational_combinations():
         sol = contains(sub, x)
         assert sol is not None
         rebuilt = zeros(4)
-        for c, row in zip(sol, sub.rref_matrices()):
+        for c, row in zip(sol, (linalg.unvectorize(r, 4) for r in sub.rref)):
             rebuilt = mat_add(rebuilt, mat_scale(c, row))
         assert rebuilt == x
 
@@ -268,7 +268,10 @@ def membership_group(m):
     return tuple(
         p
         for p in itertools.permutations(range(m.order))
-        if all(contains(m, linalg.conjugate(b, p)) is not None for b in m.rref_matrices())
+        if all(
+            contains(m, linalg.conjugate(linalg.unvectorize(row, m.order), p)) is not None
+            for row in m.rref
+        )
     )
 
 

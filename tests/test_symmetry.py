@@ -5,14 +5,14 @@ import pytest
 
 from liemarkov import linalg
 from liemarkov.catalog import known_subspaces
-from liemarkov.cayley import make_table
+from liemarkov.cayley import compose, make_table
+from liemarkov.constructors import group_based_model, symmetric_group_3
 from liemarkov.modelgen import canonical_subspace, conjugate_subspace, rate_basis
 from liemarkov.representation import regular_rep
 from liemarkov.symmetry import (
     SymmetryGroup,
     cycle_string,
     is_closed_group,
-    name_group,
     name_group_elements,
     parse_perm,
     perm_matrix,
@@ -121,6 +121,45 @@ def test_variant_count_times_group_order(catalog3, catalog4):
             assert r.variant_count * len(r.symmetry) == math.factorial(e.order)
 
 
+# One generating set (1-based cycles) per subgroup type of S5, with the
+# group order; Z2, V4 and S3 each come in two conjugacy classes.
+S5_SUBGROUPS = [
+    ("trivial", 1, []),
+    ("Z2", 2, ["(1 2)"]),
+    ("Z2", 2, ["(1 2)(3 4)"]),
+    ("Z3", 3, ["(1 2 3)"]),
+    ("V4", 4, ["(1 2)(3 4)", "(1 3)(2 4)"]),
+    ("V4", 4, ["(1 2)", "(3 4)"]),
+    ("Z4", 4, ["(1 2 3 4)"]),
+    ("Z5", 5, ["(1 2 3 4 5)"]),
+    ("S3", 6, ["(1 2 3)", "(1 2)"]),
+    ("S3", 6, ["(1 2 3)", "(1 2)(4 5)"]),
+    ("Z6", 6, ["(1 2 3)(4 5)"]),
+    ("D4", 8, ["(1 2 3 4)", "(1 3)"]),
+    ("D5", 10, ["(1 2 3 4 5)", "(2 5)(3 4)"]),
+    ("A4", 12, ["(1 2 3)", "(1 2)(3 4)"]),
+    ("D6", 12, ["(1 2 3)", "(1 2)", "(4 5)"]),
+    ("F20", 20, ["(1 2 3 4 5)", "(1 2 4 3)"]),
+    ("S4", 24, ["(1 2 3 4)", "(1 2)"]),
+    ("A5", 60, ["(1 2 3)", "(1 2 3 4 5)"]),
+    ("S5", 120, ["(1 2 3 4 5)", "(1 2)"]),
+]
+
+
+def _generated(k, cycles):
+    gens = [parse_perm(c, k) for c in cycles]
+    group = {tuple(range(k))}
+    frontier = list(group)
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = compose(g, x)
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return tuple(sorted(group))
+
+
 def test_name_group_cases():
     assert name_group_elements(3, ((0, 1, 2), (1, 0, 2))) == "Z2"
     assert name_group_elements(4, tuple(sorted(parse_perm(s, 4) for s in D4_STRINGS))) == "D4"
@@ -136,6 +175,18 @@ def test_name_group_cases():
     assert name_group_elements(4, a4) == "A4"
     s4 = tuple(sorted(itertools.permutations(range(4))))
     assert name_group_elements(4, s4) == "S4"
+    assert len({name for name, _, _ in S5_SUBGROUPS}) == 16
+    for name, order, cycles in S5_SUBGROUPS:
+        group = _generated(5, cycles)
+        assert len(group) == order, cycles
+        assert name_group_elements(5, group) == name, cycles
+    # above k = 5 the key no longer tells the types apart (Z4 x Z2 in S6
+    # has D4's key), so only groups of order at most 4 are named
+    assert name_group_elements(6, _generated(6, ["(1 2)(3 4)", "(1 3)(2 4)"])) == "V4"
+    z4_z2 = _generated(6, ["(1 2 3 4)", "(5 6)"])
+    assert name_group_elements(6, z4_z2) == "order-8 subgroup"
+    g = symmetry_group(group_based_model(symmetric_group_3()))
+    assert g.name == "order-36 subgroup"
 
 
 def _sign(p):
@@ -155,5 +206,5 @@ def test_perm_order():
 def test_name_group_on_symmetry_result():
     sub = rate_basis(regular_rep(make_table([[0, 0, 2], [1, 1, 2], [2, 2, 2]])))
     g = symmetry_group(sub)
-    assert name_group(g) == "Z2"
+    assert g.name == "Z2"
     assert set(g.elements) == {(0, 1, 2), (1, 0, 2)}
