@@ -31,7 +31,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Matrix, Scalar
-from .modelgen import ModelSubspace, contains
+from .modelgen import ModelSubspace
 
 EXPM_TERM_TOL = 1e-18
 EXPM_SCALE_LIMIT = 0.5
@@ -86,15 +86,31 @@ def commutator(
     return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
 
+def _first_escape(m: ModelSubspace, pairs: list, bracket: bool) -> ClosureCheck:
+    """First pair (i, j) whose g_i g_j, or g_i g_j - g_j g_i, leaves the span.
+
+    All products are formed at once in exact ``object`` arithmetic.  A
+    flattened v is in the span iff v - v[pivots] @ rref is zero.
+    """
+    k = m.order
+    g = np.array(m.basis, dtype=object).reshape(-1, k, k)
+    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
+    mats = g[i] @ g[j]
+    if bracket:
+        mats = mats - g[j] @ g[i]
+    v = mats.reshape(-1, k * k)
+    rref = np.array(m.rref, dtype=object).reshape(-1, k * k)
+    escaped = np.flatnonzero((v - v[:, linalg.pivot_columns(m.rref)] @ rref != 0).any(axis=1))
+    if not escaped.size:
+        return ClosureCheck(True, None)
+    i, j = pairs[escaped[0]]
+    return ClosureCheck(False, ClosureWitness(i, j, linalg.mat(mats[escaped[0]].tolist())))
+
+
 def check_lie_closed(m: ModelSubspace) -> ClosureCheck:
-    """Exact test of commutator closure over all generator pairs."""
-    gens = m.basis
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            br = commutator(gens[i], gens[j])
-            if contains(m, br) is None:
-                return ClosureCheck(False, ClosureWitness(i, j, br))
-    return ClosureCheck(True, None)
+    """Exact test of commutator closure over all generator pairs i < j."""
+    n = len(m.basis)
+    return _first_escape(m, [(i, j) for i in range(n) for j in range(i + 1, n)], bracket=True)
 
 
 def check_algebra_closed(m: ModelSubspace) -> ClosureCheck:
@@ -106,15 +122,10 @@ def check_algebra_closed(m: ModelSubspace) -> ClosureCheck:
     is the first escaping product of two distinct generators when one
     exists.
     """
-    gens = m.basis
-    n = len(gens)
+    n = len(m.basis)
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
     pairs += [(i, i) for i in range(n)]
-    for i, j in pairs:
-        prod = linalg.mat_mul(gens[i], gens[j])
-        if contains(m, prod) is None:
-            return ClosureCheck(False, ClosureWitness(i, j, prod))
-    return ClosureCheck(True, None)
+    return _first_escape(m, pairs, bracket=False)
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:
@@ -309,15 +320,15 @@ def verify_multiplicative_closure(
     onto the span.  Membership of a subspace is scale invariant, so the
     unnormalized log is tested.
 
-    Per-trial RNG streams are derived from (seed, trial, attempt) so runs
-    are reproducible and order-independent.  The trials run in rounds:
-    one stacked expm and one stacked logm per round, over every trial
-    still pending.  A trial whose logarithm fails to converge is redrawn
-    with the next attempt, up to ``retry_budget`` attempts; if any trial
-    exhausts the budget the verdict is "inconclusive" rather than a pass
-    or fail.  Raises ValueError for a dimension-0 model and for
-    ``trials`` or ``retry_budget`` below 1, or ``t_max`` or ``tol`` not
-    a finite positive number.
+    Trials run in rounds of one stacked expm and one stacked logm.  Round
+    ``attempt`` draws a (trials, 2d + 2) block from default_rng([seed,
+    attempt]) and trial i takes row i, which is the same whatever the
+    block height: a trial's numbers depend only on (seed, trial, attempt).
+    A trial whose logarithm fails to converge is redrawn next round, up
+    to ``retry_budget`` attempts; if any trial exhausts the budget the
+    verdict is "inconclusive" rather than a pass or fail.  Raises
+    ValueError for a dimension-0 model and for ``trials`` or
+    ``retry_budget`` below 1, or ``t_max`` or ``tol`` not finite positive.
     """
     if m.dim < 1:
         raise ValueError("degenerate model: dimension 0")
@@ -328,22 +339,17 @@ def verify_multiplicative_closure(
     for name, value in (("t_max", t_max), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite positive number, got {value}")
-    gens = np.array(
-        [[[float(x) for x in row] for row in g] for g in m.basis]
-    )
+    gens = np.array(m.basis, dtype=float)
     d = len(gens)
     # orthonormal basis of the span, one column per rref row
-    span, _ = np.linalg.qr(np.array([[float(x) for x in row] for row in m.rref]).T)
+    span, _ = np.linalg.qr(np.array(m.rref, dtype=float).T)
     max_residual = 0.0
     discarded = 0
-    pending = list(range(trials))
+    pending = np.arange(trials)
     for attempt in range(retry_budget):
         n = len(pending)
-        # One draw of 2d + 2 uniforms is the same stream as drawing c1, c2,
-        # t1 and t2 one after another.
-        u = 1.0 - np.array(
-            [np.random.default_rng([seed, trial, attempt]).random(2 * d + 2) for trial in pending]
-        )
+        # row i of the round's block is trial i's c1, c2, t1 and t2
+        u = 1.0 - np.random.default_rng([seed, attempt]).random((trials, 2 * d + 2))[pending]
         c = np.concatenate([u[:, :d], u[:, d : 2 * d]])
         t = np.concatenate([u[:, 2 * d], u[:, 2 * d + 1]]) * t_max
         subst = expm(np.tensordot(c, gens, axes=1), t)
@@ -364,12 +370,12 @@ def verify_multiplicative_closure(
         residual = np.abs(v - (v @ span) @ span.T).max(initial=0.0)
         max_residual = max(max_residual, float(residual))
         discarded += n - int(ok.sum())
-        pending = [trial for trial, good in zip(pending, ok) if not good]
-        if not pending:
+        pending = pending[~ok]
+        if not pending.size:
             break
     algebra = check_algebra_closed(m)
     lie = algebra if algebra.closed else check_lie_closed(m)
-    if pending:
+    if pending.size:
         status = "inconclusive"
     else:
         status = "pass" if max_residual < tol else "fail"

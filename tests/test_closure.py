@@ -12,6 +12,8 @@ from liemarkov import cli, linalg
 from liemarkov.catalog import known_subspaces
 from liemarkov.cayley import enumerate_semigroups, make_table
 from liemarkov.closure import (
+    ClosureCheck,
+    ClosureWitness,
     LogmConvergenceError,
     _logm_eig_route,
     _logm_sqrt_route,
@@ -23,7 +25,7 @@ from liemarkov.closure import (
     verify_multiplicative_closure,
 )
 from liemarkov.constructors import fixture
-from liemarkov.modelgen import rate_basis, subspace_from_generators
+from liemarkov.modelgen import contains, rate_basis, subspace_from_generators
 from liemarkov.representation import regular_rep
 
 
@@ -157,6 +159,54 @@ def test_algebra_closed_implies_lie_closed():
     for sub in subs:
         if check_algebra_closed(sub).closed:
             assert check_lie_closed(sub).closed
+
+
+def _reference_lie_closed(m):
+    """The per-pair loop: one commutator and one membership test per pair."""
+    gens = m.basis
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            br = commutator(gens[i], gens[j])
+            if contains(m, br) is None:
+                return ClosureCheck(False, ClosureWitness(i, j, br))
+    return ClosureCheck(True, None)
+
+
+def _reference_algebra_closed(m):
+    """The per-pair loop over ordered pairs, cross products before squares."""
+    gens = m.basis
+    n = len(gens)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    pairs += [(i, i) for i in range(n)]
+    for i, j in pairs:
+        prod = linalg.mat_mul(gens[i], gens[j])
+        if contains(m, prod) is None:
+            return ClosureCheck(False, ClosureWitness(i, j, prod))
+    return ClosureCheck(True, None)
+
+
+def test_exact_checks_match_per_pair_reference():
+    known = known_subspaces()
+    sym = fixture("SYM").subspace
+    halved_sym = subspace_from_generators(4, [mat_scale(Fraction(1, 2), g) for g in sym.basis])
+    models = golden_spans(every=1) + [fixture(n).subspace for n in ("SYM", "JJ3", "GM2")]
+    models += [known["K2ST"], halved_sym, subspace_from_generators(4, [])]
+    assert len(models) == 137
+    # K2ST's rref and the halved SYM basis hold genuine fractions
+    assert any(type(x) is Fraction for row in known["K2ST"].rref for x in row)
+    assert all(type(x) is Fraction for g in halved_sym.basis for row in g for x in row if x)
+    failures = 0
+    for m in models:
+        for check, reference in (
+            (check_lie_closed, _reference_lie_closed),
+            (check_algebra_closed, _reference_algebra_closed),
+        ):
+            got, want = check(m), reference(m)
+            # repr compares entry types too: int stays int, Fraction stays Fraction
+            assert repr(got) == repr(want)
+            failures += not got.closed
+    # SYM and its halving fail both checks, JJ3 only the algebra check
+    assert failures == 5
 
 
 # --- matrix exponential ------------------------------------------------------
@@ -425,14 +475,13 @@ def test_verify_closure_inconclusive_when_log_never_converges(monkeypatch):
     assert report.max_residual == 0.0
 
 
-def _draw_product(m, seed, trial, attempt, t_max=1.0):
-    """The product e^{Q1 t1} e^{Q2 t2} that a trial's RNG stream draws."""
+def _draw_product(m, seed, trial, attempt, trials, t_max=1.0):
+    """The product e^{Q1 t1} e^{Q2 t2} that a trial's row of its round's block draws."""
     gens = np.array([[[float(v) for v in row] for row in g] for g in m.basis])
-    rng = np.random.default_rng([seed, trial, attempt])
-    c1 = 1.0 - rng.random(len(gens))
-    c2 = 1.0 - rng.random(len(gens))
-    t1 = (1.0 - rng.random()) * t_max
-    t2 = (1.0 - rng.random()) * t_max
+    d = len(gens)
+    u = 1.0 - np.random.default_rng([seed, attempt]).random((trials, 2 * d + 2))[trial]
+    c1, c2 = u[:d], u[d : 2 * d]
+    t1, t2 = u[2 * d] * t_max, u[2 * d + 1] * t_max
     q1 = np.tensordot(c1, gens, axes=1)
     q2 = np.tensordot(c2, gens, axes=1)
     return expm(q1, t1) @ expm(q2, t2)
@@ -447,7 +496,7 @@ def _reference_verify(m, trials, tol, seed, t_max=1.0, retry_budget=5):
     for trial in range(trials):
         for attempt in range(retry_budget):
             try:
-                x = logm(_draw_product(m, seed, trial, attempt, t_max)).reshape(-1)
+                x = logm(_draw_product(m, seed, trial, attempt, trials, t_max)).reshape(-1)
             except LogmConvergenceError:
                 discarded += 1
                 continue
@@ -519,7 +568,7 @@ def test_verify_closure_redraws_only_the_failing_trial(monkeypatch):
     import liemarkov.closure as closure_mod
 
     m, seed, bad = f81(), 3, 2
-    target = _draw_product(m, seed, bad, 0)
+    target = _draw_product(m, seed, bad, 0, trials=5)
     calls = []
 
     def fails_on_target(p):
@@ -536,7 +585,41 @@ def test_verify_closure_redraws_only_the_failing_trial(monkeypatch):
     assert report.max_residual < 1e-9
     # one stacked call, the per-matrix fallback, then the redraw alone
     assert [c.shape for c in calls] == [(5, 4, 4)] + [(4, 4)] * 5 + [(1, 4, 4)]
-    assert np.allclose(calls[-1][0], _draw_product(m, seed, bad, 1), atol=1e-14)
+    assert np.allclose(calls[-1][0], _draw_product(m, seed, bad, 1, trials=5), atol=1e-14)
+
+
+def test_verify_closure_draws_do_not_depend_on_trial_count(monkeypatch):
+    import liemarkov.closure as closure_mod
+
+    m, seed, bad = known_subspaces()["K3ST"], 17, 3
+    target = _draw_product(m, seed, bad, 0, trials=5)
+
+    def logm_inputs(trials):
+        calls = []
+
+        def fails_on_target(p):
+            p = np.asarray(p)
+            calls.append(p)
+            if any(np.array_equal(x, target) for x in p.reshape(-1, 4, 4)):
+                raise LogmConvergenceError("forced")
+            return logm(p)
+
+        monkeypatch.setattr(closure_mod, "logm", fails_on_target)
+        report = verify_multiplicative_closure(m, trials=trials, seed=seed)
+        assert (report.status, report.discarded_trials) == ("pass", 1)
+        return calls
+
+    few, many = logm_inputs(5), logm_inputs(100)
+    assert few[0].shape == (5, 4, 4) and many[0].shape == (100, 4, 4)
+    # trials 0..4 draw the same products at either trial count
+    assert np.array_equal(few[0], many[0][:5])
+    for trial in range(5):
+        assert np.array_equal(few[0][trial], _draw_product(m, seed, trial, 0, trials=100))
+    # the redrawn trial, alone in the second round, takes its row of that round's block
+    assert few[-1].shape == many[-1].shape == (1, 4, 4)
+    assert np.array_equal(few[-1], many[-1])
+    for trials in (5, 100):
+        assert np.array_equal(few[-1][0], _draw_product(m, seed, bad, 1, trials=trials))
 
 
 @pytest.mark.parametrize(
