@@ -24,9 +24,11 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from . import linalg
 from .cayley import CayleyTable, enumerate_semigroups, is_associative, make_table
-from .closure import check_algebra_closed, check_lie_closed, commutator
+from .closure import check_algebra_closed, check_lie_closed, pair_products
 from .constructors import (
     cyclic_group,
     equivariant_model,
@@ -305,25 +307,22 @@ def commutator_table(
     """Exact coefficients of every generator-pair bracket over the generators.
 
     Requires a Lie-closed subspace; a bracket outside the span is a
-    structural inconsistency for derived models and raises.
+    structural inconsistency for derived models, and the first such pair
+    raises.  All brackets are formed and solved in one stacked pass.
     """
-    rows = [linalg.vectorize(g) for g in m.basis]
-    basis, transform = linalg.rref_with_transform(rows)
-    out = []
-    for i in range(len(m.basis)):
-        for j in range(i + 1, len(m.basis)):
-            br = commutator(m.basis[i], m.basis[j])
-            coeffs = linalg.solve_in_rowspace(basis, linalg.vectorize(br))
-            if coeffs is None:
-                raise PipelineInvariantError(
-                    f"bracket of generators {i + 1}, {j + 1} left the span"
-                )
-            over_gens = tuple(
-                sum(c * transform[r][g] for r, c in enumerate(coeffs))
-                for g in range(len(m.basis))
-            )
-            out.append((i, j, over_gens))
-    return out
+    n = len(m.basis)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    basis, transform = linalg.rref_with_transform([linalg.vectorize(g) for g in m.basis])
+    brackets = pair_products(m, pairs, bracket=True).reshape(-1, m.order**2)
+    coords, inside = linalg.span_coordinates(basis, brackets)
+    if not inside.all():
+        i, j = pairs[np.argmin(inside)]
+        raise PipelineInvariantError(
+            f"bracket of generators {i + 1}, {j + 1} left the span"
+        )
+    # coordinates over the rref rows, mapped onto the generators
+    over_gens = (coords @ np.array(transform, dtype=object)).tolist()
+    return [(i, j, tuple(c)) for (i, j), c in zip(pairs, over_gens)]
 
 
 def format_combination(coeffs: Sequence[Fraction]) -> str:

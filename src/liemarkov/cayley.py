@@ -150,6 +150,20 @@ def _perms_with_inverses(k: int) -> tuple[tuple[Perm, Perm], ...]:
     return tuple((p, invert(p)) for p in itertools.permutations(range(k)))
 
 
+@functools.cache
+def relabel_gathers(k: int) -> tuple[tuple[Perm, tuple[int, ...]], ...]:
+    """Every permutation p, the identity first, with the gather that relabels by p.
+
+    ``src[i * k + j] = q[i] * k + q[j]`` for q = p^-1: a flattened k x k
+    array relabeled as r[p(i)][p(j)] = a[i][j] is ``[a[s] for s in src]``.
+    """
+    rng = range(k)
+    return tuple(
+        (p, tuple(q[i] * k + q[j] for i in rng for j in rng))
+        for p, q in _perms_with_inverses(k)
+    )
+
+
 def enumerate_semigroups(k: int) -> list[CayleyTable]:
     """All semigroups of order k up to isomorphism, canonical and sorted.
 
@@ -180,11 +194,8 @@ def enumerate_semigroups(k: int) -> list[CayleyTable]:
     occ: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     rng = range(k)
     rows = [i * k for i in rng]
-    # per relabeling p: the relabeled table is (p[m[s]] for s in src)
-    gathers = [
-        (p, tuple(q[i] * k + q[j] for i in rng for j in rng))
-        for p, q in _perms_with_inverses(k)[1:]
-    ]
+    # per non-identity relabeling p: the relabeled table is (p[m[s]] for s in src)
+    gathers = relabel_gathers(k)[1:]
 
     def consistent(i: int, j: int, v: int) -> bool:
         ri, rj, rv = rows[i], rows[j], rows[v]

@@ -42,9 +42,19 @@ def _load_config(path: str | None) -> dict:
     if path:
         with open(path) as fh:
             user = json.load(fh)
+        if not isinstance(user, dict):
+            raise ValueError("config must be a JSON object")
         unknown = set(user) - set(DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in user.items():
+            # a value takes its default's type; a float also takes an int, a bool is no number
+            default = DEFAULTS[key]
+            want = (int, float) if isinstance(default, float) else type(default)
+            if isinstance(value, bool) or not isinstance(value, want):
+                raise ValueError(
+                    f"config key {key!r} must be {type(default).__name__}, got {value!r}"
+                )
         cfg.update(user)
     return cfg
 
@@ -65,12 +75,6 @@ def _write_out(text: str, out: str | None, output_dir: str) -> None:
             target = Path(output_dir) / target
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(text)
-
-
-def _entries_for(args) -> list[cat.CatalogEntry]:
-    if getattr(args, "tables", None):
-        return cat.run_pipeline(tables=_read_tables(args.tables))
-    return cat.run_pipeline(order=args.order)
 
 
 def _single_model_doc(sub: ModelSubspace, label: str | None) -> str:
@@ -95,8 +99,9 @@ def cmd_enumerate(args, cfg) -> int:
 
 
 def cmd_derive(args, cfg) -> int:
-    entries = _entries_for(args)
-    order = entries[0].order if entries else args.order
+    tables = _read_tables(args.tables) if args.tables else None
+    entries = cat.run_pipeline(order=None if tables else args.order, tables=tables)
+    order = tables[0].order if tables else args.order
     _write_out(cat.render(entries, args.format, order=order), args.out, cfg["output_dir"])
     return 0
 

@@ -86,21 +86,22 @@ def commutator(
     return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
 
-def _first_escape(m: ModelSubspace, pairs: list, bracket: bool) -> ClosureCheck:
-    """First pair (i, j) whose g_i g_j, or g_i g_j - g_j g_i, leaves the span.
-
-    All products are formed at once in exact ``object`` arithmetic.  A
-    flattened v is in the span iff v - v[pivots] @ rref is zero.
-    """
+def pair_products(
+    m: ModelSubspace, pairs: Sequence[tuple[int, int]], bracket: bool
+) -> np.ndarray:
+    """Exact ``object`` stack of g_i g_j, or of g_i g_j - g_j g_i, one per pair (i, j)."""
     k = m.order
     g = np.array(m.basis, dtype=object).reshape(-1, k, k)
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
     mats = g[i] @ g[j]
-    if bracket:
-        mats = mats - g[j] @ g[i]
-    v = mats.reshape(-1, k * k)
-    rref = np.array(m.rref, dtype=object).reshape(-1, k * k)
-    escaped = np.flatnonzero((v - v[:, linalg.pivot_columns(m.rref)] @ rref != 0).any(axis=1))
+    return mats - g[j] @ g[i] if bracket else mats
+
+
+def _first_escape(m: ModelSubspace, pairs: list, bracket: bool) -> ClosureCheck:
+    """First pair (i, j) whose g_i g_j, or g_i g_j - g_j g_i, leaves the span."""
+    mats = pair_products(m, pairs, bracket)
+    _, inside = linalg.span_coordinates(m.rref, mats.reshape(-1, m.order**2))
+    escaped = np.flatnonzero(~inside)
     if not escaped.size:
         return ClosureCheck(True, None)
     i, j = pairs[escaped[0]]

@@ -2,8 +2,9 @@
 
 Matrices are immutable tuples of row tuples with ``int`` or
 ``fractions.Fraction`` entries.  Everything here is exact: no floating
-point, so subspace membership and equality are decisions rather than
-tolerance judgements.  Floating point enters the package only in
+point (``span_coordinates`` runs on ``object``-dtype numpy arrays of the
+same values), so subspace membership and equality are decisions rather
+than tolerance judgements.  Floating point enters the package only in
 :mod:`liemarkov.closure`.
 """
 
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 Scalar = int | Fraction
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -157,28 +160,20 @@ def pivot_columns(rref_rows: Sequence[Vector]) -> list[int]:
     return cols
 
 
-def solve_in_rowspace(
-    rref_rows: Sequence[Vector], v: Sequence[Scalar]
-) -> tuple[Fraction, ...] | None:
-    """Coefficients of ``v`` over canonical rref rows, or None if outside.
+def span_coordinates(
+    rref_rows: Sequence[Vector], vectors: Sequence[Sequence[Scalar]] | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates of stacked vectors over canonical rref rows, and membership.
 
-    The pivot columns of an rref basis read the coefficients off directly;
-    the residual check then decides membership exactly.  When the rows and
-    ``v`` are all ``int`` the arithmetic stays in ``int``.
+    ``vectors`` is an (n, d) stack.  Over an rref basis the coordinates of
+    v are its entries at the pivot columns, and v is in the span iff
+    v - coords @ rref is zero.  Returns the (n, rank) coordinates and a
+    length-n bool array; coordinates of a vector outside are meaningless.
     """
-    if not (
-        all(type(x) is int for x in v)
-        and all(type(x) is int for row in rref_rows for x in row)
-    ):
-        v = [Fraction(x) for x in v]
-    coeffs = [v[c] for c in pivot_columns(rref_rows)]
-    residual = list(v)
-    for c, row in zip(coeffs, rref_rows):
-        if c != 0:
-            residual = [x - c * y for x, y in zip(residual, row)]
-    if any(x != 0 for x in residual):
-        return None
-    return tuple(coeffs)
+    v = np.asarray(vectors, dtype=object)
+    coords = v[:, pivot_columns(rref_rows)]
+    basis = np.array(rref_rows, dtype=object).reshape(-1, v.shape[1])
+    return coords, ~(v - coords @ basis != 0).any(axis=1)
 
 
 def rref_with_transform(

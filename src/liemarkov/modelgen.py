@@ -11,13 +11,12 @@ membership, and cross-run canonical keys are all exact decisions.
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
+from .cayley import relabel_gathers
 from .linalg import Matrix, Scalar
 from .representation import RegularRep
 
@@ -83,11 +82,12 @@ def rate_basis(r: RegularRep) -> ModelSubspace:
 def contains(
     m: ModelSubspace, x: Sequence[Sequence[Scalar]]
 ) -> tuple[Fraction, ...] | None:
-    """Exact membership: coefficients of x over the rref basis, else None."""
+    """Exact membership by ``linalg.span_coordinates``: coefficients over the rref, else None."""
     x = linalg.mat(x)
     if len(x) != m.order:
         raise ValueError(f"order mismatch: {len(x)} vs {m.order}")
-    return linalg.solve_in_rowspace(m.rref, linalg.vectorize(x))
+    coords, inside = linalg.span_coordinates(m.rref, [linalg.vectorize(x)])
+    return tuple(coords[0].tolist()) if inside[0] else None
 
 
 def generic_support(m: ModelSubspace) -> tuple[tuple[bool, ...], ...]:
@@ -149,22 +149,6 @@ def conjugate_subspace(m: ModelSubspace, perm: Sequence[int]) -> ModelSubspace:
     return ModelSubspace(m.order, gens, linalg.rref(rows))
 
 
-@functools.cache
-def _conjugation_gathers(k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Per permutation p of range(k): the gather that conjugates a vector.
-
-    ``vectorize(conjugate(a, p))[t] == vectorize(a)[src[t]]``, so a
-    relabeled row is ``tuple(row[s] for s in src)``; ``src`` is the
-    relabeled matrix of positions.  Permutations come in lexicographic
-    order.
-    """
-    positions = linalg.unvectorize(range(k * k), k)
-    return tuple(
-        (p, linalg.vectorize(linalg.conjugate(positions, p)))
-        for p in itertools.permutations(range(k))
-    )
-
-
 @dataclass(frozen=True)
 class ModelOrbit:
     """What one pass over the k! relabelings of a model determines.
@@ -186,7 +170,7 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
     """Row-reduce each of the k! relabelings of ``m.rref`` exactly once."""
     conjugates = [
         (p, linalg.rref([tuple(row[s] for s in src) for row in m.rref]))
-        for p, src in _conjugation_gathers(m.order)
+        for p, src in relabel_gathers(m.order)
     ]
     key = min(r for _, r in conjugates)
     return ModelOrbit(

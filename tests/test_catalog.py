@@ -4,10 +4,11 @@ import json
 import logging
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from liemarkov import catalog, cli
+from liemarkov import catalog, cli, linalg
 from liemarkov.catalog import (
     PipelineInvariantError,
     build_registry,
@@ -28,9 +29,12 @@ from liemarkov.cayley import (
     make_table,
     parse_tables,
 )
+from liemarkov.closure import commutator
 from liemarkov.constructors import fixture
-from liemarkov.modelgen import canonical_subspace, rate_basis
+from liemarkov.modelgen import canonical_subspace, rate_basis, subspace_from_generators
 from liemarkov.representation import regular_rep
+
+ROOT = Path(__file__).resolve().parent.parent
 
 KNOWN_IDS = {
     "F81": "9435a49450621bca",
@@ -234,6 +238,48 @@ def test_commutator_table_new_model():
         (2, 4): "0",
         (3, 4): "L1 - L2",
     }
+
+
+def golden_spans():
+    doc = json.loads((ROOT / "tests" / "golden" / "catalog_k4.json").read_text())
+    return [
+        subspace_from_generators(
+            4, [[[Fraction(x) for x in row] for row in g] for g in e["generators"]]
+        )
+        for e in doc["entries"]
+    ]
+
+
+def test_commutator_table_matches_per_pair_reference():
+    known = known_subspaces()
+    models = golden_spans() + list(known.values())
+    assert len(models) == 131 + 9
+    # K2ST's rref holds genuine fractions
+    assert any(type(x) is Fraction for row in known["K2ST"].rref for x in row)
+    brackets = 0
+    for m in models:
+        gens = m.basis
+        n = len(gens)
+        table = commutator_table(m)
+        # the per-pair loop: one bracket and one rank test per pair i < j
+        assert [(i, j) for i, j, _ in table] == [
+            (i, j) for i in range(n) for j in range(i + 1, n)
+        ]
+        for i, j, coeffs in table:
+            br = commutator(gens[i], gens[j])
+            assert linalg.rref(list(m.rref) + [linalg.vectorize(br)]) == m.rref
+            rebuilt = [
+                [sum(c * g[r][s] for c, g in zip(coeffs, gens)) for s in range(m.order)]
+                for r in range(m.order)
+            ]
+            assert linalg.mat(rebuilt) == br
+            brackets += 1
+    assert brackets == 458
+
+
+def test_commutator_table_raises_on_escaping_bracket():
+    with pytest.raises(PipelineInvariantError, match="generators 1, 2 left the span"):
+        commutator_table(fixture("SYM").subspace)
 
 
 def test_commutator_table_empty_for_one_dimensional():
@@ -478,6 +524,55 @@ def test_cli_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"tolernce": 1e-5}))
     assert cli.main(["--config", str(cfg), "enumerate", "--order", "2"]) == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"trials": "5"},
+        7,
+        [],
+        {"seed": True},
+        {"tolerance": "1e-6"},
+        {"trials": 5.0},
+        {"output_dir": 3},
+    ],
+)
+def test_cli_config_rejects_wrong_shape(tmp_path, capsys, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    rc = cli.main(
+        ["--config", str(cfg), "verify-closure", "--order", "2",
+         "--model-id", KNOWN_IDS["equal-input-2"]]
+    )
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: config") and out == ""
+
+
+def test_cli_config_accepts_int_tolerance(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerance": 1, "trials": 3}))
+    rc = cli.main(
+        ["--config", str(cfg), "verify-closure", "--order", "2",
+         "--model-id", KNOWN_IDS["equal-input-2"]]
+    )
+    assert rc == 0
+    report = json.loads(capsys.readouterr().out.partition("\n")[2])
+    assert report["tolerance"] == 1 and report["numeric_trials"] == 3
+
+
+@pytest.mark.parametrize("fmt", ["json", "md"])
+def test_cli_derive_trivial_only_tables_keeps_order(tmp_path, capsys, fmt):
+    # a_i * a_j = a_j: both rate generators are zero, so no catalog entry
+    path = tmp_path / "trivial.txt"
+    path.write_text("1 2\n1 2\n")
+    assert cli.main(["derive", "--tables", str(path), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        assert json.loads(out) == {"order": 2, "entries": []}
+    else:
+        assert out.startswith("# Model catalog (k = 2)\n") and "None" not in out
 
 
 def test_cli_output_dir_from_config(tmp_path):

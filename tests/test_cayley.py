@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from liemarkov import linalg
 from liemarkov.cayley import (
     CayleyFormatError,
     CayleyTable,
@@ -15,6 +16,7 @@ from liemarkov.cayley import (
     is_associative,
     make_table,
     parse_tables,
+    relabel_gathers,
     reverse,
 )
 
@@ -84,6 +86,20 @@ def test_apply_perm_preserves_associativity():
 def test_apply_perm_order_mismatch():
     with pytest.raises(MalformedTableError):
         apply_perm(C2, (0, 1, 2))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_relabel_gathers_match_conjugate_and_apply_perm(k):
+    gathers = relabel_gathers(k)
+    assert [p for p, _ in gathers] == list(itertools.permutations(range(k)))
+    assert gathers[0][1] == tuple(range(k * k))
+    positions = linalg.unvectorize(range(k * k), k)
+    rng = random.Random(k)
+    t = make_table([[rng.randrange(k) for _ in range(k)] for _ in range(k)])
+    flat = linalg.vectorize(t.table)
+    for p, src in gathers:
+        assert src == linalg.vectorize(linalg.conjugate(positions, p))
+        assert linalg.vectorize(apply_perm(t, p).table) == tuple(p[flat[s]] for s in src)
 
 
 def test_reverse_swaps_left_and_right_const():
