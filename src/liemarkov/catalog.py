@@ -56,6 +56,9 @@ from .symmetry import (
 
 logger = logging.getLogger(__name__)
 
+PIPELINE_ORDERS = range(2, 5)
+"""The orders that ``run_pipeline(order=...)`` enumerates."""
+
 
 class PipelineInvariantError(AssertionError):
     """A semigroup-derived model failed an always-true structural check."""
@@ -218,8 +221,8 @@ def run_pipeline(
     """Derive, classify, and deduplicate the models of a set of semigroups.
 
     Exactly one source: ``order`` enumerates all semigroups of that order
-    (2 <= order <= 4), ``tables`` uses the given Cayley tables (validated
-    for associativity).
+    (one of ``PIPELINE_ORDERS``, 2..4), ``tables`` uses the given Cayley
+    tables (validated for associativity).
 
     One entry per distinct nontrivial model: semigroups whose rate bases
     span exactly the same subspace are merged, and the trivial
@@ -233,8 +236,11 @@ def run_pipeline(
     if (order is None) == (tables is None):
         raise ValueError("pass exactly one of order= or tables=")
     if tables is None:
-        if not 2 <= order <= 4:
-            raise ValueError(f"enumeration pipeline supports orders 2..4, got {order}")
+        if order not in PIPELINE_ORDERS:
+            raise ValueError(
+                f"enumeration pipeline supports orders "
+                f"{PIPELINE_ORDERS[0]}..{PIPELINE_ORDERS[-1]}, got {order}"
+            )
         start = time.perf_counter()
         tables = enumerate_semigroups(order)
         logger.info(

@@ -5,7 +5,8 @@ A Cayley table of order k is a k x k array ``table`` with entries in
 Entries are 0-based everywhere inside the package; the text file format
 (and every rendered report) uses 1-based indices.
 
-Isomorphism is relabeling by a permutation; anti-isomorphism is
+Isomorphism is relabeling by a permutation, one gather on the flattened
+table (:func:`liemarkov.linalg.relabel_gather`); anti-isomorphism is
 multiplication reversal, i.e. table transposition.  Enumeration returns
 one canonical representative per isomorphism class and deliberately does
 NOT merge anti-isomorphic classes, because reversal can change the
@@ -19,6 +20,8 @@ import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from . import linalg
 
 Perm = tuple[int, ...]
 """A permutation of {0..k-1} stored as an image array: p[i] is the image of i."""
@@ -100,14 +103,9 @@ def apply_perm(t: CayleyTable, p: Perm) -> CayleyTable:
         raise MalformedTableError(
             f"permutation on {len(p)} points applied to order-{t.order} table"
         )
-    k = t.order
-    m = t.table
-    out = [[0] * k for _ in range(k)]
-    for i in range(k):
-        pi = p[i]
-        for j in range(k):
-            out[pi][p[j]] = p[m[i][j]]
-    return CayleyTable(k, tuple(tuple(row) for row in out))
+    flat = linalg.vectorize(t.table)
+    relabeled = [p[flat[s]] for s in linalg.relabel_gather(tuple(p))]
+    return CayleyTable(t.order, linalg.unvectorize(relabeled, t.order))
 
 
 def reverse(t: CayleyTable) -> CayleyTable:
@@ -119,49 +117,26 @@ def canonical_form(t: CayleyTable) -> CayleyTable:
     """Lexicographically minimal relabeling (row-major entry comparison).
 
     Two tables are isomorphic iff their canonical forms are equal.  Each
-    relabeling is built row by row and dropped at the first row that is
-    already larger than the best table so far; once a row is smaller, the
-    rest is built without comparison and becomes the new best.
+    relabeling is compared with the best table so far cell by cell along
+    its gather, as the enumerator's canonicity pruning does, and is built
+    in full only when it is smaller at the first cell that differs.
     """
-    k = t.order
-    m = t.table
-    best = m
-    for p, inv in _perms_with_inverses(k):
-        rows = []
-        smaller = False
-        # row i of the relabeled table is p(t[inv(i)][inv(j)])
-        for inv_i in inv:
-            m_row = m[inv_i]
-            row = tuple([p[m_row[inv_j]] for inv_j in inv])
-            if not smaller:
-                if row > best[len(rows)]:
-                    break
-                smaller = row < best[len(rows)]
-            rows.append(row)
-        else:
-            if smaller:
-                best = tuple(rows)
-    return CayleyTable(k, best)
-
-
-@functools.cache
-def _perms_with_inverses(k: int) -> tuple[tuple[Perm, Perm], ...]:
-    """Every permutation of {0..k-1} with its inverse, the identity first."""
-    return tuple((p, invert(p)) for p in itertools.permutations(range(k)))
+    flat = linalg.vectorize(t.table)
+    best = flat
+    for p, src in relabel_gathers(t.order)[1:]:
+        for s, x in zip(src, best):
+            y = p[flat[s]]
+            if y != x:
+                if y < x:
+                    best = tuple([p[flat[s]] for s in src])
+                break
+    return CayleyTable(t.order, linalg.unvectorize(best, t.order))
 
 
 @functools.cache
 def relabel_gathers(k: int) -> tuple[tuple[Perm, tuple[int, ...]], ...]:
-    """Every permutation p, the identity first, with the gather that relabels by p.
-
-    ``src[i * k + j] = q[i] * k + q[j]`` for q = p^-1: a flattened k x k
-    array relabeled as r[p(i)][p(j)] = a[i][j] is ``[a[s] for s in src]``.
-    """
-    rng = range(k)
-    return tuple(
-        (p, tuple(q[i] * k + q[j] for i in rng for j in rng))
-        for p, q in _perms_with_inverses(k)
-    )
+    """Each permutation of {0..k-1}, the identity first, with its relabel gather."""
+    return tuple((p, linalg.relabel_gather(p)) for p in itertools.permutations(range(k)))
 
 
 def enumerate_semigroups(k: int) -> list[CayleyTable]:
@@ -263,9 +238,7 @@ def enumerate_semigroups(k: int) -> list[CayleyTable]:
     fill(0)
     # values are tried in increasing order on a row-major fill, so tables
     # are found in sorted order
-    return [
-        CayleyTable(k, tuple(t[r : r + k] for r in rows)) for t in found
-    ]
+    return [CayleyTable(k, linalg.unvectorize(t, k)) for t in found]
 
 
 def anti_iso_census(tables: Iterable[CayleyTable]) -> tuple[int, int]:

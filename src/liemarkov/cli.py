@@ -100,14 +100,14 @@ def cmd_enumerate(args, cfg) -> int:
 
 def cmd_derive(args, cfg) -> int:
     tables = _read_tables(args.tables) if args.tables else None
-    entries = cat.run_pipeline(order=None if tables else args.order, tables=tables)
+    entries = cat.run_pipeline(order=args.order, tables=tables)
     order = tables[0].order if tables else args.order
     _write_out(cat.render(entries, args.format, order=order), args.out, cfg["output_dir"])
     return 0
 
 
 def cmd_classify(args, cfg) -> int:
-    orders = [args.order] if args.order else [2, 3, 4]
+    orders = [args.order] if args.order is not None else list(cat.PIPELINE_ORDERS)
     for k in orders:
         entries = cat.run_pipeline(order=k)
         try:
@@ -173,8 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("derive", help="derive and classify models")
-    sp.add_argument("--order", type=int)
-    sp.add_argument("--tables", help="Cayley-table file instead of enumeration")
+    source = sp.add_mutually_exclusive_group(required=True)
+    source.add_argument("--order", type=int)
+    source.add_argument("--tables", help="Cayley-table file instead of enumeration")
     sp.add_argument("--out")
     sp.add_argument("--format", choices=["json", "csv", "md"], default="json")
     sp.set_defaults(func=cmd_derive)
@@ -224,7 +225,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return INVARIANT_ERROR
     except (ValueError, CayleyFormatError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        msg = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {msg}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -10,6 +10,7 @@ than tolerance judgements.  Floating point enters the package only in
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Sequence
 
@@ -65,21 +66,30 @@ def has_nonneg_offdiag(a: Matrix) -> bool:
     )
 
 
+@functools.cache
+def relabel_gather(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The gather that relabels a flattened k x k array by ``perm``.
+
+    ``perm`` is an image array.  ``src[i * k + j] = q[i] * k + q[j]`` for
+    q = perm^-1, so ``[a[s] for s in src]`` is the row-major flattening
+    of r with r[perm[i]][perm[j]] = a[i][j].
+    """
+    k = len(perm)
+    q = [0] * k
+    for i, x in enumerate(perm):
+        q[x] = i
+    return tuple(q[i] * k + q[j] for i in range(k) for j in range(k))
+
+
 def conjugate(a: Matrix, perm: Sequence[int]) -> Matrix:
     """Simultaneous row/column permutation K A K^T.
 
     ``perm`` is an image array: the result r satisfies
-    r[perm[i]][perm[j]] = a[i][j].
+    r[perm[i]][perm[j]] = a[i][j], one :func:`relabel_gather` of the
+    flattened matrix.
     """
-    k = len(a)
-    out = [[0] * k for _ in range(k)]
-    for i in range(k):
-        pi = perm[i]
-        row = a[i]
-        orow = out[pi]
-        for j in range(k):
-            orow[perm[j]] = row[j]
-    return tuple(tuple(r) for r in out)
+    flat = vectorize(a)
+    return unvectorize([flat[s] for s in relabel_gather(tuple(perm))], len(a))
 
 
 def vectorize(a: Matrix) -> Vector:
@@ -88,7 +98,8 @@ def vectorize(a: Matrix) -> Vector:
 
 
 def unvectorize(v: Sequence[Scalar], k: int) -> Matrix:
-    return tuple(tuple(v[i * k + j] for j in range(k)) for i in range(k))
+    """Inverse of :func:`vectorize` for a k x k matrix."""
+    return tuple(tuple(v[r : r + k]) for r in range(0, k * k, k))
 
 
 def _eliminate(work: list[list[Scalar]], ncols: int) -> int:

@@ -79,7 +79,10 @@ def parse_perm(text: str, k: int) -> Perm:
         raise ValueError(f"bad cycle notation: {text!r}")
     moved: set[int] = set()
     for part in text[1:-1].split(")("):
-        points = [int(tok) - 1 for tok in part.replace(",", " ").split()]
+        try:
+            points = [int(tok) - 1 for tok in part.replace(",", " ").split()]
+        except ValueError:
+            raise ValueError(f"bad cycle notation: {text!r}") from None
         if any(not 0 <= x < k for x in points) or len(set(points)) != len(points):
             raise ValueError(f"bad cycle {part!r} for k={k}")
         if moved & set(points):

@@ -420,6 +420,30 @@ def test_cli_classify_not_found(capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_cli_classify_rejects_order_zero(capsys):
+    # order 0 is an order, not "no order": it gets the pipeline's error
+    argv = ["classify", "--model-id", KNOWN_IDS["binary-symmetric"], "--order", "0"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "orders 2..4, got 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--order", "3", "--tables", "k2.txt"], ["--format", "md"]]
+)
+def test_cli_derive_needs_exactly_one_source(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["derive", *argv])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "--order" in err and "--tables" in err
+
+
+def test_cli_missing_model_id_message_is_unquoted(capsys):
+    assert cli.main(["verify-closure", "--order", "2", "--model-id", "nope"]) == 1
+    assert capsys.readouterr().err == "error: no catalog entry with model id 'nope'\n"
+
+
 def test_cli_verify_closure(capsys):
     rc = cli.main(
         [
@@ -466,6 +490,12 @@ def test_cli_construct_equivariant(capsys):
     assert rc == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["entries"][0]["known_label"] == "K2ST"
+
+
+def test_cli_construct_equivariant_names_bad_cycle(capsys):
+    rc = cli.main(["construct", "equivariant", "--perms", "(1 2) (3 4),e", "--order", "4"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: bad cycle notation: '(1 2) (3 4)'\n"
 
 
 def test_cli_construct_group_based(tmp_path, capsys):

@@ -88,6 +88,26 @@ def test_apply_perm_order_mismatch():
         apply_perm(C2, (0, 1, 2))
 
 
+def reference_conjugate(a, perm):
+    # reference: r[perm[i]][perm[j]] = a[i][j] cell by cell, without the gather
+    k = len(a)
+    out = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            out[perm[i]][perm[j]] = a[i][j]
+    return tuple(tuple(r) for r in out)
+
+
+def reference_apply_perm(t, p):
+    # reference: r[p(i)][p(j)] = p(t[i][j]) cell by cell, without the gather
+    k = t.order
+    out = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            out[p[i]][p[j]] = p[t.table[i][j]]
+    return CayleyTable(k, tuple(tuple(row) for row in out))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_relabel_gathers_match_conjugate_and_apply_perm(k):
     gathers = relabel_gathers(k)
@@ -98,8 +118,18 @@ def test_relabel_gathers_match_conjugate_and_apply_perm(k):
     t = make_table([[rng.randrange(k) for _ in range(k)] for _ in range(k)])
     flat = linalg.vectorize(t.table)
     for p, src in gathers:
-        assert src == linalg.vectorize(linalg.conjugate(positions, p))
-        assert linalg.vectorize(apply_perm(t, p).table) == tuple(p[flat[s]] for s in src)
+        assert src == linalg.vectorize(reference_conjugate(positions, p))
+        assert tuple(p[flat[s]] for s in src) == linalg.vectorize(
+            reference_apply_perm(t, p).table
+        )
+        assert linalg.conjugate(t.table, p) == reference_conjugate(t.table, p)
+        assert apply_perm(t, p) == reference_apply_perm(t, p)
+
+
+def test_conjugate_accepts_list_perm():
+    a = linalg.mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert linalg.conjugate(a, [1, 2, 0]) == linalg.conjugate(a, (1, 2, 0))
+    assert linalg.conjugate(a, [1, 2, 0]) == reference_conjugate(a, (1, 2, 0))
 
 
 def test_reverse_swaps_left_and_right_const():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -65,6 +66,10 @@ def test_parse_perm_rejects_bad_input():
         parse_perm("(1 2)(2 3)", 4)
     with pytest.raises(ValueError):
         parse_perm("1 2", 4)
+    # no spaced form between cycles; a token that is not an integer names the input
+    for text in ("(1 2) (3 4)", "(1 x)", "(1 2.0)"):
+        with pytest.raises(ValueError, match=re.escape(f"bad cycle notation: {text!r}")):
+            parse_perm(text, 4)
 
 
 def test_symmetry_group_equal_input_full():
