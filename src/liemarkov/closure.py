@@ -12,13 +12,17 @@ Two exact decisions and one numerical verification:
 The first two run on exact rational matrices.  Floating point enters the
 package only here, in expm/logm and the sampled verification.
 
-logm takes one of two routes for each matrix.  A matrix whose eigenvalues
-avoid the closed negative real axis and whose eigenvector matrix is
-well conditioned (1-norm condition number at most LOGM_EIG_MAX_COND) gets
-V log(w) V^-1 from one batched eigendecomposition.  Every other matrix,
-defective or nearly so, goes through inverse scaling and squaring:
-Denman-Beavers square roots down to the series radius, then the log
-series.
+expm is scaling and squaring with the [13/13] Pade approximant (Higham,
+"The scaling and squaring method for the matrix exponential revisited",
+SIMAX 2005).  logm takes one of two routes for each matrix.  A matrix
+whose eigenvalues avoid the closed negative real axis and whose
+eigenvector matrix is well conditioned (1-norm condition number at most
+LOGM_EIG_MAX_COND) gets V log(w) V^-1 from one batched
+eigendecomposition.  Every other matrix, defective or nearly so, goes
+through inverse scaling and squaring: Denman-Beavers square roots until
+it is within 1-norm LOGM_SERIES_RADIUS of the identity, then a fixed
+number of terms of the Gregory series log A = 2 atanh((A + I)^-1 (A - I))
+(Higham, Functions of Matrices, section 11.3).
 """
 
 from __future__ import annotations
@@ -33,9 +37,19 @@ from . import linalg
 from .linalg import Matrix, Scalar
 from .modelgen import ModelSubspace
 
-EXPM_TERM_TOL = 1e-18
-EXPM_SCALE_LIMIT = 0.5
-LOGM_SERIES_RADIUS = 0.25
+# [13/13] Pade coefficients b_0..b_13 and the largest 1-norm at which the
+# approximant's backward error stays below the unit roundoff (Higham 2005)
+EXPM_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+EXPM_THETA13 = 5.371920351148152
+LOGM_SERIES_RADIUS = 0.5
+# Inside the radius r, Z = (A + I)^-1 (A - I) has 1-norm at most
+# rho = r / (2 - r) = 1/3, and the series tail after N terms is at most
+# 2 rho^(2N+1) / ((2N + 1)(1 - rho^2)): 1.3e-19 for N = 18 (1.3e-18 for 17)
+LOGM_SERIES_TERMS = 18
 LOGM_MAX_SQRT_DEPTH = 40
 # The eigen route's error grows with this bound.  The 1-norm eigenvector
 # condition numbers of sampled closure products are either below about 250
@@ -147,31 +161,36 @@ def expm(q: np.ndarray | Sequence, t: float | np.ndarray = 1.0) -> np.ndarray:
 
     ``q`` is one (k, k) matrix or a stack (n, k, k); ``t`` is a scalar or
     one time per matrix.  Each matrix is scaled by its own power of two
-    to 1-norm <= 0.5, its Taylor series is summed until its term norm
-    drops below 1e-18, and it is squared back as often as it was scaled.
-    For a rate matrix Q and t >= 0 the result is column-stochastic to
-    high accuracy.
+    to 1-norm <= EXPM_THETA13, its [13/13] Pade approximant is taken from
+    one batched solve, and it is squared back as often as it was scaled
+    (Higham, SIMAX 2005, without the lower-degree approximants).  For a
+    rate matrix Q and t >= 0 the result is column-stochastic to high
+    accuracy.
     """
     q, single = _as_stack(q, "expm")
     t = np.broadcast_to(np.asarray(t, dtype=float), q.shape[:1])
     a = q * t[:, None, None]
-    # norm / limit = m * 2**e with 0.5 <= m < 1, so the least s >= 0 with
-    # norm / 2**s <= limit is e, or e - 1 when norm / limit is a power of 2
-    m, e = np.frexp(_norm1(a) / EXPM_SCALE_LIMIT)
+    # norm / theta = m * 2**e with 0.5 <= m < 1, so the least s >= 0 with
+    # norm / 2**s <= theta is e, or e - 1 when norm / theta is a power of 2
+    m, e = np.frexp(_norm1(a) / EXPM_THETA13)
     s = np.maximum(e - (m == 0.5), 0)
     x = np.ldexp(a, -s[:, None, None])
-    result = np.broadcast_to(np.eye(q.shape[-1]), q.shape).copy()
-    term = result
-    live = np.ones(len(q), dtype=bool)
-    for n in range(1, 62):
-        term = term @ x / n
-        result += term * live[:, None, None]
-        live &= _norm1(term) >= EXPM_TERM_TOL
-        if not live.any():
-            break
+    b = EXPM_PADE13
+    ident = np.eye(q.shape[-1])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (
+        x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+        + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident
+    )
+    v = (
+        x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+        + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
+    )
+    result = np.linalg.solve(v - u, v + u)
     for j in range(s.max(initial=0)):
-        todo = s > j
-        result[todo] = result[todo] @ result[todo]
+        result = np.where((s > j)[:, None, None], result @ result, result)
     return result[0] if single else result
 
 
@@ -241,13 +260,14 @@ def _logm_sqrt_route(p: np.ndarray | Sequence) -> np.ndarray:
     """Principal matrix logarithm by inverse scaling and squaring.
 
     ``p`` is one (k, k) matrix or a stack (n, k, k).  Each matrix takes
-    repeated principal square roots until it is within 1-norm 0.25 of the
-    identity, where the alternating power series converges fast; the
-    series is summed until its own term norm drops below 1e-18, and the
-    sum is scaled back up by its own depth.  Products of substitution
-    matrices can sit far from the identity, hence the square-root stage;
-    depth is capped at 40.  Raises LogmConvergenceError if any matrix of
-    the stack fails.
+    repeated principal square roots until it is within 1-norm
+    LOGM_SERIES_RADIUS = 0.5 of the identity; depth is capped at 40,
+    since products of substitution matrices can sit far from the
+    identity.  Then Z = (A + I)^-1 (A - I) comes from one batched solve,
+    and log A = 2 (Z + Z^3/3 + Z^5/5 + ...) is summed to a fixed
+    LOGM_SERIES_TERMS terms, enough for 1e-18 at that radius; each sum is
+    scaled back up by its own depth.  Raises LogmConvergenceError if any
+    matrix of the stack fails.
     """
     a, single = _as_stack(p, "logm")
     a = a.copy()
@@ -266,18 +286,16 @@ def _logm_sqrt_route(p: np.ndarray | Sequence) -> np.ndarray:
         raise LogmConvergenceError(
             f"still outside series radius after {LOGM_MAX_SQRT_DEPTH} square roots"
         )
-    x = a - ident
-    total = np.zeros_like(a)
-    power = np.broadcast_to(ident, a.shape)
-    live = np.ones(n_mats, dtype=bool)
-    for n in range(1, 200):
-        power = power @ x
-        term = power / n
-        total += (term if n % 2 else -term) * live[:, None, None]
-        live &= _norm1(term) >= EXPM_TERM_TOL
-        if not live.any():
-            break
-    total = np.ldexp(total, depth[:, None, None])
+    # A + I and A - I commute, so either order of the solve gives Z
+    z = np.linalg.solve(a + ident, a - ident)
+    z2 = z @ z
+    total = z.copy()
+    power = z
+    for j in range(1, LOGM_SERIES_TERMS):
+        power = power @ z2
+        total += power / (2 * j + 1)
+    # the series' factor 2 and each square root's factor 2, exactly
+    total = np.ldexp(total, depth[:, None, None] + 1)
     return total[0] if single else total
 
 
@@ -290,7 +308,8 @@ def logm(p: np.ndarray | Sequence) -> np.ndarray:
     negative real axis: its logarithm is V log(w) V^-1, real part kept
     (see ``_logm_eig_route`` for the exact rule).  Every other matrix,
     e.g. a defective one, goes through inverse scaling and squaring
-    (``_logm_sqrt_route``).  The route depends only on the matrix itself,
+    (``_logm_sqrt_route``: square roots to within 1-norm 0.5 of the
+    identity, then a fixed-length atanh series).  The route depends only on the matrix itself,
     so a stack gives the same results as single calls.  Raises
     LogmConvergenceError if any matrix of the stack has no real principal
     logarithm that the square-root route can reach, e.g. one with an

@@ -43,10 +43,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
 def is_zero(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
@@ -72,9 +68,12 @@ def relabel_gather(perm: tuple[int, ...]) -> tuple[int, ...]:
 
     ``perm`` is an image array.  ``src[i * k + j] = q[i] * k + q[j]`` for
     q = perm^-1, so ``[a[s] for s in src]`` is the row-major flattening
-    of r with r[perm[i]][perm[j]] = a[i][j].
+    of r with r[perm[i]][perm[j]] = a[i][j].  Raises ValueError if
+    ``perm`` is not a permutation of range(k).
     """
     k = len(perm)
+    if sorted(perm) != list(range(k)):
+        raise ValueError(f"not a permutation of range({k}): {perm}")
     q = [0] * k
     for i, x in enumerate(perm):
         q[x] = i
@@ -86,8 +85,13 @@ def conjugate(a: Matrix, perm: Sequence[int]) -> Matrix:
 
     ``perm`` is an image array: the result r satisfies
     r[perm[i]][perm[j]] = a[i][j], one :func:`relabel_gather` of the
-    flattened matrix.
+    flattened matrix.  Raises ValueError unless ``perm`` is a
+    permutation of range(len(a)).
     """
+    if len(perm) != len(a):
+        raise ValueError(
+            f"permutation on {len(perm)} points applied to a {len(a)} x {len(a)} matrix"
+        )
     flat = vectorize(a)
     return unvectorize([flat[s] for s in relabel_gather(tuple(perm))], len(a))
 

@@ -88,6 +88,12 @@ def test_apply_perm_order_mismatch():
         apply_perm(C2, (0, 1, 2))
 
 
+def test_apply_perm_rejects_non_permutation():
+    # before the check this returned the all-zero table
+    with pytest.raises(ValueError, match="not a permutation of range"):
+        apply_perm(C2, (0, 0))
+
+
 def reference_conjugate(a, perm):
     # reference: r[perm[i]][perm[j]] = a[i][j] cell by cell, without the gather
     k = len(a)

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import liemarkov.closure as closure_mod
 from liemarkov import cli, linalg
 from liemarkov.catalog import known_subspaces
 from liemarkov.cayley import enumerate_semigroups, make_table
@@ -35,6 +36,10 @@ def zeros(k):
 
 def mat_add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def transpose(a):
+    return tuple(zip(*a))
 
 
 def mat_scale(c, a):
@@ -124,7 +129,7 @@ def test_sym_fixture_fails_lie_with_antisymmetric_witness():
     assert not check.closed
     w = check.witness.matrix
     assert not linalg.is_zero(w)
-    assert linalg.transpose(w) == mat_scale(-1, w)
+    assert transpose(w) == mat_scale(-1, w)
 
 
 def test_low_dimensional_models_trivially_lie_closed():
@@ -227,11 +232,22 @@ def test_expm_binary_symmetric_closed_form():
     # eigendecomposition oracle: eigenvalues 0 and -2 for the unit-rate
     # symmetric two-state generator
     q = [[-1.0, 1.0], [1.0, -1.0]]
-    for t in (0.25, 1.0, 2.5):
+    for t in (0.25, 1.0, 2.5, 5.0):
         on = (1.0 + math.exp(-2.0 * t)) / 2.0
         off = (1.0 - math.exp(-2.0 * t)) / 2.0
         expected = np.array([[on, off], [off, on]])
         assert np.abs(expm(q, t) - expected).max() < 1e-14
+
+
+def test_expm_diagonal_matches_scalar_exp():
+    # below 1-norm 5.37 the [13/13] approximant is exact to rounding (about
+    # 2e-14 relative at 5.3, doubled by each squaring); its truncation error
+    # alone is 4e-11 at 8.  The inputs sit on both sides of scaling steps.
+    for x in (0.5, 2.0, 5.3, 5.4, 6.9, 7.9, 10.7, 21.4, 42.0):
+        m = expm(np.diag([x, -x]))
+        want = np.exp([x, -x])
+        assert (np.abs(np.diag(m) - want) <= 2e-13 * want).all()
+        assert m[0, 1] == m[1, 0] == 0.0
 
 
 def test_expm_columns_sum_to_one():
@@ -320,6 +336,15 @@ def test_logm_defective_input_takes_square_root_route():
         x = logm(p)
         assert np.array_equal(x, _logm_sqrt_route(p))
         assert np.abs(x - JORDAN_RATES * t).max() < 1e-8
+
+
+def test_logm_sqrt_route_accurate_at_series_radius():
+    # 1-norm distances just under 0.5 take no square root, so the series
+    # itself must reach rounding level where |Z| is near its bound 1/3
+    for d in ([0.5001, 1.4999], [0.50000001, 1.0], [1.0, 1.49999999], [0.75, 1.25]):
+        want = np.log(d)
+        got = np.diag(_logm_sqrt_route(np.diag(d)))
+        assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all()
 
 
 def test_logm_complex_eigenvalues_take_eigen_route():
@@ -466,8 +491,6 @@ def test_verify_closure_rejects_trivial_model():
 
 
 def test_verify_closure_inconclusive_when_log_never_converges(monkeypatch):
-    import liemarkov.closure as closure_mod
-
     def always_fails(p):
         raise LogmConvergenceError("forced")
 
@@ -557,8 +580,6 @@ def test_verify_closure_reports_both_exact_checks():
 
 
 def test_verify_closure_eigen_route_changes_no_verdict(monkeypatch):
-    import liemarkov.closure as closure_mod
-
     models = golden_spans(every=1) + [fixture("SYM").subspace]
     assert len(models) == 132
     fast = [verify_multiplicative_closure(m, trials=5, seed=31) for m in models]
@@ -570,8 +591,6 @@ def test_verify_closure_eigen_route_changes_no_verdict(monkeypatch):
 
 
 def test_verify_closure_redraws_only_the_failing_trial(monkeypatch):
-    import liemarkov.closure as closure_mod
-
     m, seed, bad = f81(), 3, 2
     target = _draw_product(m, seed, bad, 0, trials=5)
     calls = []
@@ -594,8 +613,6 @@ def test_verify_closure_redraws_only_the_failing_trial(monkeypatch):
 
 
 def test_verify_closure_draws_do_not_depend_on_trial_count(monkeypatch):
-    import liemarkov.closure as closure_mod
-
     m, seed, bad = known_subspaces()["K3ST"], 17, 3
     target = _draw_product(m, seed, bad, 0, trials=5)
 
@@ -661,3 +678,150 @@ def test_cli_verify_closure_passes(capsys):
     args = ["verify-closure", "--order", "2", "--model-id", "13f11cde8450671b"]
     assert cli.main(args + ["--trials", "5"]) == 0
     assert capsys.readouterr().out.startswith("PASS model 13f11cde8450671b")
+
+
+# --- reference kernels ----------------------------------------------------------
+
+
+def norm1(a):
+    return np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+
+
+def reference_expm(q, t=1.0):
+    """Scaling and squaring with a Taylor series: scale each matrix to 1-norm
+    <= 0.5, sum until the term norm drops below 1e-18, square back."""
+    q = np.asarray(q, dtype=float)
+    single = q.ndim == 2
+    q = q[None] if single else q
+    t = np.broadcast_to(np.asarray(t, dtype=float), q.shape[:1])
+    a = q * t[:, None, None]
+    m, e = np.frexp(norm1(a) / 0.5)
+    s = np.maximum(e - (m == 0.5), 0)
+    x = np.ldexp(a, -s[:, None, None])
+    result = np.broadcast_to(np.eye(q.shape[-1]), q.shape).copy()
+    term = result
+    live = np.ones(len(q), dtype=bool)
+    for n in range(1, 62):
+        term = term @ x / n
+        result += term * live[:, None, None]
+        live &= norm1(term) >= 1e-18
+        if not live.any():
+            break
+    for j in range(s.max(initial=0)):
+        todo = s > j
+        result[todo] = result[todo] @ result[todo]
+    return result[0] if single else result
+
+
+def reference_logm_sqrt_route(p):
+    """Inverse scaling and squaring with the alternating power series: square
+    roots down to 1-norm 0.25 from the identity, then log(I + X) summed until
+    the term norm drops below 1e-18."""
+    a = np.array(p, dtype=float)
+    single = a.ndim == 2
+    a = a[None] if single else a
+    n_mats, k, _ = a.shape
+    ident = np.eye(k)
+    depth = np.zeros(n_mats, dtype=int)
+    todo = np.flatnonzero(norm1(a - ident) >= 0.25)
+    for _ in range(40):
+        if not todo.size:
+            break
+        root = closure_mod._sqrtm_stack(a[todo])
+        a[todo] = root
+        depth[todo] += 1
+        todo = todo[norm1(root - ident) >= 0.25]
+    if todo.size:
+        raise LogmConvergenceError("still outside series radius after 40 square roots")
+    x = a - ident
+    total = np.zeros_like(a)
+    power = np.broadcast_to(ident, a.shape)
+    live = np.ones(n_mats, dtype=bool)
+    for n in range(1, 200):
+        power = power @ x
+        term = power / n
+        total += (term if n % 2 else -term) * live[:, None, None]
+        live &= norm1(term) >= 1e-18
+        if not live.any():
+            break
+    total = np.ldexp(total, depth[:, None, None])
+    return total[0] if single else total
+
+
+def closure_inputs(seed, trials=20):
+    """Per model of the 131 golden spans plus SYM: its first round's rate
+    matrices and times, seeded per model as the closure benchmark does."""
+    models = golden_spans(every=1) + [fixture("SYM").subspace]
+    assert len(models) == 132
+    out = []
+    for i, m in enumerate(models):
+        gens = np.array(m.basis, dtype=float)
+        d = len(gens)
+        u = 1.0 - np.random.default_rng([seed * 1000 + i, 0]).random((trials, 2 * d + 2))
+        c = np.concatenate([u[:, :d], u[:, d : 2 * d]])
+        t = np.concatenate([u[:, 2 * d], u[:, 2 * d + 1]])
+        out.append((m, np.tensordot(c, gens, axes=1), t))
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_kernels_match_references_on_closure_inputs(seed):
+    sqrt_routed = 0
+    for _, q, t in closure_inputs(seed):
+        subst = expm(q, t)
+        assert np.abs(subst - reference_expm(q, t)).max() < 1e-14
+        prods = subst[:20] @ subst[20:]
+        assert np.abs(_logm_sqrt_route(prods) - reference_logm_sqrt_route(prods)).max() < 1e-12
+        reference, ok = _logm_eig_route(prods)
+        sqrt_routed += int((~ok).sum())
+        if (~ok).any():
+            reference[~ok] = reference_logm_sqrt_route(prods[~ok])
+        assert np.abs(logm(prods) - reference).max() < 1e-12
+    # the defective products that the square-root route serves are included
+    assert sqrt_routed > 0
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_verify_closure_same_verdicts_with_reference_kernels(seed, monkeypatch):
+    cases = closure_inputs(seed)
+    fast = [
+        verify_multiplicative_closure(m, trials=20, seed=seed * 1000 + i)
+        for i, (m, _, _) in enumerate(cases)
+    ]
+    monkeypatch.setattr(closure_mod, "expm", reference_expm)
+    monkeypatch.setattr(closure_mod, "_logm_sqrt_route", reference_logm_sqrt_route)
+    statuses = []
+    for i, ((m, _, _), report) in enumerate(zip(cases, fast)):
+        ref = verify_multiplicative_closure(m, trials=20, seed=seed * 1000 + i)
+        assert (report.status, report.discarded_trials) == (ref.status, ref.discarded_trials)
+        assert abs(report.max_residual - ref.max_residual) < 1e-12
+        statuses.append(report.status)
+    assert statuses == ["pass"] * 131 + ["fail"]
+
+
+def test_expm_nilpotent_closed_form():
+    # N^3 = 0, so e^{Nt} = I + Nt + (Nt)^2 / 2 exactly; the larger times need
+    # several squarings
+    n = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [-1.0, 3.0, 0.0]])
+    assert np.any(n @ n) and not np.any(n @ n @ n)
+    for t in (0.1, 1.0, 7.5, 20.0):
+        x = n * t
+        closed = np.eye(3) + x + x @ x / 2
+        assert np.abs(expm(n, t) - closed).max() <= 1e-14 * np.abs(closed).max()
+        # and back: log(I + X + X^2/2) = X, through the square-root route
+        assert np.abs(_logm_sqrt_route(closed) - x).max() <= 1e-14 * np.abs(x).max()
+
+
+def test_expm_stack_with_different_squaring_counts_matches_single_calls():
+    rng = np.random.default_rng(30)
+    qs = np.array([random_rate_matrix(rng, 4) for _ in range(6)])
+    ts = np.array([0.0, 0.5, 4.0, 20.0, 60.0, 150.0])
+    norms = norm1(qs * ts[:, None, None])
+    squarings = [max(0, math.ceil(math.log2(x / 5.371920351148152))) if x else 0 for x in norms]
+    assert len(set(squarings)) >= 4
+    stacked = expm(qs, ts)
+    for q, t, m in zip(qs, ts, stacked):
+        assert np.array_equal(m, expm(q, t))
+        # the reference scales to 0.5, not 5.37, so it squares about three
+        # more times and its own error grows with the squarings
+        assert np.abs(m - reference_expm(q, t)).max() < 1e-13

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from liemarkov import linalg
 
 
@@ -141,6 +143,22 @@ def test_conjugate_moves_entries():
     swapped = linalg.conjugate(a, (1, 0))
     assert swapped == ((4, 3), (2, 1))
     assert linalg.conjugate(swapped, (1, 0)) == a
+
+
+@pytest.mark.parametrize("perm", [(0, 0), (1, 1), (0, 2), (-1, 0)])
+def test_relabel_gather_rejects_non_permutations(perm):
+    with pytest.raises(ValueError, match="not a permutation of range"):
+        linalg.relabel_gather(perm)
+    # before the check, conjugate(a, (0, 0)) returned ((4, 3), (2, 1))
+    with pytest.raises(ValueError, match="not a permutation of range"):
+        linalg.conjugate(((1, 2), (3, 4)), perm)
+
+
+def test_conjugate_rejects_wrong_length_perm():
+    with pytest.raises(ValueError, match="permutation on 3 points"):
+        linalg.conjugate(((1, 2), (3, 4)), (0, 1, 2))
+    with pytest.raises(ValueError, match="permutation on 2 points"):
+        linalg.conjugate(((1, 2, 3), (4, 5, 6), (7, 8, 9)), (1, 0))
 
 
 def test_vectorize_round_trip():
