@@ -23,6 +23,12 @@ through inverse scaling and squaring: Denman-Beavers square roots until
 it is within 1-norm LOGM_SERIES_RADIUS of the identity, then a fixed
 number of terms of the Gregory series log A = 2 atanh((A + I)^-1 (A - I))
 (Higham, Functions of Matrices, section 11.3).
+
+Failure is per-matrix data: each log kernel returns its results with a
+boolean mask of the matrices it could serve, and a non-finite logarithm
+counts as none.  Only the public logm raises, once, if any matrix of its
+stack failed; the sampled verification reads the mask and redraws those
+trials.
 """
 
 from __future__ import annotations
@@ -194,28 +200,39 @@ def expm(q: np.ndarray | Sequence, t: float | np.ndarray = 1.0) -> np.ndarray:
     return result[0] if single else result
 
 
-def _sqrtm_stack(a: np.ndarray) -> np.ndarray:
+def _sqrtm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal square roots of a stack by the Denman-Beavers iteration.
 
     Y <- (Y + Z^-1) / 2 and Z <- (Z + Y^-1) / 2 from Y = A, Z = I, with
     each (Y, Z) pair stored side by side so that one batched inverse
     serves both updates.  Each matrix stops once its own step is small.
+    Returns the roots and which of them to trust: a matrix fails, alone,
+    when one of its iterates is exactly singular or its root is still
+    moving after 64 steps.  The roots of failed matrices are unspecified.
     """
     yz = np.stack([a, np.broadcast_to(np.eye(a.shape[-1]), a.shape)], axis=1)
+    ok = np.ones(len(a), dtype=bool)
     todo = np.arange(len(a))
     for _ in range(64):
         cur = yz[todo]
         try:
-            nxt = 0.5 * (cur + np.linalg.inv(cur)[:, ::-1])
-        except np.linalg.LinAlgError as exc:
-            raise LogmConvergenceError(f"singular iterate: {exc}") from None
+            inv = np.linalg.inv(cur)
+        except np.linalg.LinAlgError:
+            # LAPACK refuses the whole batch; the same LU factorisation finds
+            # the singular iterates, and their matrices drop out
+            singular = (np.linalg.slogdet(cur)[0] == 0).any(axis=1)
+            ok[todo[singular]] = False
+            todo, cur = todo[~singular], cur[~singular]
+            inv = np.linalg.inv(cur)
+        nxt = 0.5 * (cur + inv[:, ::-1])
         yz[todo] = nxt
         y = nxt[:, 0]
         # written as not-converged so that a NaN step never counts as converged
         todo = todo[~(_norm1(y - cur[:, 0]) <= 1e-15 * np.maximum(1.0, _norm1(y)))]
         if not todo.size:
-            return yz[:, 0]
-    raise LogmConvergenceError("square-root iteration did not converge")
+            break
+    ok[todo] = False
+    return yz[:, 0], ok
 
 
 def _logm_eig_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,36 +273,37 @@ def _logm_eig_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logs, ok
 
 
-def _logm_sqrt_route(p: np.ndarray | Sequence) -> np.ndarray:
-    """Principal matrix logarithm by inverse scaling and squaring.
+def _logm_sqrt_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal logarithms of a stack by inverse scaling and squaring.
 
-    ``p`` is one (k, k) matrix or a stack (n, k, k).  Each matrix takes
-    repeated principal square roots until it is within 1-norm
-    LOGM_SERIES_RADIUS = 0.5 of the identity; depth is capped at 40,
-    since products of substitution matrices can sit far from the
-    identity.  Then Z = (A + I)^-1 (A - I) comes from one batched solve,
-    and log A = 2 (Z + Z^3/3 + Z^5/5 + ...) is summed to a fixed
-    LOGM_SERIES_TERMS terms, enough for 1e-18 at that radius; each sum is
-    scaled back up by its own depth.  Raises LogmConvergenceError if any
-    matrix of the stack fails.
+    Each matrix of the (n, k, k) stack takes repeated principal square
+    roots until it is within 1-norm LOGM_SERIES_RADIUS = 0.5 of the
+    identity; depth is capped at 40, since products of substitution
+    matrices can sit far from the identity.  Then Z = (A + I)^-1 (A - I)
+    comes from one batched solve, and log A = 2 (Z + Z^3/3 + Z^5/5 + ...)
+    is summed to a fixed LOGM_SERIES_TERMS terms, enough for 1e-18 at
+    that radius; each sum is scaled back up by its own depth.  Returns the
+    logarithms and which of them to trust: a matrix fails, alone, when
+    one of its square roots fails or it is still outside the radius after
+    40 roots.  The entries of failed matrices are zero; only the others
+    enter the solve and the series.
     """
-    a, single = _as_stack(p, "logm")
     a = a.copy()
     n_mats, k, _ = a.shape
     ident = np.eye(k)
+    ok = np.ones(n_mats, dtype=bool)
     depth = np.zeros(n_mats, dtype=int)
     todo = np.flatnonzero(_norm1(a - ident) >= LOGM_SERIES_RADIUS)
     for _ in range(LOGM_MAX_SQRT_DEPTH):
         if not todo.size:
             break
-        root = _sqrtm_stack(a[todo])
+        root, rooted = _sqrtm_stack(a[todo])
         a[todo] = root
         depth[todo] += 1
-        todo = todo[_norm1(root - ident) >= LOGM_SERIES_RADIUS]
-    if todo.size:
-        raise LogmConvergenceError(
-            f"still outside series radius after {LOGM_MAX_SQRT_DEPTH} square roots"
-        )
+        ok[todo[~rooted]] = False
+        todo = todo[rooted & (_norm1(root - ident) >= LOGM_SERIES_RADIUS)]
+    ok[todo] = False
+    a, depth = a[ok], depth[ok]
     # A + I and A - I commute, so either order of the solve gives Z
     z = np.linalg.solve(a + ident, a - ident)
     z2 = z @ z
@@ -294,9 +312,25 @@ def _logm_sqrt_route(p: np.ndarray | Sequence) -> np.ndarray:
     for j in range(1, LOGM_SERIES_TERMS):
         power = power @ z2
         total += power / (2 * j + 1)
+    logs = np.zeros((n_mats, k, k))
     # the series' factor 2 and each square root's factor 2, exactly
-    total = np.ldexp(total, depth[:, None, None] + 1)
-    return total[0] if single else total
+    logs[ok] = np.ldexp(total, depth[:, None, None] + 1)
+    return logs, ok
+
+
+def _logm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal logarithms of an (n, k, k) stack, and which of them to trust.
+
+    The eigen route serves what it can and the square-root route takes the
+    rest.  A logarithm with a non-finite entry counts as none, so a NaN or
+    overflowed input fails rather than yielding a NaN log.  The entries of
+    failed matrices are unspecified.
+    """
+    logs, ok = _logm_eig_route(a)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        logs[rest], ok[rest] = _logm_sqrt_route(a[rest])
+    return logs, ok & np.isfinite(logs).all(axis=(-2, -1))
 
 
 def logm(p: np.ndarray | Sequence) -> np.ndarray:
@@ -309,17 +343,17 @@ def logm(p: np.ndarray | Sequence) -> np.ndarray:
     (see ``_logm_eig_route`` for the exact rule).  Every other matrix,
     e.g. a defective one, goes through inverse scaling and squaring
     (``_logm_sqrt_route``: square roots to within 1-norm 0.5 of the
-    identity, then a fixed-length atanh series).  The route depends only on the matrix itself,
-    so a stack gives the same results as single calls.  Raises
-    LogmConvergenceError if any matrix of the stack has no real principal
-    logarithm that the square-root route can reach, e.g. one with an
-    eigenvalue on the closed negative real axis.
+    identity, then a fixed-length atanh series).  The route depends only
+    on the matrix itself, so a stack gives the same results as single
+    calls.  Raises LogmConvergenceError if any matrix of the stack has no
+    real principal logarithm that the square-root route can reach, e.g.
+    one with an eigenvalue on the closed negative real axis, or if its
+    logarithm is not finite, e.g. for a NaN input.
     """
     a, single = _as_stack(p, "logm")
-    logs, ok = _logm_eig_route(a)
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        logs[rest] = _logm_sqrt_route(a[rest])
+    logs, ok = _logm_stack(a)
+    if not ok.all():
+        raise LogmConvergenceError(f"no finite principal logarithm for matrix {np.argmin(ok)}")
     return logs[0] if single else logs
 
 
@@ -340,13 +374,15 @@ def verify_multiplicative_closure(
     onto the span.  Membership of a subspace is scale invariant, so the
     unnormalized log is tested.
 
-    Trials run in rounds of one stacked expm and one stacked logm.  Round
-    ``attempt`` draws a (trials, 2d + 2) block from default_rng([seed,
-    attempt]) and trial i takes row i, which is the same whatever the
-    block height: a trial's numbers depend only on (seed, trial, attempt).
-    A trial whose logarithm fails to converge is redrawn next round, up
-    to ``retry_budget`` attempts; if any trial exhausts the budget the
-    verdict is "inconclusive" rather than a pass or fail.  Raises
+    Trials run in rounds of one stacked expm and one stacked logarithm,
+    which reports per product whether it found a finite principal log.
+    Round ``attempt`` draws a (trials, 2d + 2) block from
+    default_rng([seed, attempt]) and trial i takes row i, which is the
+    same whatever the block height: a trial's numbers depend only on
+    (seed, trial, attempt).  A trial without a log is discarded and
+    redrawn next round, up to ``retry_budget`` attempts; its round is
+    never re-run one product at a time.  If any trial exhausts the budget
+    the verdict is "inconclusive" rather than a pass or fail.  Raises
     ValueError for a dimension-0 model and for ``trials`` or
     ``retry_budget`` below 1, or ``t_max`` or ``tol`` not finite positive.
     """
@@ -374,18 +410,7 @@ def verify_multiplicative_closure(
         t = np.concatenate([u[:, 2 * d], u[:, 2 * d + 1]]) * t_max
         subst = expm(np.tensordot(c, gens, axes=1), t)
         prods = subst[:n] @ subst[n:]
-        try:
-            logs = logm(prods)
-            ok = np.ones(n, dtype=bool)
-        except LogmConvergenceError:
-            logs = np.zeros_like(prods)
-            ok = np.zeros(n, dtype=bool)
-            for i, prod in enumerate(prods):
-                try:
-                    logs[i] = logm(prod)
-                    ok[i] = True
-                except LogmConvergenceError:
-                    pass
+        logs, ok = _logm_stack(prods)
         v = logs[ok].reshape(-1, m.order**2)
         residual = np.abs(v - (v @ span) @ span.T).max(initial=0.0)
         max_residual = max(max_residual, float(residual))

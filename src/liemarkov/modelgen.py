@@ -36,11 +36,22 @@ class ModelSubspace:
         return len(self.rref)
 
 
+def _check_shape(x: Matrix, order: int, what: str) -> None:
+    """Raise ValueError unless ``x`` is an order x order matrix."""
+    if len(x) != order or any(len(row) != order for row in x):
+        lengths = sorted({len(row) for row in x})
+        raise ValueError(
+            f"order mismatch: expected a {order} x {order} {what}, "
+            f"got {len(x)} rows of lengths {lengths}"
+        )
+
+
 def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelSubspace:
     """Build a ModelSubspace; zero and repeated generators are dropped.
 
-    Every generator must have zero column sums (membership in the ambient
-    space of rate matrices with sign constraint relaxed).  Integral
+    Every generator must be order x order and have zero column sums
+    (membership in the ambient space of rate matrices with sign
+    constraint relaxed); ValueError otherwise.  Integral
     entries are stored as ``int``, so the exact checks on the span take
     the integer fast paths whatever type the caller used.
     """
@@ -54,6 +65,7 @@ def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelS
             ]
             for row in g
         )
+        _check_shape(g, order, "generator")
         if not linalg.has_zero_column_sums(g):
             raise ValueError(f"generator has nonzero column sums: {g}")
         if linalg.is_zero(g) or g in seen:
@@ -82,10 +94,12 @@ def rate_basis(r: RegularRep) -> ModelSubspace:
 def contains(
     m: ModelSubspace, x: Sequence[Sequence[Scalar]]
 ) -> tuple[Fraction, ...] | None:
-    """Exact membership by ``linalg.span_coordinates``: coefficients over the rref, else None."""
+    """Exact membership by ``linalg.span_coordinates``: coefficients over the rref, else None.
+
+    Raises ValueError unless ``x`` is ``m.order`` x ``m.order``.
+    """
     x = linalg.mat(x)
-    if len(x) != m.order:
-        raise ValueError(f"order mismatch: {len(x)} vs {m.order}")
+    _check_shape(x, m.order, "matrix")
     coords, inside = linalg.span_coordinates(m.rref, [linalg.vectorize(x)])
     return tuple(coords[0].tolist()) if inside[0] else None
 

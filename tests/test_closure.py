@@ -18,6 +18,8 @@ from liemarkov.closure import (
     LogmConvergenceError,
     _logm_eig_route,
     _logm_sqrt_route,
+    _logm_stack,
+    _sqrtm_stack,
     check_algebra_closed,
     check_lie_closed,
     commutator,
@@ -316,6 +318,14 @@ def test_logm_nonconvergence_raises():
         logm(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
+def test_logm_of_nan_raises():
+    # NaN is not >= the series radius, so it would reach the series untouched;
+    # a non-finite logarithm counts as none
+    for p in (np.full((3, 3), np.nan), np.array([np.eye(2), [[1.0, np.nan], [0.0, 1.0]]])):
+        with pytest.raises(LogmConvergenceError):
+            logm(p)
+
+
 # --- logm routes ---------------------------------------------------------------
 
 # 3-state chain 0 -> 1 -> 2 with equal rates: the eigenvalue -1 has a
@@ -329,12 +339,19 @@ def eig_routed(p):
     return bool(_logm_eig_route(np.asarray(p)[None])[1][0])
 
 
+def sqrt_route(p):
+    """The square-root route's logarithm of one matrix, which must succeed."""
+    logs, ok = _logm_sqrt_route(np.asarray(p, dtype=float)[None])
+    assert ok.tolist() == [True]
+    return logs[0]
+
+
 def test_logm_defective_input_takes_square_root_route():
     for t in (0.1, 0.7, 2.0, 5.0):
         p = expm(JORDAN_RATES, t)
         assert not eig_routed(p)
         x = logm(p)
-        assert np.array_equal(x, _logm_sqrt_route(p))
+        assert np.array_equal(x, sqrt_route(p))
         assert np.abs(x - JORDAN_RATES * t).max() < 1e-8
 
 
@@ -343,7 +360,7 @@ def test_logm_sqrt_route_accurate_at_series_radius():
     # itself must reach rounding level where |Z| is near its bound 1/3
     for d in ([0.5001, 1.4999], [0.50000001, 1.0], [1.0, 1.49999999], [0.75, 1.25]):
         want = np.log(d)
-        got = np.diag(_logm_sqrt_route(np.diag(d)))
+        got = np.diag(sqrt_route(np.diag(d)))
         assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all()
 
 
@@ -354,7 +371,7 @@ def test_logm_complex_eigenvalues_take_eigen_route():
         assert eig_routed(p)
         x = logm(p)
         assert x.dtype == np.float64
-        assert np.abs(x - _logm_sqrt_route(p)).max() < 1e-12
+        assert np.abs(x - sqrt_route(p)).max() < 1e-12
         assert np.abs(x - CYCLIC_RATES * t).max() < 1e-12
 
 
@@ -374,7 +391,7 @@ def test_logm_mixed_route_stack_matches_single_calls():
     stacked = logm(ps)
     for p, x in zip(ps, stacked):
         assert np.abs(x - logm(p)).max() < 1e-12
-        assert np.abs(x - _logm_sqrt_route(p)).max() < 1e-12
+        assert np.abs(x - sqrt_route(p)).max() < 1e-12
 
 
 def test_logm_eig_failure_falls_back_per_matrix(monkeypatch):
@@ -391,7 +408,7 @@ def test_logm_eig_failure_falls_back_per_matrix(monkeypatch):
     _, routed = _logm_eig_route(ps)
     assert routed.tolist() == [True, False, True]
     stacked = logm(ps)
-    assert np.array_equal(stacked[1], _logm_sqrt_route(bad))
+    assert np.array_equal(stacked[1], sqrt_route(bad))
     for p, x in zip(ps, stacked):
         assert np.abs(x - logm(p)).max() < 1e-12
 
@@ -402,10 +419,36 @@ def test_logm_negative_real_eigenvalue_still_raises():
         # declined before its logarithm is taken, so np.log never sees -1
         warnings.simplefilter("error")
         assert not eig_routed(swap)
-    with pytest.raises(LogmConvergenceError):
-        _logm_sqrt_route(swap)
+    # the route marks the swap alone as failed instead of raising
+    _, ok = _logm_sqrt_route(np.array([np.eye(2), swap]))
+    assert ok.tolist() == [True, False]
     with pytest.raises(LogmConvergenceError):
         logm(np.array([np.eye(2), swap, expm([[-1.0, 1.0], [1.0, -1.0]], 0.5)]))
+
+
+def test_logm_stack_reports_failures_per_matrix():
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    ps = np.array([np.eye(2), swap, expm(q, 0.5), expm(q, 3.0)])
+    logs, ok = _logm_stack(ps)
+    assert ok.tolist() == [True, False, True, True]
+    for p, x in zip(ps[ok], logs[ok]):
+        assert np.array_equal(x, logm(p))
+    assert np.abs(logs[3] - 3.0 * q).max() < 1e-12
+
+
+def test_sqrtm_stack_reports_failures_per_matrix():
+    # the swap's second Denman-Beavers iterate (I + swap) / 2 is singular,
+    # which makes LAPACK refuse the whole batch
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    roots, ok = _sqrtm_stack(np.array([swap, 4.0 * np.eye(2)]))
+    assert ok.tolist() == [False, True]
+    assert np.abs(roots[1] - 2.0 * np.eye(2)).max() <= 1e-15
+    # on the eigenvalue -4 the real iteration wanders without converging,
+    # and after 64 steps that matrix alone fails
+    roots, ok = _sqrtm_stack(np.array([np.diag([4.0, 9.0]), np.diag([-4.0, 1.0])]))
+    assert ok.tolist() == [True, False]
+    assert np.abs(roots[0] - np.diag([2.0, 3.0])).max() <= 1e-15
 
 
 # --- stacked kernels -----------------------------------------------------------
@@ -491,15 +534,26 @@ def test_verify_closure_rejects_trivial_model():
 
 
 def test_verify_closure_inconclusive_when_log_never_converges(monkeypatch):
-    def always_fails(p):
-        raise LogmConvergenceError("forced")
+    def always_fails(a):
+        return np.zeros_like(a), np.zeros(len(a), dtype=bool)
 
-    monkeypatch.setattr(closure_mod, "logm", always_fails)
+    monkeypatch.setattr(closure_mod, "_logm_stack", always_fails)
     report = verify_multiplicative_closure(
         f81(), trials=3, tol=1e-6, seed=0, retry_budget=2
     )
     assert report.status == "inconclusive"
     assert report.discarded_trials == 6
+    assert report.max_residual == 0.0
+
+
+@pytest.mark.parametrize("name", ["SYM", "F81"])
+def test_verify_closure_inconclusive_when_products_overflow(name):
+    # at these times expm overflows or loses every digit, and the products'
+    # logarithms come out NaN or not at all: no trial may count as a pass
+    m = fixture("SYM").subspace if name == "SYM" else known_subspaces()["F81"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = verify_multiplicative_closure(m, trials=5, t_max=1e300)
+    assert report.status == "inconclusive"
     assert report.max_residual == 0.0
 
 
@@ -552,16 +606,25 @@ def test_verify_closure_matches_per_trial_reference():
     known = known_subspaces()
     models = [known["F81"], known["K3ST"], fixture("SYM").subspace] + golden_spans()
     assert len(models) >= 13
-    for seed in (0, 7, 123):
-        for idx, m in enumerate(models):
-            report = verify_multiplicative_closure(
-                m, trials=10, tol=1e-6, seed=seed * 100 + idx, t_max=2.0
-            )
-            status, discarded, max_residual = _reference_verify(
-                m, trials=10, tol=1e-6, seed=seed * 100 + idx, t_max=2.0
-            )
-            assert (report.status, report.discarded_trials) == (status, discarded)
-            assert abs(report.max_residual - max_residual) < 1e-12
+    discards = {}
+    for t_max in (2.0, 8.0):
+        discards[t_max] = 0
+        for seed in (0, 7, 123):
+            for idx, m in enumerate(models):
+                report = verify_multiplicative_closure(
+                    m, trials=10, tol=1e-6, seed=seed * 100 + idx, t_max=t_max
+                )
+                status, discarded, max_residual = _reference_verify(
+                    m, trials=10, tol=1e-6, seed=seed * 100 + idx, t_max=t_max
+                )
+                assert (report.status, report.discarded_trials) == (status, discarded)
+                discards[t_max] += discarded
+                # far from the identity the QR and lstsq projections of a log
+                # outside the span differ well above rounding
+                if t_max == 2.0 or max_residual < 1e-6:
+                    assert abs(report.max_residual - max_residual) < 1e-12
+    # the longer times reach products without a principal logarithm
+    assert discards == {2.0: 0, 8.0: 11}
 
 
 def test_verify_closure_reports_both_exact_checks():
@@ -583,11 +646,19 @@ def test_verify_closure_eigen_route_changes_no_verdict(monkeypatch):
     models = golden_spans(every=1) + [fixture("SYM").subspace]
     assert len(models) == 132
     fast = [verify_multiplicative_closure(m, trials=5, seed=31) for m in models]
-    monkeypatch.setattr(closure_mod, "logm", _logm_sqrt_route)
+    declined = []
+
+    def eig_route_declines_all(a):
+        declined.append(len(a))
+        return np.zeros_like(a), np.zeros(len(a), dtype=bool)
+
+    # every product now takes the square-root route
+    monkeypatch.setattr(closure_mod, "_logm_eig_route", eig_route_declines_all)
     for m, report in zip(models, fast):
         ref = verify_multiplicative_closure(m, trials=5, seed=31)
         assert (report.status, report.discarded_trials) == (ref.status, ref.discarded_trials)
         assert abs(report.max_residual - ref.max_residual) < 1e-12
+    assert sum(declined) == 5 * 132
 
 
 def test_verify_closure_redraws_only_the_failing_trial(monkeypatch):
@@ -595,20 +666,18 @@ def test_verify_closure_redraws_only_the_failing_trial(monkeypatch):
     target = _draw_product(m, seed, bad, 0, trials=5)
     calls = []
 
-    def fails_on_target(p):
-        p = np.asarray(p)
-        calls.append(p)
-        if any(np.array_equal(x, target) for x in p.reshape(-1, 4, 4)):
-            raise LogmConvergenceError("forced")
-        return logm(p)
+    def fails_on_target(a):
+        calls.append(a)
+        logs, ok = _logm_stack(a)
+        return logs, ok & ~(a == target).all(axis=(-2, -1))
 
-    monkeypatch.setattr(closure_mod, "logm", fails_on_target)
+    monkeypatch.setattr(closure_mod, "_logm_stack", fails_on_target)
     report = verify_multiplicative_closure(m, trials=5, tol=1e-6, seed=seed)
     assert report.status == "pass"
     assert report.discarded_trials == 1
     assert report.max_residual < 1e-9
-    # one stacked call, the per-matrix fallback, then the redraw alone
-    assert [c.shape for c in calls] == [(5, 4, 4)] + [(4, 4)] * 5 + [(1, 4, 4)]
+    # one log-kernel call per round: the stacked round, then the redraw alone
+    assert [c.shape for c in calls] == [(5, 4, 4), (1, 4, 4)]
     assert np.allclose(calls[-1][0], _draw_product(m, seed, bad, 1, trials=5), atol=1e-14)
 
 
@@ -619,14 +688,12 @@ def test_verify_closure_draws_do_not_depend_on_trial_count(monkeypatch):
     def logm_inputs(trials):
         calls = []
 
-        def fails_on_target(p):
-            p = np.asarray(p)
-            calls.append(p)
-            if any(np.array_equal(x, target) for x in p.reshape(-1, 4, 4)):
-                raise LogmConvergenceError("forced")
-            return logm(p)
+        def fails_on_target(a):
+            calls.append(a)
+            logs, ok = _logm_stack(a)
+            return logs, ok & ~(a == target).all(axis=(-2, -1))
 
-        monkeypatch.setattr(closure_mod, "logm", fails_on_target)
+        monkeypatch.setattr(closure_mod, "_logm_stack", fails_on_target)
         report = verify_multiplicative_closure(m, trials=trials, seed=seed)
         assert (report.status, report.discarded_trials) == ("pass", 1)
         return calls
@@ -727,7 +794,9 @@ def reference_logm_sqrt_route(p):
     for _ in range(40):
         if not todo.size:
             break
-        root = closure_mod._sqrtm_stack(a[todo])
+        root, rooted = _sqrtm_stack(a[todo])
+        if not rooted.all():
+            raise LogmConvergenceError("square-root iteration failed")
         a[todo] = root
         depth[todo] += 1
         todo = todo[norm1(root - ident) >= 0.25]
@@ -746,6 +815,12 @@ def reference_logm_sqrt_route(p):
             break
     total = np.ldexp(total, depth[:, None, None])
     return total[0] if single else total
+
+
+def reference_sqrt_route_stack(a):
+    """``reference_logm_sqrt_route`` in the route's (logs, ok) form; it raises
+    instead of reporting a failure, so a failing input errors the test."""
+    return reference_logm_sqrt_route(a), np.ones(len(a), dtype=bool)
 
 
 def closure_inputs(seed, trials=20):
@@ -771,7 +846,9 @@ def test_kernels_match_references_on_closure_inputs(seed):
         subst = expm(q, t)
         assert np.abs(subst - reference_expm(q, t)).max() < 1e-14
         prods = subst[:20] @ subst[20:]
-        assert np.abs(_logm_sqrt_route(prods) - reference_logm_sqrt_route(prods)).max() < 1e-12
+        logs, ok = _logm_sqrt_route(prods)
+        assert ok.all()
+        assert np.abs(logs - reference_logm_sqrt_route(prods)).max() < 1e-12
         reference, ok = _logm_eig_route(prods)
         sqrt_routed += int((~ok).sum())
         if (~ok).any():
@@ -789,7 +866,7 @@ def test_verify_closure_same_verdicts_with_reference_kernels(seed, monkeypatch):
         for i, (m, _, _) in enumerate(cases)
     ]
     monkeypatch.setattr(closure_mod, "expm", reference_expm)
-    monkeypatch.setattr(closure_mod, "_logm_sqrt_route", reference_logm_sqrt_route)
+    monkeypatch.setattr(closure_mod, "_logm_sqrt_route", reference_sqrt_route_stack)
     statuses = []
     for i, ((m, _, _), report) in enumerate(zip(cases, fast)):
         ref = verify_multiplicative_closure(m, trials=20, seed=seed * 1000 + i)
@@ -809,7 +886,7 @@ def test_expm_nilpotent_closed_form():
         closed = np.eye(3) + x + x @ x / 2
         assert np.abs(expm(n, t) - closed).max() <= 1e-14 * np.abs(closed).max()
         # and back: log(I + X + X^2/2) = X, through the square-root route
-        assert np.abs(_logm_sqrt_route(closed) - x).max() <= 1e-14 * np.abs(x).max()
+        assert np.abs(sqrt_route(closed) - x).max() <= 1e-14 * np.abs(x).max()
 
 
 def test_expm_stack_with_different_squaring_counts_matches_single_calls():

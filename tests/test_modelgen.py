@@ -92,6 +92,25 @@ def test_generators_rejected_without_zero_column_sums():
         subspace_from_generators(2, [((1, 0), (0, 0))])
 
 
+@pytest.mark.parametrize(
+    "order, generator",
+    [
+        # a 4-entry rref for an order-3 model
+        (3, ((-1, 1), (1, -1))),
+        # 2 x 3: zero column sums, and is_reducible would answer silently
+        (2, ((-1, 1, 0), (1, -1, 0))),
+        # ragged rows
+        (2, ((-1, 1), (1, -1, 0))),
+    ],
+)
+def test_generators_rejected_unless_order_by_order(order, generator):
+    with pytest.raises(ValueError, match=f"expected a {order} x {order} generator"):
+        subspace_from_generators(order, [generator])
+    # a zero generator is dropped, but only once its shape is right
+    with pytest.raises(ValueError, match="order mismatch"):
+        subspace_from_generators(order, [tuple((0,) * len(row) for row in generator)])
+
+
 def test_contains_f81_commutator():
     sub = f81()
     r1, r2 = sub.basis[0], sub.basis[1]
@@ -139,6 +158,16 @@ def test_contains_exact_on_random_rational_combinations():
 def test_contains_order_mismatch():
     with pytest.raises(ValueError, match="order mismatch"):
         contains(f81(), zeros(3))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [[(0, 0, 0)] * 4, [(0,) * 4] * 3, [(0,) * 4, (0,) * 3, (0,) * 4, (0,) * 4], [(0,) * 5] * 4],
+)
+def test_contains_names_the_expected_shape(x):
+    # not a numpy reshape or matmul error from inside the span kernel
+    with pytest.raises(ValueError, match="expected a 4 x 4 matrix"):
+        contains(f81(), x)
 
 
 def test_generic_support_full_for_equal_input():
