@@ -321,15 +321,20 @@ def _logm_sqrt_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _logm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal logarithms of an (n, k, k) stack, and which of them to trust.
 
-    The eigen route serves what it can and the square-root route takes the
-    rest.  A logarithm with a non-finite entry counts as none, so a NaN or
-    overflowed input fails rather than yielding a NaN log.  The entries of
-    failed matrices are unspecified.
+    A matrix with a non-finite entry fails before either route sees it.
+    The eigen route serves what it can of the rest and the square-root
+    route takes the remainder.  A logarithm with a non-finite entry counts
+    as none, so an input that overflows fails rather than yielding a NaN
+    log.  The entries of failed matrices are unspecified.
     """
-    logs, ok = _logm_eig_route(a)
-    rest = np.flatnonzero(~ok)
-    if rest.size:
-        logs[rest], ok[rest] = _logm_sqrt_route(a[rest])
+    logs = np.zeros_like(a)
+    ok = np.zeros(len(a), dtype=bool)
+    todo = np.flatnonzero(np.isfinite(a).all(axis=(-2, -1)))
+    for route in (_logm_eig_route, _logm_sqrt_route):
+        if not todo.size:
+            break
+        logs[todo], ok[todo] = route(a[todo])
+        todo = todo[~ok[todo]]
     return logs, ok & np.isfinite(logs).all(axis=(-2, -1))
 
 

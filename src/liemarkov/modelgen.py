@@ -11,12 +11,14 @@ membership, and cross-run canonical keys are all exact decisions.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .cayley import relabel_gathers
+from .cayley import Perm, relabel_gathers
 from .linalg import Matrix, Scalar
 from .representation import RegularRep
 
@@ -165,13 +167,13 @@ def conjugate_subspace(m: ModelSubspace, perm: Sequence[int]) -> ModelSubspace:
 
 @dataclass(frozen=True)
 class ModelOrbit:
-    """What one pass over the k! relabelings of a model determines.
+    """What the S_k orbit of a model's rref determines.
 
     ``key`` is the minimal conjugate rref (the canonical key), ``group``
     the permutations that fix the rref (sorted), ``variants`` the number
-    of distinct conjugate rrefs and ``to_key`` the permutations that map
-    the model onto its key (sorted).  Orbit-stabilizer makes
-    ``len(group) * variants == k!``.
+    of distinct conjugate rrefs, k! / |group| by orbit-stabilizer, and
+    ``to_key`` the permutations that map the model onto its key (sorted),
+    a coset of ``group``, so of the same size.
     """
 
     key: RrefKey
@@ -180,17 +182,53 @@ class ModelOrbit:
     to_key: tuple[tuple[int, ...], ...]
 
 
+@functools.cache
+def _orbit_getters(k: int) -> tuple[tuple[Perm, operator.itemgetter], ...]:
+    """Each permutation of {0..k-1}, identity first, with its relabel gather as an itemgetter.
+
+    For k >= 2 only: with one cell, an itemgetter returns the entry, not a tuple.
+    """
+    return tuple((p, operator.itemgetter(*src)) for p, src in relabel_gathers(k))
+
+
 def model_orbit(m: ModelSubspace) -> ModelOrbit:
-    """Row-reduce each of the k! relabelings of ``m.rref`` exactly once."""
+    """The orbit of ``m.rref``, row-reducing only the relabelings that can reach the key.
+
+    Key: a conjugate's first pivot is the first cell of its relabeled
+    support, and rrefs whose first pivot comes later compare smaller, so
+    only the relabelings that push that cell furthest are row-reduced.
+    Group: a symmetry fixes the support, and each non-identity relabeling
+    that does is decided by one stacked exact membership test of its
+    conjugated rref rows; a conjugate has the span's dimension, so it lies
+    inside the span exactly when it equals it.
+    """
+    perms = tuple(p for p, _ in relabel_gathers(m.order))
+    if len(perms) == 1 or not m.rref:
+        # every relabeling fixes the rref
+        return ModelOrbit(key=m.rref, group=perms, variants=1, to_key=perms)
+    getters = _orbit_getters(m.order)
+    support = tuple(any(col) for col in zip(*m.rref))
+    moved = [g(support) for _, g in getters]
+    firsts = [s.index(True) for s in moved]
+    last = max(firsts)
     conjugates = [
-        (p, linalg.rref([tuple(row[s] for s in src) for row in m.rref]))
-        for p, src in relabel_gathers(m.order)
+        (p, linalg.rref([g(row) for row in m.rref]))
+        for (p, g), first in zip(getters, firsts)
+        if first == last
     ]
     key = min(r for _, r in conjugates)
+    fixing = [pg for pg, s in zip(getters[1:], moved[1:]) if s == support]
+    group = perms[:1]
+    if fixing:
+        _, inside = linalg.span_coordinates(
+            m.rref, [g(row) for _, g in fixing for row in m.rref]
+        )
+        equal = inside.reshape(len(fixing), -1).all(axis=1)
+        group += tuple(p for (p, _), eq in zip(fixing, equal) if eq)
     return ModelOrbit(
         key=key,
-        group=tuple(p for p, r in conjugates if r == m.rref),
-        variants=len({r for _, r in conjugates}),
+        group=group,
+        variants=len(perms) // len(group),
         to_key=tuple(p for p, r in conjugates if r == key),
     )
 

@@ -4,8 +4,9 @@ A state permutation is a symmetry of a model when conjugating every rate
 matrix by the corresponding permutation matrix lands back in the model.
 Conjugation preserves nonnegativity of off-diagonal entries, so testing
 span preservation is equivalent to testing the stochastic cone.  The
-maximal symmetry group is the stabilizer of the model's rref in the
-single orbit pass of :func:`liemarkov.modelgen.model_orbit`.
+maximal symmetry group is the stabilizer of the model's rref, computed
+by :func:`liemarkov.modelgen.model_orbit`: every relabeling that fixes
+the span's support is tested by exact membership.
 """
 
 from __future__ import annotations
@@ -96,8 +97,10 @@ def parse_perm(text: str, k: int) -> Perm:
 def symmetry_group(m: ModelSubspace) -> SymmetryGroup:
     """The maximal group of state permutations preserving the span.
 
-    All k! candidates are tested, so maximality is automatic: a
-    permutation belongs iff the relabeled span has the same exact rref.
+    Every permutation that could belong is tested, so maximality is
+    automatic: one that moves the span's support cannot, and one that
+    fixes it belongs iff the relabeled rref rows lie in the span, which,
+    the dimensions being equal, means the relabeled span is the span.
     """
     g = model_orbit(m).group
     return SymmetryGroup(m.order, g, name_group_elements(m.order, g))

@@ -20,6 +20,11 @@ def semigroups4():
 
 
 @pytest.fixture(scope="session")
+def semigroups5():
+    return enumerate_semigroups(5)
+
+
+@pytest.fixture(scope="session")
 def catalog2():
     return run_pipeline(order=2)
 

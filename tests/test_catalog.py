@@ -74,6 +74,18 @@ def test_classify_model_checks_orbit_stabilizer(monkeypatch):
         catalog.classify_model(sub, [], [], build_registry())
 
 
+def test_classify_model_checks_coset_size(monkeypatch):
+    sub = known_subspaces()["K3ST"]
+    orbit = catalog.model_orbit(sub)
+    monkeypatch.setattr(
+        catalog,
+        "model_orbit",
+        lambda m: dataclasses.replace(orbit, to_key=orbit.to_key[1:]),
+    )
+    with pytest.raises(PipelineInvariantError, match="orbit-stabilizer"):
+        catalog.classify_model(sub, [], [], build_registry())
+
+
 def test_classify_model_raises_on_lie_failure():
     with pytest.raises(PipelineInvariantError, match=r"witness pair \(0, 1\)"):
         catalog.classify_model(fixture("SYM").subspace, [], [], build_registry())

@@ -304,8 +304,8 @@ def test_pruned_enumeration_matches_complete_table_filter(semigroups4):
 
 
 @pytest.mark.slow
-def test_enumerate_order5_matches_oeis():
-    tables = enumerate_semigroups(5)
+def test_enumerate_order5_matches_oeis(semigroups5):
+    tables = semigroups5
     assert len(tables) == 1915  # OEIS A027851
     assert tables == sorted(tables, key=lambda t: t.table)
     for t in tables:

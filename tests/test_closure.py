@@ -326,6 +326,15 @@ def test_logm_of_nan_raises():
             logm(p)
 
 
+def test_logm_of_inf_raises_without_warning():
+    # an infinite entry fails before the Denman-Beavers step can form inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (np.full((3, 3), np.inf), np.array([np.eye(2), [[1.0, -np.inf], [0.0, 1.0]]])):
+            with pytest.raises(LogmConvergenceError):
+                logm(p)
+
+
 # --- logm routes ---------------------------------------------------------------
 
 # 3-state chain 0 -> 1 -> 2 with equal rates: the eigenvalue -1 has a

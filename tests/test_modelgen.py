@@ -9,10 +9,11 @@ import pytest
 
 from liemarkov import linalg
 from liemarkov.catalog import known_subspaces
-from liemarkov.cayley import make_table
+from liemarkov.cayley import make_table, relabel_gathers
 from liemarkov.closure import commutator
 from liemarkov.constructors import fixture
 from liemarkov.modelgen import (
+    ModelOrbit,
     ModelSubspace,
     absorbing_states,
     canonical_subspace,
@@ -321,6 +322,47 @@ def test_model_orbit_group_matches_membership_oracle(orbit_models):
 def test_model_orbit_stabilizer_identity(orbit_models):
     for m, orbit in orbit_models:
         assert len(orbit.group) * orbit.variants == math.factorial(m.order)
+
+
+def full_model_orbit(m):
+    # reference: row-reduce all k! relabelings of the rref, keep what they show
+    conjugates = [
+        (p, linalg.rref([tuple(row[s] for s in src) for row in m.rref]))
+        for p, src in relabel_gathers(m.order)
+    ]
+    key = min(r for _, r in conjugates)
+    return ModelOrbit(
+        key=key,
+        group=tuple(p for p, r in conjugates if r == m.rref),
+        variants=len({r for _, r in conjugates}),
+        to_key=tuple(p for p, r in conjugates if r == key),
+    )
+
+
+def test_model_orbit_matches_full_pass(orbit_models):
+    rng = random.Random(12)
+    for m, orbit in orbit_models:
+        assert orbit == full_model_orbit(m)
+        relabeled = conjugate_subspace(m, tuple(rng.sample(range(m.order), m.order)))
+        assert model_orbit(relabeled) == full_model_orbit(relabeled)
+
+
+def test_model_orbit_of_trivial_span_matches_full_pass():
+    for k in (1, 2, 3, 4):
+        trivial = subspace_from_generators(k, [])
+        assert model_orbit(trivial) == full_model_orbit(trivial)
+
+
+@pytest.mark.slow
+def test_model_orbit_matches_full_pass_order5(semigroups5):
+    spans = {}
+    for t in semigroups5:
+        m = rate_basis(regular_rep(t))
+        spans.setdefault(m.rref, m)
+    del spans[()]
+    assert len(spans) == 1344
+    for m in spans.values():
+        assert model_orbit(m) == full_model_orbit(m)
 
 
 def _all_int(rows):
