@@ -14,15 +14,20 @@ package only here, in expm/logm and the sampled verification.
 
 expm is scaling and squaring with the [13/13] Pade approximant (Higham,
 "The scaling and squaring method for the matrix exponential revisited",
-SIMAX 2005).  logm takes one of two routes for each matrix.  A matrix
-whose eigenvalues avoid the closed negative real axis and whose
-eigenvector matrix is well conditioned (1-norm condition number at most
-LOGM_EIG_MAX_COND) gets V log(w) V^-1 from one batched
-eigendecomposition.  Every other matrix, defective or nearly so, goes
-through inverse scaling and squaring: Denman-Beavers square roots until
-it is within 1-norm LOGM_SERIES_RADIUS of the identity, then a fixed
-number of terms of the Gregory series log A = 2 atanh((A + I)^-1 (A - I))
-(Higham, Functions of Matrices, section 11.3).
+SIMAX 2005).  logm takes one of three routes for each matrix, the first
+that serves it.  A matrix whose eigenvalues avoid the closed negative
+real axis and whose eigenvector matrix is well conditioned (1-norm
+condition number at most LOGM_EIG_MAX_COND) gets V log(w) V^-1 from one
+batched eigendecomposition.  Every other matrix, defective or nearly so,
+goes through inverse scaling and squaring: square roots until it is
+within 1-norm LOGM_SERIES_RADIUS of the identity, then a fixed number of
+terms of the Gregory series log A = 2 atanh((A + I)^-1 (A - I)) (Higham,
+Functions of Matrices, section 11.3).  A matrix whose exact off-diagonal
+zero pattern has no cycle and whose diagonal is positive, such as a
+product of an absorbing-state chain, is triangular up to a relabeling of
+its states, and its square roots come without iteration from the
+Bjorck-Hammarling recurrence (the Schur method, ibid. section 6.2).  Any
+other matrix takes Denman-Beavers square roots.
 
 Failure is per-matrix data: each log kernel returns its results with a
 boolean mask of the matrices it could serve, and a non-finite logarithm
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -273,12 +278,35 @@ def _logm_eig_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logs, ok
 
 
-def _logm_sqrt_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sqrtm_triangular(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal square roots of upper triangular matrices with a positive diagonal.
+
+    R[i, i] = sqrt(T[i, i]), then one vectorized pass per superdiagonal of
+    the Bjorck-Hammarling recurrence R[i, j] = (T[i, j] - (R R)[i, j]) /
+    (R[i, i] + R[j, j]), where R R still holds only the inner terms
+    i < l < j because R is zero from that superdiagonal on (Higham,
+    Functions of Matrices, section 6.2).  No iteration, so every root is
+    served; the mask is all True, in the form of ``_sqrtm_stack``.
+    """
+    k = t.shape[-1]
+    r = np.zeros_like(t)
+    i = np.arange(k)
+    r[:, i, i] = np.sqrt(t[:, i, i])
+    for d in range(1, k):
+        i = np.arange(k - d)
+        j = i + d
+        r[:, i, j] = (t[:, i, j] - (r @ r)[:, i, j]) / (r[:, i, i] + r[:, j, j])
+    return r, np.ones(len(t), dtype=bool)
+
+
+def _logm_by_roots(
+    a: np.ndarray, sqrtm: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
     """Principal logarithms of a stack by inverse scaling and squaring.
 
     Each matrix of the (n, k, k) stack takes repeated principal square
-    roots until it is within 1-norm LOGM_SERIES_RADIUS = 0.5 of the
-    identity; depth is capped at 40, since products of substitution
+    roots from ``sqrtm`` until it is within 1-norm LOGM_SERIES_RADIUS = 0.5
+    of the identity; depth is capped at 40, since products of substitution
     matrices can sit far from the identity.  Then Z = (A + I)^-1 (A - I)
     comes from one batched solve, and log A = 2 (Z + Z^3/3 + Z^5/5 + ...)
     is summed to a fixed LOGM_SERIES_TERMS terms, enough for 1e-18 at
@@ -297,7 +325,7 @@ def _logm_sqrt_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(LOGM_MAX_SQRT_DEPTH):
         if not todo.size:
             break
-        root, rooted = _sqrtm_stack(a[todo])
+        root, rooted = sqrtm(a[todo])
         a[todo] = root
         depth[todo] += 1
         ok[todo[~rooted]] = False
@@ -318,19 +346,56 @@ def _logm_sqrt_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logs, ok
 
 
+def _logm_triangular_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Logarithms of a stack through triangular square roots, and which of them to trust.
+
+    A matrix is served when the exact zero pattern of its off-diagonal
+    entries has no cycle and its diagonal is positive.  Sorting its states
+    by their number of descendants in that pattern, most first, puts every
+    edge i -> j above the diagonal, since i has all of j's descendants and
+    j too; the relabeled matrix T is upper triangular with exact zeros
+    below.  Its logarithm is ``_logm_by_roots`` with the Schur-method
+    roots of ``_sqrtm_triangular``, relabeled back.  A matrix still outside
+    the series radius after 40 roots is declined too.  The entries of
+    declined matrices are zero.
+    """
+    k = a.shape[-1]
+    # reach[m, i, j]: a path i -> j through nonzero off-diagonal entries;
+    # each squaring doubles the path length covered, up to 2^s >= k
+    reach = (a != 0) & ~np.eye(k, dtype=bool)
+    for _ in range((k - 1).bit_length()):
+        reach = reach | (reach @ reach)
+    diag = np.arange(k)
+    ok = ~reach[:, diag, diag].any(axis=-1) & (a[:, diag, diag] > 0).all(axis=-1)
+    idx = np.flatnonzero(ok)
+    order = np.argsort(-reach[idx].sum(axis=-1), axis=-1, kind="stable")
+    # simultaneous row and column relabeling: t[m, i, j] = a[m, order[i], order[j]]
+    at = (idx[:, None, None], order[:, :, None], order[:, None, :])
+    logs_t, ok[idx] = _logm_by_roots(a[at], _sqrtm_triangular)
+    logs = np.zeros_like(a)
+    logs[at] = logs_t
+    return logs, ok
+
+
+def _logm_sqrt_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_logm_by_roots`` with Denman-Beavers square roots, for any matrix."""
+    return _logm_by_roots(a, _sqrtm_stack)
+
+
 def _logm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal logarithms of an (n, k, k) stack, and which of them to trust.
 
-    A matrix with a non-finite entry fails before either route sees it.
-    The eigen route serves what it can of the rest and the square-root
-    route takes the remainder.  A logarithm with a non-finite entry counts
-    as none, so an input that overflows fails rather than yielding a NaN
-    log.  The entries of failed matrices are unspecified.
+    A matrix with a non-finite entry fails before any route sees it.  The
+    eigen route serves what it can of the rest, the triangular route what
+    it can of the remainder, and the Denman-Beavers route takes what is
+    left.  A logarithm with a non-finite entry counts as none, so an input
+    that overflows fails rather than yielding a NaN log.  The entries of
+    failed matrices are unspecified.
     """
     logs = np.zeros_like(a)
     ok = np.zeros(len(a), dtype=bool)
     todo = np.flatnonzero(np.isfinite(a).all(axis=(-2, -1)))
-    for route in (_logm_eig_route, _logm_sqrt_route):
+    for route in (_logm_eig_route, _logm_triangular_route, _logm_sqrt_route):
         if not todo.size:
             break
         logs[todo], ok[todo] = route(a[todo])
@@ -347,13 +412,16 @@ def logm(p: np.ndarray | Sequence) -> np.ndarray:
     negative real axis: its logarithm is V log(w) V^-1, real part kept
     (see ``_logm_eig_route`` for the exact rule).  Every other matrix,
     e.g. a defective one, goes through inverse scaling and squaring
-    (``_logm_sqrt_route``: square roots to within 1-norm 0.5 of the
-    identity, then a fixed-length atanh series).  The route depends only
-    on the matrix itself, so a stack gives the same results as single
-    calls.  Raises LogmConvergenceError if any matrix of the stack has no
-    real principal logarithm that the square-root route can reach, e.g.
-    one with an eigenvalue on the closed negative real axis, or if its
-    logarithm is not finite, e.g. for a NaN input.
+    (square roots to within 1-norm 0.5 of the identity, then a
+    fixed-length atanh series).  Its square roots are triangular ones
+    (``_logm_triangular_route``) when its off-diagonal zero pattern has no
+    cycle and its diagonal is positive, and Denman-Beavers ones
+    (``_logm_sqrt_route``) otherwise.  The route depends only on the
+    matrix itself, so a stack gives the same results as single calls.
+    Raises LogmConvergenceError if any matrix of the stack has no real
+    principal logarithm that a square-root route can reach, e.g. one with
+    an eigenvalue on the closed negative real axis, or if its logarithm
+    is not finite, e.g. for a NaN input.
     """
     a, single = _as_stack(p, "logm")
     logs, ok = _logm_stack(a)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -116,7 +117,8 @@ def _eliminate(work: list[list[Scalar]], ncols: int) -> int:
     whole matrix switches to ``Fraction`` and elimination continues.
     Every step so far was exact, so both paths give the same values.
     """
-    integral = all(type(x) is int for row in work for x in row)
+    # one C-level pass over the entry types; bool and Fraction are not int
+    integral = set(map(type, chain.from_iterable(work))) <= {int}
     if not integral:
         work[:] = [[Fraction(x) for x in row] for row in work]
     n = len(work)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -19,6 +20,7 @@ from liemarkov.closure import (
     _logm_eig_route,
     _logm_sqrt_route,
     _logm_stack,
+    _logm_triangular_route,
     _sqrtm_stack,
     check_algebra_closed,
     check_lie_closed,
@@ -355,13 +357,99 @@ def sqrt_route(p):
     return logs[0]
 
 
+def tri_route(p):
+    """The triangular route's outcome for one matrix: its logarithm, or None."""
+    logs, ok = _logm_triangular_route(np.asarray(p, dtype=float)[None])
+    return logs[0] if ok[0] else None
+
+
+def golden_product(model_id, trial=0, seed=0):
+    """A sampled closure product of the first golden order-4 entry with ``model_id``."""
+    doc = json.loads((ROOT / "tests" / "golden" / "catalog_k4.json").read_text())
+    gens = next(e["generators"] for e in doc["entries"] if e["model_id"] == model_id)
+    m = subspace_from_generators(4, [[[Fraction(x) for x in row] for row in g] for g in gens])
+    return _draw_product(m, seed, trial, 0, trials=trial + 1)
+
+
+def route_declines_all(a):
+    """A log route that serves no matrix, to be patched in for a real one."""
+    return np.zeros_like(a), np.zeros(len(a), dtype=bool)
+
+
+# an absorbing-state chain whose sampled products have an acyclic zero pattern,
+# and a model whose products are defective with a cyclic one
+CHAIN_MODEL, CYCLIC_DEFECTIVE_MODEL = "e592fb285f7e55a7", "e58b17a84e8d2af5"
+
+
 def test_logm_defective_input_takes_square_root_route():
-    for t in (0.1, 0.7, 2.0, 5.0):
+    for trial in range(4):
+        p = golden_product(CYCLIC_DEFECTIVE_MODEL, trial)
+        assert not eig_routed(p)
+        assert tri_route(p) is None
+        assert np.array_equal(logm(p), sqrt_route(p))
+
+
+def test_logm_defective_chain_takes_triangular_route():
+    for t in (0.1, 0.7, 2.0):
         p = expm(JORDAN_RATES, t)
+        # the chain 0 -> 1 -> 2 keeps exact zeros above the diagonal
+        assert not np.triu(p, 1).any()
         assert not eig_routed(p)
         x = logm(p)
-        assert np.array_equal(x, sqrt_route(p))
+        assert np.array_equal(x, tri_route(p))
         assert np.abs(x - JORDAN_RATES * t).max() < 1e-8
+        assert np.abs(x - sqrt_route(p)).max() < 1e-14
+
+
+def jordan_log(lam, n):
+    """log(lam I + N) = log(lam) I + N / lam - N^2 / (2 lam^2) for N^3 = 0."""
+    return np.log(lam) * np.eye(3) + n / lam - n @ n / (2 * lam**2)
+
+
+def test_logm_triangular_route_jordan_block_closed_form():
+    n = np.array([[0.0, 1.0, -2.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
+    for lam in (0.05, 0.7, 1.0, 1.3, 9.0):
+        p = lam * np.eye(3) + n
+        want = jordan_log(lam, n)
+        assert not eig_routed(p)
+        got = tri_route(p)
+        assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+        assert np.array_equal(logm(p), got)
+        # the same block under every relabeling of its states
+        for perm in itertools.permutations(range(3)):
+            k = np.eye(3)[list(perm)]
+            got = tri_route(k @ p @ k.T)
+            assert np.abs(got - k @ want @ k.T).max() <= 2e-15 * np.abs(want).max()
+
+
+def test_logm_triangular_route_declines_cyclic_patterns():
+    for t in (0.3, 1.0, 2.5):
+        assert tri_route(expm(CYCLIC_RATES, t)) is None
+    # a 2 x 2 strongly connected block above an absorbing state
+    q = np.array([[-2.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
+    assert tri_route(expm(q, 0.5)) is None
+    assert tri_route(golden_product(CYCLIC_DEFECTIVE_MODEL)) is None
+    # a single cycle through all k states, which the transitive closure must
+    # follow to its full length
+    for k in (2, 3, 4, 5):
+        assert tri_route(np.eye(k) + 0.25 * np.roll(np.eye(k), 1, axis=0)) is None
+
+
+def test_logm_triangular_route_declines_nonpositive_diagonal():
+    cases = [
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.array([[0.0, 1.0], [0.0, 1.0]]),
+        np.array([[-1.0, 1.0], [0.0, 2.0]]),
+        np.array([[1.0, 0.0, 0.0], [2.0, -0.5, 0.0], [0.0, 1.0, 3.0]]),
+    ]
+    with warnings.catch_warnings():
+        # declined before any square root is taken
+        warnings.simplefilter("error")
+        for p in cases:
+            assert tri_route(p) is None
+    for p in cases:
+        with pytest.raises(LogmConvergenceError):
+            logm(p)
 
 
 def test_logm_sqrt_route_accurate_at_series_radius():
@@ -401,6 +489,23 @@ def test_logm_mixed_route_stack_matches_single_calls():
     for p, x in zip(ps, stacked):
         assert np.abs(x - logm(p)).max() < 1e-12
         assert np.abs(x - sqrt_route(p)).max() < 1e-12
+
+
+def test_logm_stack_of_all_three_routes_matches_single_calls():
+    rng = np.random.default_rng(40)
+    ps = np.array(
+        [golden_product(CHAIN_MODEL, trial) for trial in range(3)]
+        + [golden_product(CYCLIC_DEFECTIVE_MODEL, trial) for trial in range(3)]
+        + [np.eye(4), expm(random_rate_matrix(rng, 4), 0.9)]
+    )
+    _, eig = _logm_eig_route(ps)
+    assert eig.tolist() == [False] * 6 + [True] * 2
+    _, tri = _logm_triangular_route(ps[:6])
+    assert tri.tolist() == [True] * 3 + [False] * 3
+    stacked = logm(ps)
+    for p, x in zip(ps, stacked):
+        assert np.array_equal(x, logm(p))
+    assert np.abs(stacked[:6] - reference_logm_sqrt_route(ps[:6])).max() < 1e-12
 
 
 def test_logm_eig_failure_falls_back_per_matrix(monkeypatch):
@@ -632,8 +737,23 @@ def test_verify_closure_matches_per_trial_reference():
                 # outside the span differ well above rounding
                 if t_max == 2.0 or max_residual < 1e-6:
                     assert abs(report.max_residual - max_residual) < 1e-12
-    # the longer times reach products without a principal logarithm
-    assert discards == {2.0: 0, 8.0: 11}
+    # the longer times reach products without a principal logarithm; one
+    # more (test_logm_triangular_route_serves_where_denman_beavers_fails)
+    # has one, but only the triangular route finds it
+    assert discards == {2.0: 0, 8.0: 10}
+
+
+def test_logm_triangular_route_serves_where_denman_beavers_fails():
+    # a chain product at t_max = 8 with diagonal entries down to 2e-15
+    p = _draw_product(golden_spans()[4], seed=7, trial=9, attempt=0, trials=10, t_max=8.0)
+    assert not np.tril(p, -1).any() and np.diag(p).min() < 1e-14
+    assert not _logm_eig_route(p[None])[1][0]
+    assert not _logm_sqrt_route(p[None])[1][0]
+    x = logm(p)
+    assert np.array_equal(x, tri_route(p))
+    assert np.abs(x.sum(axis=0)).max() < 1e-13
+    assert np.abs(expm(x) - p).max() < 1e-13
+    assert (np.abs(np.diag(expm(x)) - np.diag(p)) <= 1e-13 * np.diag(p)).all()
 
 
 def test_verify_closure_reports_both_exact_checks():
@@ -668,6 +788,38 @@ def test_verify_closure_eigen_route_changes_no_verdict(monkeypatch):
         assert (report.status, report.discarded_trials) == (ref.status, ref.discarded_trials)
         assert abs(report.max_residual - ref.max_residual) < 1e-12
     assert sum(declined) == 5 * 132
+
+
+def test_verify_closure_triangular_route_changes_no_verdict(monkeypatch):
+    models = golden_spans(every=1) + [fixture("SYM").subspace]
+    assert len(models) == 132
+    real_route = _logm_triangular_route
+    served = set()
+
+    def counting_route(a):
+        logs, ok = real_route(a)
+        if ok.any():
+            served.add(current)
+        return logs, ok
+
+    for t_max in (1.0, 8.0):
+        monkeypatch.setattr(closure_mod, "_logm_triangular_route", counting_route)
+        fast = []
+        for current, m in enumerate(models):
+            fast.append(verify_multiplicative_closure(m, trials=5, seed=31, t_max=t_max))
+        if t_max == 1.0:
+            # the absorbing-state chains among the golden models, at least
+            assert len(served) >= 18
+        # every product the eigen route declines now takes Denman-Beavers
+        monkeypatch.setattr(closure_mod, "_logm_triangular_route", route_declines_all)
+        for m, report in zip(models, fast):
+            ref = verify_multiplicative_closure(m, trials=5, seed=31, t_max=t_max)
+            assert (report.status, report.discarded_trials) == (ref.status, ref.discarded_trials)
+            assert report.max_residual < ref.max_residual + 1e-12
+            # at t_max = 8 the Denman-Beavers logs of some chains are off the
+            # span by up to about 7e-12, and the triangular ones are not
+            if t_max == 1.0:
+                assert abs(report.max_residual - ref.max_residual) < 1e-12
 
 
 def test_verify_closure_redraws_only_the_failing_trial(monkeypatch):
@@ -850,7 +1002,7 @@ def closure_inputs(seed, trials=20):
 
 @pytest.mark.parametrize("seed", [3, 5])
 def test_kernels_match_references_on_closure_inputs(seed):
-    sqrt_routed = 0
+    tri_routed = sqrt_routed = 0
     for _, q, t in closure_inputs(seed):
         subst = expm(q, t)
         assert np.abs(subst - reference_expm(q, t)).max() < 1e-14
@@ -859,12 +1011,15 @@ def test_kernels_match_references_on_closure_inputs(seed):
         assert ok.all()
         assert np.abs(logs - reference_logm_sqrt_route(prods)).max() < 1e-12
         reference, ok = _logm_eig_route(prods)
-        sqrt_routed += int((~ok).sum())
         if (~ok).any():
             reference[~ok] = reference_logm_sqrt_route(prods[~ok])
+            _, tri = _logm_triangular_route(prods[~ok])
+            tri_routed += int(tri.sum())
+            sqrt_routed += int((~tri).sum())
         assert np.abs(logm(prods) - reference).max() < 1e-12
-    # the defective products that the square-root route serves are included
-    assert sqrt_routed > 0
+    # the defective products that the triangular and the Denman-Beavers
+    # routes serve are both included
+    assert tri_routed > 0 and sqrt_routed > 0
 
 
 @pytest.mark.parametrize("seed", [3, 5])
@@ -876,6 +1031,8 @@ def test_verify_closure_same_verdicts_with_reference_kernels(seed, monkeypatch):
     ]
     monkeypatch.setattr(closure_mod, "expm", reference_expm)
     monkeypatch.setattr(closure_mod, "_logm_sqrt_route", reference_sqrt_route_stack)
+    # so that the reference serves every product the eigen route declines
+    monkeypatch.setattr(closure_mod, "_logm_triangular_route", route_declines_all)
     statuses = []
     for i, ((m, _, _), report) in enumerate(zip(cases, fast)):
         ref = verify_multiplicative_closure(m, trials=20, seed=seed * 1000 + i)

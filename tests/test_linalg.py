@@ -99,6 +99,15 @@ def test_rref_falls_back_when_a_pivot_does_not_divide_its_row():
     assert all(type(x) is Fraction for row in fallback for x in row)
 
 
+def test_rref_takes_fraction_path_unless_every_entry_is_int():
+    # bool is an int subclass and Fraction(2) equals 2, but neither is int
+    for rows in ([[True, False], [False, True]], [[1, Fraction(2)], [0, 1]], [[2, 0], [0, 1.0]]):
+        result = linalg.rref(rows)
+        assert result == ((1, 0), (0, 1))
+        assert all(type(x) is Fraction for row in result for x in row)
+    assert is_integral(linalg.rref([[2, 0], [0, 1]]))
+
+
 def test_span_coordinates_int_path():
     rows = linalg.rref([[1, 0, 2, -1], [0, 1, -1, 3]])
     assert is_integral(rows)
