@@ -195,12 +195,6 @@ def classify_model(
             f"orbit-stabilizer fails: |G| = {len(orbit.group)}, "
             f"{orbit.variants} variants, k = {sub.order}"
         )
-    # the relabelings onto the key are a coset of the stabilizer
-    if len(orbit.to_key) != len(orbit.group):
-        raise PipelineInvariantError(
-            f"orbit-stabilizer fails: |G| = {len(orbit.group)}, "
-            f"{len(orbit.to_key)} relabelings onto the key"
-        )
     key = orbit.key
     report = ModelReport(
         subspace=sub,

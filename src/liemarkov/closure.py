@@ -14,7 +14,11 @@ package only here, in expm/logm and the sampled verification.
 
 expm is scaling and squaring with the [13/13] Pade approximant (Higham,
 "The scaling and squaring method for the matrix exponential revisited",
-SIMAX 2005).  logm takes one of three routes for each matrix, the first
+SIMAX 2005).  Entry (i, j), i != j, of e^{Qt} is a sum over paths
+i -> j of the off-diagonal nonzero pattern of Qt, in every term of the
+power series, so expm sets it to exactly 0 where there is no such path;
+a triangular Q gives a triangular e^{Qt}, whatever the rounding of the
+Pade solve.  logm takes one of three routes for each matrix, the first
 that serves it.  A matrix whose eigenvalues avoid the closed negative
 real axis and whose eigenvector matrix is well conditioned (1-norm
 condition number at most LOGM_EIG_MAX_COND) gets V log(w) V^-1 from one
@@ -167,6 +171,20 @@ def _as_stack(a: np.ndarray | Sequence, name: str) -> tuple[np.ndarray, bool]:
     return (a[None] if a.ndim == 2 else a), a.ndim == 2
 
 
+def _reach(a: np.ndarray) -> np.ndarray:
+    """Transitive closure of the off-diagonal nonzero pattern of an (n, k, k) stack.
+
+    ``reach[m, i, j]`` is True when a path i -> j runs through nonzero
+    off-diagonal entries of ``a[m]``; each squaring doubles the path
+    length covered, up to 2^s >= k.
+    """
+    k = a.shape[-1]
+    reach = (a != 0) & ~np.eye(k, dtype=bool)
+    for _ in range((k - 1).bit_length()):
+        reach = reach | (reach @ reach)
+    return reach
+
+
 def expm(q: np.ndarray | Sequence, t: float | np.ndarray = 1.0) -> np.ndarray:
     """Matrix exponential e^{Qt} by scaling and squaring.
 
@@ -176,7 +194,9 @@ def expm(q: np.ndarray | Sequence, t: float | np.ndarray = 1.0) -> np.ndarray:
     one batched solve, and it is squared back as often as it was scaled
     (Higham, SIMAX 2005, without the lower-degree approximants).  For a
     rate matrix Q and t >= 0 the result is column-stochastic to high
-    accuracy.
+    accuracy.  Entry (i, j), i != j, is exactly 0 when the off-diagonal
+    nonzero pattern of Qt has no path i -> j, as it is in every term of
+    the power series.
     """
     q, single = _as_stack(q, "expm")
     t = np.broadcast_to(np.asarray(t, dtype=float), q.shape[:1])
@@ -202,6 +222,8 @@ def expm(q: np.ndarray | Sequence, t: float | np.ndarray = 1.0) -> np.ndarray:
     result = np.linalg.solve(v - u, v + u)
     for j in range(s.max(initial=0)):
         result = np.where((s > j)[:, None, None], result @ result, result)
+    # the solve leaves rounding-level values where no path reaches
+    result[~_reach(a) & ~np.eye(q.shape[-1], dtype=bool)] = 0.0
     return result[0] if single else result
 
 
@@ -359,13 +381,8 @@ def _logm_triangular_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the series radius after 40 roots is declined too.  The entries of
     declined matrices are zero.
     """
-    k = a.shape[-1]
-    # reach[m, i, j]: a path i -> j through nonzero off-diagonal entries;
-    # each squaring doubles the path length covered, up to 2^s >= k
-    reach = (a != 0) & ~np.eye(k, dtype=bool)
-    for _ in range((k - 1).bit_length()):
-        reach = reach | (reach @ reach)
-    diag = np.arange(k)
+    reach = _reach(a)
+    diag = np.arange(a.shape[-1])
     ok = ~reach[:, diag, diag].any(axis=-1) & (a[:, diag, diag] > 0).all(axis=-1)
     idx = np.flatnonzero(ok)
     order = np.argsort(-reach[idx].sum(axis=-1), axis=-1, kind="stable")
@@ -456,8 +473,9 @@ def verify_multiplicative_closure(
     redrawn next round, up to ``retry_budget`` attempts; its round is
     never re-run one product at a time.  If any trial exhausts the budget
     the verdict is "inconclusive" rather than a pass or fail.  Raises
-    ValueError for a dimension-0 model and for ``trials`` or
-    ``retry_budget`` below 1, or ``t_max`` or ``tol`` not finite positive.
+    ValueError for a dimension-0 model, for ``trials`` or ``retry_budget``
+    below 1, for ``seed`` not a non-negative integer, and for ``t_max`` or
+    ``tol`` not finite positive.
     """
     if m.dim < 1:
         raise ValueError("degenerate model: dimension 0")
@@ -465,6 +483,8 @@ def verify_multiplicative_closure(
         raise ValueError(f"trials must be at least 1, got {trials}")
     if retry_budget < 1:
         raise ValueError(f"retry_budget must be at least 1, got {retry_budget}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     for name, value in (("t_max", t_max), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite positive number, got {value}")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .cayley import Perm, relabel_gathers
+from .cayley import Perm, compose, invert, relabel_gathers
 from .linalg import Matrix, Scalar
 from .representation import RegularRep
 
@@ -169,11 +169,12 @@ def conjugate_subspace(m: ModelSubspace, perm: Sequence[int]) -> ModelSubspace:
 class ModelOrbit:
     """What the S_k orbit of a model's rref determines.
 
-    ``key`` is the minimal conjugate rref (the canonical key), ``group``
-    the permutations that fix the rref (sorted), ``variants`` the number
-    of distinct conjugate rrefs, k! / |group| by orbit-stabilizer, and
-    ``to_key`` the permutations that map the model onto its key (sorted),
-    a coset of ``group``, so of the same size.
+    ``key`` is the minimal conjugate rref (the canonical key), ``to_key``
+    the permutations that map the model onto its key (sorted), ``group``
+    the permutations that fix the rref (sorted), read off that coset as
+    q^-1 o p for p in ``to_key`` and any one q in it, and ``variants``
+    the number of distinct conjugate rrefs, k! / |group| by
+    orbit-stabilizer.
     """
 
     key: RrefKey
@@ -196,11 +197,10 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
 
     Key: a conjugate's first pivot is the first cell of its relabeled
     support, and rrefs whose first pivot comes later compare smaller, so
-    only the relabelings that push that cell furthest are row-reduced.
-    Group: a symmetry fixes the support, and each non-identity relabeling
-    that does is decided by one stacked exact membership test of its
-    conjugated rref rows; a conjugate has the span's dimension, so it lies
-    inside the span exactly when it equals it.
+    only the relabelings that push that cell furthest are row-reduced;
+    every relabeling onto the key is among them.  Group: relabeling is a
+    left action, so if q maps the span onto the key, p does too exactly
+    when q^-1 o p fixes the span, and the group is q^-1 o ``to_key``.
     """
     perms = tuple(p for p, _ in relabel_gathers(m.order))
     if len(perms) == 1 or not m.rref:
@@ -208,8 +208,7 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
         return ModelOrbit(key=m.rref, group=perms, variants=1, to_key=perms)
     getters = _orbit_getters(m.order)
     support = tuple(any(col) for col in zip(*m.rref))
-    moved = [g(support) for _, g in getters]
-    firsts = [s.index(True) for s in moved]
+    firsts = [g(support).index(True) for _, g in getters]
     last = max(firsts)
     conjugates = [
         (p, linalg.rref([g(row) for row in m.rref]))
@@ -217,19 +216,11 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
         if first == last
     ]
     key = min(r for _, r in conjugates)
-    fixing = [pg for pg, s in zip(getters[1:], moved[1:]) if s == support]
-    group = perms[:1]
-    if fixing:
-        _, inside = linalg.span_coordinates(
-            m.rref, [g(row) for _, g in fixing for row in m.rref]
-        )
-        equal = inside.reshape(len(fixing), -1).all(axis=1)
-        group += tuple(p for (p, _), eq in zip(fixing, equal) if eq)
+    to_key = tuple(p for p, r in conjugates if r == key)
+    back = invert(to_key[0])
+    group = tuple(sorted(compose(back, p) for p in to_key))
     return ModelOrbit(
-        key=key,
-        group=group,
-        variants=len(perms) // len(group),
-        to_key=tuple(p for p, r in conjugates if r == key),
+        key=key, group=group, variants=len(perms) // len(group), to_key=to_key
     )
 
 

@@ -5,8 +5,9 @@ matrix by the corresponding permutation matrix lands back in the model.
 Conjugation preserves nonnegativity of off-diagonal entries, so testing
 span preservation is equivalent to testing the stochastic cone.  The
 maximal symmetry group is the stabilizer of the model's rref, computed
-by :func:`liemarkov.modelgen.model_orbit`: every relabeling that fixes
-the span's support is tested by exact membership.
+by :func:`liemarkov.modelgen.model_orbit` from the relabelings that map
+the span onto its canonical key: for any one q of them, the group is
+q^-1 o p over all of them p.
 """
 
 from __future__ import annotations
@@ -97,10 +98,9 @@ def parse_perm(text: str, k: int) -> Perm:
 def symmetry_group(m: ModelSubspace) -> SymmetryGroup:
     """The maximal group of state permutations preserving the span.
 
-    Every permutation that could belong is tested, so maximality is
-    automatic: one that moves the span's support cannot, and one that
-    fixes it belongs iff the relabeled rref rows lie in the span, which,
-    the dimensions being equal, means the relabeled span is the span.
+    ``model_orbit`` finds every relabeling p onto the canonical key, and
+    relabeling is a left action, so for one such q the symmetries are
+    exactly the q^-1 o p: maximality is automatic.
     """
     g = model_orbit(m).group
     return SymmetryGroup(m.order, g, name_group_elements(m.order, g))

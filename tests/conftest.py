@@ -37,3 +37,8 @@ def catalog3():
 @pytest.fixture(scope="session")
 def catalog4():
     return run_pipeline(order=4)
+
+
+@pytest.fixture(scope="session")
+def catalog5(semigroups5):
+    return run_pipeline(tables=semigroups5)

@@ -390,7 +390,7 @@ def test_logm_defective_input_takes_square_root_route():
 
 
 def test_logm_defective_chain_takes_triangular_route():
-    for t in (0.1, 0.7, 2.0):
+    for t in (0.1, 0.7, 2.0, 5.0):
         p = expm(JORDAN_RATES, t)
         # the chain 0 -> 1 -> 2 keeps exact zeros above the diagonal
         assert not np.triu(p, 1).any()
@@ -885,21 +885,34 @@ def test_verify_closure_draws_do_not_depend_on_trial_count(monkeypatch):
         {"tol": -1e-6},
         {"tol": math.nan},
         {"tol": math.inf},
+        {"seed": -1},
+        {"seed": 1.5},
     ],
 )
 def test_verify_closure_rejects_vacuous_settings(kwargs):
     # SYM fails Lie closure, so no setting may turn it into a pass
-    with pytest.raises(ValueError):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be"):
         verify_multiplicative_closure(fixture("SYM").subspace, **kwargs)
 
 
-@pytest.mark.parametrize("flags", [["--trials", "-5"], ["--trials", "0"], ["--tol", "nan"]])
+def test_verify_closure_takes_numpy_integer_seed():
+    m = fixture("SYM").subspace
+    assert verify_multiplicative_closure(m, trials=5, seed=np.int64(3)) == (
+        verify_multiplicative_closure(m, trials=5, seed=3)
+    )
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--trials", "-5"], ["--trials", "0"], ["--tol", "nan"], ["--seed", "-1"]],
+)
 def test_cli_verify_closure_rejects_vacuous_settings(flags, capsys):
     args = ["verify-closure", "--order", "2", "--model-id", "13f11cde8450671b"]
     assert cli.main(args + flags) == 1
     out = capsys.readouterr()
     assert "PASS" not in out.out
-    assert out.err.startswith("error:")
+    assert out.err.startswith(f"error: {flags[0][2:]} must be")
 
 
 def test_cli_verify_closure_passes(capsys):
