@@ -179,7 +179,6 @@ def classify_model(
     sub: ModelSubspace,
     member_indices: Sequence[int],
     tables: Sequence[CayleyTable],
-    registry: Registry,
 ) -> CatalogEntry:
     # algebra closure implies Lie closure, so a passing algebra check serves both
     algebra = check_algebra_closed(sub)
@@ -207,7 +206,7 @@ def classify_model(
         variant_count=orbit.variants,
         lie_closed=lie.closed,
         algebra_closed=algebra.closed,
-        known_label=registry.get((sub.order, key)),
+        known_label=build_registry().get((sub.order, key)),
         provenance=tuple(tables[i] for i in member_indices),
         source_ids=tuple(i + 1 for i in member_indices),
     )
@@ -277,7 +276,6 @@ def run_pipeline(
         len(groups) - (1 if trivial_sources else 0),
     )
 
-    registry = build_registry()
     entries = []
     for rref_key in sorted(groups):
         if rref_key == ():
@@ -285,7 +283,7 @@ def run_pipeline(
         members = groups[rref_key]
         # representative basis from the lexicographically smallest source
         rep = subspaces[min(members, key=lambda i: tables[i].table)]
-        entries.append(classify_model(rep, sorted(members), tables, registry))
+        entries.append(classify_model(rep, sorted(members), tables))
     interesting = [
         e for e in entries if not e.report.reducible and not e.report.absorbing
     ]

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import re
 import sys
 from pathlib import Path
 
@@ -149,7 +150,9 @@ def cmd_construct(args, cfg) -> int:
         sub = group_based_model(group_spec(tables[0].table))
         doc = _single_model_doc(sub, None)
     elif args.kind == "equivariant":
-        perms = [parse_perm(s, args.order) for s in args.perms.split(",")]
+        # a comma ends a permutation only outside parentheses: "(1,2)(3,4),e"
+        texts = re.split(r",(?![^()]*\))", args.perms)
+        perms = [parse_perm(s, args.order) for s in texts]
         sub = equivariant_model(perms, args.order)
         doc = _single_model_doc(sub, None)
     elif args.kind == "fixture":

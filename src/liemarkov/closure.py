@@ -16,10 +16,10 @@ expm is scaling and squaring with the [13/13] Pade approximant (Higham,
 "The scaling and squaring method for the matrix exponential revisited",
 SIMAX 2005).  Entry (i, j), i != j, of e^{Qt} is a sum over paths
 i -> j of the off-diagonal nonzero pattern of Qt, in every term of the
-power series, so expm sets it to exactly 0 where there is no such path;
-a triangular Q gives a triangular e^{Qt}, whatever the rounding of the
-Pade solve.  logm takes one of three routes for each matrix, the first
-that serves it.  A matrix whose eigenvalues avoid the closed negative
+power series, so expm sets it to exactly 0 where ``linalg.reach`` finds
+no such path; a triangular Q gives a triangular e^{Qt}, whatever the
+rounding of the Pade solve.  logm takes one of three routes for each
+matrix, the first that serves it.  A matrix whose eigenvalues avoid the closed negative
 real axis and whose eigenvector matrix is well conditioned (1-norm
 condition number at most LOGM_EIG_MAX_COND) gets V log(w) V^-1 from one
 batched eigendecomposition.  Every other matrix, defective or nearly so,
@@ -171,20 +171,6 @@ def _as_stack(a: np.ndarray | Sequence, name: str) -> tuple[np.ndarray, bool]:
     return (a[None] if a.ndim == 2 else a), a.ndim == 2
 
 
-def _reach(a: np.ndarray) -> np.ndarray:
-    """Transitive closure of the off-diagonal nonzero pattern of an (n, k, k) stack.
-
-    ``reach[m, i, j]`` is True when a path i -> j runs through nonzero
-    off-diagonal entries of ``a[m]``; each squaring doubles the path
-    length covered, up to 2^s >= k.
-    """
-    k = a.shape[-1]
-    reach = (a != 0) & ~np.eye(k, dtype=bool)
-    for _ in range((k - 1).bit_length()):
-        reach = reach | (reach @ reach)
-    return reach
-
-
 def expm(q: np.ndarray | Sequence, t: float | np.ndarray = 1.0) -> np.ndarray:
     """Matrix exponential e^{Qt} by scaling and squaring.
 
@@ -195,8 +181,8 @@ def expm(q: np.ndarray | Sequence, t: float | np.ndarray = 1.0) -> np.ndarray:
     (Higham, SIMAX 2005, without the lower-degree approximants).  For a
     rate matrix Q and t >= 0 the result is column-stochastic to high
     accuracy.  Entry (i, j), i != j, is exactly 0 when the off-diagonal
-    nonzero pattern of Qt has no path i -> j, as it is in every term of
-    the power series.
+    nonzero pattern of Qt has no path i -> j (``linalg.reach``), as it is
+    in every term of the power series.
     """
     q, single = _as_stack(q, "expm")
     t = np.broadcast_to(np.asarray(t, dtype=float), q.shape[:1])
@@ -223,7 +209,7 @@ def expm(q: np.ndarray | Sequence, t: float | np.ndarray = 1.0) -> np.ndarray:
     for j in range(s.max(initial=0)):
         result = np.where((s > j)[:, None, None], result @ result, result)
     # the solve leaves rounding-level values where no path reaches
-    result[~_reach(a) & ~np.eye(q.shape[-1], dtype=bool)] = 0.0
+    result[~linalg.reach(a) & ~np.eye(q.shape[-1], dtype=bool)] = 0.0
     return result[0] if single else result
 
 
@@ -381,7 +367,7 @@ def _logm_triangular_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the series radius after 40 roots is declined too.  The entries of
     declined matrices are zero.
     """
-    reach = _reach(a)
+    reach = linalg.reach(a)
     diag = np.arange(a.shape[-1])
     ok = ~reach[:, diag, diag].any(axis=-1) & (a[:, diag, diag] > 0).all(axis=-1)
     idx = np.flatnonzero(ok)

@@ -1,6 +1,6 @@
 """Models built independently of the semigroup enumeration pipeline.
 
-Group-based models come from the regular representation of a finite
+Group-based models are the semigroup construction applied to a finite
 group (abelian or not); equivariant models are the rate matrices fixed
 by conjugation under a chosen permutation group; the named fixtures are
 small hand-entered models used as counterexamples in tests.  All of
@@ -16,7 +16,8 @@ from typing import Callable, Sequence
 from . import linalg
 from .cayley import CayleyTable, Perm, is_associative, make_table
 from .linalg import Matrix, Scalar
-from .modelgen import ModelSubspace, subspace_from_generators
+from .modelgen import ModelSubspace, rate_basis, subspace_from_generators
+from .representation import regular_rep
 from .symmetry import is_closed_group
 
 
@@ -102,36 +103,16 @@ def symmetric_group_3() -> GroupSpec:
     return group_spec(table)
 
 
-def regular_perm_matrices(g: GroupSpec) -> tuple[Matrix, ...]:
-    """K(g): entry (g1, g2) is 1 iff g1 = g * g2, for each group element.
-
-    These satisfy K(g) K(g') = K(g g') and are permutation matrices
-    because groups cancel.
-    """
-    k = g.order
-    t = g.table.table
-    mats = []
-    for x in range(k):
-        a = [[0] * k for _ in range(k)]
-        for g2 in range(k):
-            a[t[x][g2]][g2] = 1
-        mats.append(tuple(tuple(row) for row in a))
-    return tuple(mats)
-
-
 def group_based_model(g: GroupSpec) -> ModelSubspace:
-    """Span of -I + K(g) over the group's regular representation.
+    """The semigroup construction applied to a group: ``rate_basis(regular_rep(g.table))``.
 
+    Each element's left-multiplication matrix K(g) is a permutation
+    matrix, since groups cancel, and the span is that of the -I + K(g).
     The identity element contributes the zero matrix and is dropped; the
     remaining generators are linearly independent permutation-matrix
     shifts, so the dimension is always |G| - 1.
     """
-    k = g.order
-    ident = linalg.identity(k)
-    gens = [
-        linalg.mat_sub(km, ident) for km in regular_perm_matrices(g)
-    ]
-    return subspace_from_generators(k, gens)
+    return rate_basis(regular_rep(g.table))
 
 
 def abelian_rate_pattern(

@@ -4,7 +4,11 @@ Matrices are immutable tuples of row tuples with ``int`` or
 ``fractions.Fraction`` entries.  Everything here is exact: no floating
 point (``span_coordinates`` runs on ``object``-dtype numpy arrays of the
 same values), so subspace membership and equality are decisions rather
-than tolerance judgements.  Floating point enters the package only in
+than tolerance judgements.  ``reach``, the transitive closure of a stack
+of off-diagonal nonzero patterns, is boolean and so exact too: it
+decides ``modelgen.is_reducible``, and which entries ``closure.expm``
+keeps at exactly 0 and which products the triangular ``logm`` route
+serves.  Floating point enters the package only in
 :mod:`liemarkov.closure`.
 """
 
@@ -210,3 +214,17 @@ def rref_with_transform(
     basis = tuple(tuple(row[:ncols]) for row in aug[:rank])
     transform = tuple(tuple(row[ncols:]) for row in aug[:rank])
     return basis, transform
+
+
+def reach(a: np.ndarray) -> np.ndarray:
+    """Transitive closure of the off-diagonal nonzero pattern of an (n, k, k) stack.
+
+    ``reach[m, i, j]`` is True when a path i -> j runs through nonzero
+    off-diagonal entries of ``a[m]``; each squaring doubles the path
+    length covered, up to 2^s >= k.
+    """
+    k = a.shape[-1]
+    reach = (a != 0) & ~np.eye(k, dtype=bool)
+    for _ in range((k - 1).bit_length()):
+        reach = reach | (reach @ reach)
+    return reach

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from . import linalg
 from .cayley import Perm, compose, invert, relabel_gathers
 from .linalg import Matrix, Scalar
@@ -140,22 +142,12 @@ def is_reducible(m: ModelSubspace) -> bool:
     """True iff the generic transition digraph is not strongly connected.
 
     The digraph has an edge j -> i for each True off-diagonal (i, j) of
-    the generic support; reachability comes from Warshall's transitive
-    closure of the adjacency matrix.
+    the generic support.  ``linalg.reach`` closes the reversed edges
+    i -> j instead, which leaves strong connectivity unchanged: the model
+    is reducible iff some off-diagonal entry of that closure is False.
     """
-    k = m.order
-    sup = generic_support(m)
-    reach = [[i == j or sup[i][j] for i in range(k)] for j in range(k)]
-    # Warshall transitive closure on the j -> i edges
-    for mid in range(k):
-        for a in range(k):
-            if reach[a][mid]:
-                ra = reach[a]
-                rm = reach[mid]
-                for b in range(k):
-                    if rm[b]:
-                        ra[b] = True
-    return not all(all(row) for row in reach)
+    reach = linalg.reach(np.array([generic_support(m)]))[0]
+    return not reach[~np.eye(m.order, dtype=bool)].all()
 
 
 def conjugate_subspace(m: ModelSubspace, perm: Sequence[int]) -> ModelSubspace:

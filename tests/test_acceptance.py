@@ -34,7 +34,6 @@ from liemarkov.constructors import (
     fixture,
     group_based_model,
     klein_group,
-    regular_perm_matrices,
     symmetric_group_3,
 )
 from liemarkov import linalg
@@ -201,7 +200,7 @@ def test_criterion_8_constructor_cross_checks():
         sub3 = group_based_model(s3)
         assert sub3.dim == 5
         ident = linalg.identity(6)
-        ls = [linalg.mat_sub(km, ident) for km in regular_perm_matrices(s3)]
+        ls = [linalg.mat_sub(km, ident) for km in regular_rep(s3.table).matrices]
         e = s3.identity()
         pairs = [(x, y) for x in range(6) for y in range(6) if x != e and y != e]
         assert len(pairs) == 25

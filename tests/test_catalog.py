@@ -72,16 +72,16 @@ def test_classify_model_checks_orbit_stabilizer(monkeypatch):
         lambda m: dataclasses.replace(orbit, variants=orbit.variants + 1),
     )
     with pytest.raises(PipelineInvariantError, match="orbit-stabilizer"):
-        catalog.classify_model(sub, [], [], build_registry())
+        catalog.classify_model(sub, [], [])
 
 
 def test_classify_model_raises_on_lie_failure():
     with pytest.raises(PipelineInvariantError, match=r"witness pair \(0, 1\)"):
-        catalog.classify_model(fixture("SYM").subspace, [], [], build_registry())
+        catalog.classify_model(fixture("SYM").subspace, [], [])
 
 
 def test_classify_model_keeps_lie_closure_when_algebra_fails():
-    report = catalog.classify_model(fixture("JJ3").subspace, [], [], build_registry()).report
+    report = catalog.classify_model(fixture("JJ3").subspace, [], []).report
     assert report.lie_closed
     assert not report.algebra_closed
 
@@ -516,6 +516,13 @@ def test_cli_construct_equivariant_names_bad_cycle(capsys):
     rc = cli.main(["construct", "equivariant", "--perms", "(1 2) (3 4),e", "--order", "4"])
     assert rc == 1
     assert capsys.readouterr().err == "error: bad cycle notation: '(1 2) (3 4)'\n"
+
+
+def test_cli_construct_equivariant_takes_commas_inside_cycles(capsys):
+    perms = "(1,2)(3,4),(1,3)(2,4),(1,4)(2,3),e"
+    assert cli.main(["construct", "equivariant", "--perms", perms, "--order", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["entries"][0]["known_label"] == "K3ST"
 
 
 def test_cli_construct_group_based(tmp_path, capsys):

@@ -20,7 +20,6 @@ from liemarkov.constructors import (
     group_based_model,
     group_spec,
     klein_group,
-    regular_perm_matrices,
     symmetric_group_3,
 )
 from liemarkov.modelgen import contains, rate_basis, subspace_from_generators
@@ -98,7 +97,7 @@ def test_builtin_groups_are_valid():
 
 def test_regular_perm_matrices_satisfy_product_rule():
     g = symmetric_group_3()
-    mats = regular_perm_matrices(g)
+    mats = regular_rep(g.table).matrices
     for x in range(6):
         for y in range(6):
             assert linalg.mat_mul(mats[x], mats[y]) == mats[g.table.table[x][y]]
@@ -124,7 +123,7 @@ def test_s3_model_dimension_and_brackets():
     sub = group_based_model(g)
     assert sub.dim == 5
     ident = linalg.identity(6)
-    mats = regular_perm_matrices(g)
+    mats = regular_rep(g.table).matrices
     ls = [linalg.mat_sub(km, ident) for km in mats]
     e = g.identity()
     pairs = [(x, y) for x in range(6) for y in range(6) if x != e and y != e]

@@ -1,6 +1,8 @@
+import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from liemarkov import linalg
@@ -187,3 +189,39 @@ def test_mat_mul_against_identity():
     a = linalg.mat([[1, 2], [3, 4]])
     assert linalg.mat_mul(a, linalg.identity(2)) == a
     assert linalg.mat_mul(linalg.identity(2), a) == a
+
+
+def warshall_reach(pattern):
+    """Warshall's transitive closure of the off-diagonal True entries of ``pattern``.
+
+    The oracle for linalg.reach: entry (i, j) is True iff a path of one
+    or more edges runs i -> j, so (i, i) is True iff i lies on a cycle.
+    """
+    k = len(pattern)
+    reach = [[i != j and bool(pattern[i][j]) for j in range(k)] for i in range(k)]
+    for mid in range(k):
+        for a in range(k):
+            if reach[a][mid]:
+                ra = reach[a]
+                rm = reach[mid]
+                for b in range(k):
+                    if rm[b]:
+                        ra[b] = True
+    return reach
+
+
+@pytest.mark.parametrize("k, count", [(1, 1), (2, 4), (3, 64), (4, 4096)])
+def test_reach_matches_warshall_on_every_pattern(k, count):
+    cells = [(i, j) for i in range(k) for j in range(k) if i != j]
+    patterns = list(itertools.product((0, 1), repeat=len(cells)))
+    assert len(patterns) == count
+    stack = np.zeros((count, k, k), dtype=int)
+    for m, bits in enumerate(patterns):
+        for (i, j), bit in zip(cells, bits):
+            stack[m, i, j] = bit
+    # a diagonal entry is no edge
+    stack[:, range(k), range(k)] = -1
+    got = linalg.reach(stack)
+    assert got.dtype == bool and got.shape == stack.shape
+    for m in range(count):
+        assert got[m].tolist() == warshall_reach(stack[m].tolist())

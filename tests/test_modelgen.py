@@ -200,6 +200,12 @@ def test_absorbing_state_of_constant_product_semigroup():
     assert is_reducible(sub)
 
 
+def test_order_one_span_is_not_reducible():
+    sub = rate_basis(regular_rep(make_table([[0]])))
+    assert sub.order == 1 and sub.dim == 0
+    assert not is_reducible(sub)
+
+
 def test_equal_input_not_reducible_not_absorbing():
     sub = f81()
     assert not is_reducible(sub)
