@@ -148,6 +148,8 @@ def known_subspaces() -> dict[str, ModelSubspace]:
         "K2ST": equivariant_model(d4, 4),
         "Model-3.3b": _model_33b_subspace(),
         "New-4.1": rate_basis(regular_rep(new_model_table())),
+        "equal-input-5": rate_basis(regular_rep(_equal_input_table(5))),
+        "C5-group-based": group_based_model(cyclic_group(5)),
     }
 
 

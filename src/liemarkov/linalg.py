@@ -2,19 +2,21 @@
 
 Matrices are immutable tuples of row tuples with ``int`` or
 ``fractions.Fraction`` entries.  Everything here is exact: no floating
-point (``span_coordinates`` runs on ``object``-dtype numpy arrays of the
-same values), so subspace membership and equality are decisions rather
-than tolerance judgements.  ``reach``, the transitive closure of a stack
-of off-diagonal nonzero patterns, is boolean and so exact too: it
-decides ``modelgen.is_reducible``, and which entries ``closure.expm``
-keeps at exactly 0 and which products the triangular ``logm`` route
-serves.  Floating point enters the package only in
-:mod:`liemarkov.closure`.
+point, so subspace membership and equality are decisions rather than
+tolerance judgements.  Row reduction is fraction-free, in ``int``; an
+rref entry is ``int`` exactly when its value is integral.
+``span_coordinates`` runs on ``object``-dtype numpy arrays of the same
+values.  ``reach``, the transitive closure of a stack of off-diagonal
+nonzero patterns, is boolean and so exact too: it decides
+``modelgen.is_reducible``, and which entries ``closure.expm`` keeps at
+exactly 0 and which products the triangular ``logm`` route serves.
+Floating point enters the package only in :mod:`liemarkov.closure`.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
@@ -112,57 +114,60 @@ def unvectorize(v: Sequence[Scalar], k: int) -> Matrix:
 
 
 def _eliminate(work: list[list[Scalar]], ncols: int) -> int:
-    """Gauss-Jordan elimination of ``work`` in place; returns the rank.
+    """Fraction-free Gauss-Jordan elimination of ``work`` in place; returns the rank.
 
-    Pivots are sought only in the first ``ncols`` columns, normalized to
-    1 and cleared above and below; the rank rows come first, the zero
-    rows after.  An all-``int`` matrix is eliminated in ``int`` while
-    every pivot divides its row; at the first pivot that does not, the
-    whole matrix switches to ``Fraction`` and elimination continues.
-    Every step so far was exact, so both paths give the same values.
+    Pivots are sought only in the first ``ncols`` columns and cleared
+    above and below; the rank rows come first, the zero rows after.  Rows
+    are scaled to integers on entry.  Pivot p clears entry f of a row x by
+    x - (f // p) y when p divides f, else by p x - f y divided by the
+    row's content, so the loop runs in ``int`` only.  Rank rows are
+    divided by their pivots at the end, so an entry is ``int`` exactly
+    when its value is integral.
     """
     # one C-level pass over the entry types; bool and Fraction are not int
-    integral = set(map(type, chain.from_iterable(work))) <= {int}
-    if not integral:
-        work[:] = [[Fraction(x) for x in row] for row in work]
+    if not set(map(type, chain.from_iterable(work))) <= {int}:
+        for i, row in enumerate(work):
+            d = math.lcm(*(Fraction(x).denominator for x in row))
+            work[i] = [int(Fraction(x) * d) for x in row]
     n = len(work)
-    pivot_row = 0
+    pivots: list[int] = []  # the pivot column of each rank row
     for col in range(ncols):
-        found = None
-        for r in range(pivot_row, n):
-            if work[r][col] != 0:
-                found = r
+        top = len(pivots)
+        for found in range(top, n):
+            if work[found][col] != 0:
                 break
-        if found is None:
+        else:
             continue
-        work[pivot_row], work[found] = work[found], work[pivot_row]
-        prow = work[pivot_row]
+        work[top], work[found] = work[found], work[top]
+        prow = work[top]
         p = prow[col]
-        if p != 1:
-            if integral and any(x % p for x in prow):
-                integral = False
-                work[:] = [[Fraction(x) for x in row] for row in work]
-                prow = work[pivot_row]
-            prow = [x // p for x in prow] if integral else [x / p for x in prow]
-            work[pivot_row] = prow
         for r in range(n):
             f = work[r][col]
-            if r != pivot_row and f != 0:
-                work[r] = [x - f * y for x, y in zip(work[r], prow)]
-        pivot_row += 1
-        if pivot_row == n:
+            if r == top or f == 0:
+                continue
+            if f % p == 0:
+                q = f // p
+                work[r] = [x - q * y for x, y in zip(work[r], prow)]
+            else:
+                row = [p * x - f * y for x, y in zip(work[r], prow)]
+                c = math.gcd(*row)  # 0 for an all-zero row
+                work[r] = [x // c for x in row] if c > 1 else row
+        pivots.append(col)
+        if len(pivots) == n:
             break
-    return pivot_row
+    for i, col in enumerate(pivots):
+        p = work[i][col]
+        if p != 1:
+            work[i] = [x // p if x % p == 0 else Fraction(x, p) for x in work[i]]
+    return len(pivots)
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Vector, ...]:
     """Reduced row-echelon form over the rationals.
 
-    Zero rows are dropped, pivots are normalized to 1, and pivot columns
-    are cleared above and below, so the result is the unique canonical
-    basis of the row space: two spans are equal iff their rrefs are.
-    Integer input whose elimination stays integral comes back as ``int``
-    entries, equal to the ``Fraction`` ones of the general path.
+    Zero rows are dropped and pivots are 1 with their columns cleared, so
+    the result is the unique canonical basis of the row space: two spans
+    are equal iff their rrefs are.  Entries are ``int`` when integral.
     """
     work = [list(row) for row in rows]
     if not work:
@@ -202,8 +207,8 @@ def rref_with_transform(
 ) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
     """rref plus the row-operation record T with rref = T @ rows.
 
-    Used to translate coefficients over the rref basis back into
-    coefficients over the original (possibly dependent) generators.
+    One elimination of ``rows`` beside the identity gives both, with the
+    same type rule; T maps rref coefficients back onto the generators.
     """
     n = len(rows)
     if n == 0:

@@ -24,7 +24,7 @@ from .cayley import Perm, compose, invert, relabel_gathers
 from .linalg import Matrix, Scalar
 from .representation import RegularRep
 
-RrefKey = tuple[tuple[Fraction, ...], ...]
+RrefKey = tuple[tuple[Scalar, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,9 @@ def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelS
     Every generator must be order x order and have zero column sums
     (membership in the ambient space of rate matrices with sign
     constraint relaxed); ValueError otherwise.  Integral
-    entries are stored as ``int``, so the exact checks on the span take
-    the integer fast paths whatever type the caller used.
+    entries are stored as ``int``, so a span has one stored basis
+    whatever type the caller used, and the exact membership checks over
+    its generators (``linalg.span_coordinates``) run on ``int`` values.
     """
     gens: list[Matrix] = []
     seen = set()

@@ -47,12 +47,14 @@ KNOWN_IDS = {
     "binary-symmetric": "b0b6aa4db5cfbffc",
     "C3-group-based": "4bcbdac25ed62326",
     "K2ST": "aeb646a7075725ef",
+    "equal-input-5": "550111b0cc107754",
+    "C5-group-based": "2b1392516a56fdf2",
 }
 
 
 def test_registry_keys_distinct_and_labels_complete():
     registry = build_registry()
-    assert len(registry) == len(known_subspaces()) == 9
+    assert len(registry) == len(known_subspaces()) == 11
     assert sorted(registry.values()) == sorted(KNOWN_IDS)
 
 
@@ -170,8 +172,12 @@ def test_pipeline_k5_summary(catalog5):
         e for e in catalog5 if not e.report.reducible and not e.report.absorbing
     ]
     assert sorted(
-        (e.model_id, e.report.dimension, e.report.symmetry.name) for e in interesting
-    ) == [("2b1392516a56fdf2", 4, "F20"), ("550111b0cc107754", 5, "S5")]
+        (e.model_id, e.report.dimension, e.report.symmetry.name, e.report.known_label)
+        for e in interesting
+    ) == [
+        ("2b1392516a56fdf2", 4, "F20", "C5-group-based"),
+        ("550111b0cc107754", 5, "S5", "equal-input-5"),
+    ]
 
 
 def test_pipeline_lie_closure_asserted_everywhere(catalog2, catalog3, catalog4):
@@ -273,7 +279,7 @@ def golden_spans():
 def test_commutator_table_matches_per_pair_reference():
     known = known_subspaces()
     models = golden_spans() + list(known.values())
-    assert len(models) == 131 + 9
+    assert len(models) == 131 + 11
     # K2ST's rref holds genuine fractions
     assert any(type(x) is Fraction for row in known["K2ST"].rref for x in row)
     brackets = 0
@@ -294,7 +300,7 @@ def test_commutator_table_matches_per_pair_reference():
             ]
             assert linalg.mat(rebuilt) == br
             brackets += 1
-    assert brackets == 458
+    assert brackets == 474
 
 
 def test_commutator_table_raises_on_escaping_bracket():

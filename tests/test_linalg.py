@@ -15,8 +15,8 @@ def random_matrix(rng, rows, cols, lo=-5, hi=5):
 def reference_rref(rows, ncols=None):
     """Plain Fraction Gauss-Jordan elimination, pivoting in the first ncols columns.
 
-    The oracle for both elimination paths of linalg: the nonzero rows of
-    the reduced matrix, in order.
+    The oracle for linalg's integer elimination: the nonzero rows of the
+    reduced matrix, in order.
     """
     work = [[Fraction(x) for x in row] for row in rows]
     ncols = len(work[0]) if ncols is None else ncols
@@ -88,26 +88,86 @@ def test_rref_int_and_fraction_paths_agree():
         assert basis == tuple(r[:ncols] for r in ref_aug)
         assert transform == tuple(r[ncols:] for r in ref_aug)
         assert linalg.rref_with_transform(as_fractions(rows)) == (basis, transform)
-    # both the int path and the Fraction fallback were exercised
+    # results with only integral values and results holding fractions both occurred
     assert paths[True] > 20 and paths[False] > 20
 
 
-def test_rref_falls_back_when_a_pivot_does_not_divide_its_row():
-    # pivot 2 divides (2, 4) but not (2, 1): the second input needs Fraction
+def test_rref_entry_is_int_exactly_when_integral():
+    # pivot 2 divides (2, 4) but not (2, 1): only the second result has a non-integral value
     divisible = linalg.rref([[2, 4], [1, 3]])
     assert divisible == ((1, 0), (0, 1)) and is_integral(divisible)
-    fallback = linalg.rref([[0, 2, 1, 0], [3, 0, 0, 3]])
-    assert fallback == ((1, 0, 0, 1), (0, 1, Fraction(1, 2), 0))
-    assert all(type(x) is Fraction for row in fallback for x in row)
+    mixed = linalg.rref([[0, 2, 1, 0], [3, 0, 0, 3]])
+    assert mixed == ((1, 0, 0, 1), (0, 1, Fraction(1, 2), 0))
+    assert [[type(x) for x in row] for row in mixed] == [
+        [int, int, int, int], [int, int, Fraction, int]
+    ]
 
 
-def test_rref_takes_fraction_path_unless_every_entry_is_int():
+def test_rref_output_type_does_not_follow_input_type():
     # bool is an int subclass and Fraction(2) equals 2, but neither is int
     for rows in ([[True, False], [False, True]], [[1, Fraction(2)], [0, 1]], [[2, 0], [0, 1.0]]):
         result = linalg.rref(rows)
         assert result == ((1, 0), (0, 1))
-        assert all(type(x) is Fraction for row in result for x in row)
+        assert is_integral(result)
     assert is_integral(linalg.rref([[2, 0], [0, 1]]))
+
+
+def assert_int_exactly_when_integral(rows):
+    for row in rows:
+        for x in row:
+            assert type(x) is (int if Fraction(x).denominator == 1 else Fraction), x
+
+
+@pytest.mark.parametrize(
+    "convert",
+    [
+        lambda x: x,
+        Fraction,
+        lambda x: Fraction(x, 4),
+        float,
+        lambda x: x / 8,
+        lambda x: bool(x % 2),
+    ],
+    ids=["int", "Fraction", "quarters", "float", "eighths", "bool"],
+)
+def test_rref_type_contract_for_every_input_type(convert):
+    # the output type follows the value, whatever type the input came in
+    rng = random.Random(11)
+    for _ in range(100):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[convert(rng.randint(-6, 6)) for _ in range(ncols)] for _ in range(nrows)]
+        result = linalg.rref(rows)
+        assert result == reference_rref(rows)
+        assert_int_exactly_when_integral(result)
+        basis, transform = linalg.rref_with_transform(rows)
+        aug = [row + [int(i == j) for j in range(nrows)] for i, row in enumerate(rows)]
+        ref_aug = reference_rref(aug, ncols)
+        assert basis == tuple(r[:ncols] for r in ref_aug)
+        assert transform == tuple(r[ncols:] for r in ref_aug)
+        assert_int_exactly_when_integral(basis)
+        assert_int_exactly_when_integral(transform)
+
+
+def test_rref_dependent_rows_under_non_dividing_pivot():
+    # pivot 2 does not divide 3: the second row is cleared by 2 x - 3 y, to zero
+    assert linalg.rref([[2, 6], [3, 9]]) == ((1, 3),)
+    basis, transform = linalg.rref_with_transform([[2, 6], [3, 9]])
+    assert basis == ((1, 3),) and transform == ((Fraction(1, 2), 0),)
+    assert linalg.rref([[4, 6, 2], [6, 9, 3], [0, 0, 5]]) == ((1, Fraction(3, 2), 0), (0, 0, 1))
+
+
+def test_rref_dense_random_integer_matrices():
+    rng = random.Random(17)
+    for _ in range(20):
+        rows = [[rng.choice([-9, -7, -4, -2, -1, 1, 3, 5, 6, 8]) for _ in range(15)] for _ in range(12)]
+        result = linalg.rref(rows)
+        assert result == reference_rref(rows) and len(result) == 12
+        assert_int_exactly_when_integral(result)
+    # a dependent stack: rank 6 under 12 rows, every row a combination of 6
+    base = [[rng.randint(-9, 9) for _ in range(15)] for _ in range(6)]
+    coeffs = [[rng.randint(-3, 3) for _ in base] for _ in range(6)]
+    rows = base + [[sum(c * b[j] for c, b in zip(cs, base)) for j in range(15)] for cs in coeffs]
+    assert linalg.rref(rows) == reference_rref(rows) == linalg.rref(base)
 
 
 def test_span_coordinates_int_path():

@@ -285,7 +285,7 @@ def orbit_models():
         for entry in doc["entries"]
     ]
     models += known_subspaces().values()
-    assert len(models) == 131 + 9
+    assert len(models) == 131 + 11
     return [(m, model_orbit(m)) for m in models]
 
 
@@ -411,4 +411,5 @@ def test_non_integral_entries_stay_fraction():
     assert type(sub.basis[0][0][0]) is Fraction
     assert type(sub.basis[0][0][1]) is int
     assert sub.dim == 2
-    assert any(type(x) is Fraction for row in sub.rref for x in row)
+    assert sub.rref == ((1, 0, -1, 0), (0, 1, 0, -1))
+    assert all(type(x) is int for row in sub.rref for x in row)
