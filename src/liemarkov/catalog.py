@@ -89,7 +89,7 @@ class CatalogEntry:
 def serialize_key(order: int, key: RrefKey) -> str:
     """Exact, platform-independent serialization of a canonical rref key."""
     return f"{order}|" + ";".join(
-        ",".join(str(Fraction(x)) for x in row) for row in key
+        ",".join(str(x) for x in row) for row in key
     )
 
 

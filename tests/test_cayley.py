@@ -231,7 +231,7 @@ def test_enumerate_k2_tables_exactly():
 
 def test_enumerate_rejects_large_order():
     with pytest.raises(ValueError):
-        enumerate_semigroups(6)
+        enumerate_semigroups(7)
     with pytest.raises(ValueError):
         enumerate_semigroups(0)
 
@@ -313,6 +313,18 @@ def test_enumerate_order5_matches_oeis(semigroups5):
         assert canonical_form(t) == t
     # 405 self-dual classes + 755 reversal pairs = 1160, OEIS A001423
     assert anti_iso_census(tables) == (405, 755)
+
+
+@pytest.mark.order6
+def test_enumerate_order6_matches_oeis():
+    tables = enumerate_semigroups(6)
+    assert len(tables) == 28634  # OEIS A027851
+    assert all(a.table < b.table for a, b in zip(tables, tables[1:]))
+    for t in tables:
+        assert is_associative(t)
+        assert canonical_form(t) == t
+    # 3312 self-dual classes + 12661 reversal pairs = 15973, OEIS A001423
+    assert anti_iso_census(tables) == (3312, 12661)
 
 
 def test_anti_iso_census_k2():
