@@ -261,10 +261,13 @@ def run_pipeline(
             if not is_associative(t):
                 raise ValueError(f"table block {pos} is not associative")
 
+    start = time.perf_counter()
     subspaces = [rate_basis(regular_rep(t)) for t in tables]
+    built = time.perf_counter()
     groups: dict[RrefKey, list[int]] = {}
     for idx, sub in enumerate(subspaces):
         groups.setdefault(sub.rref, []).append(idx)
+    grouped = time.perf_counter()
     trivial_sources = len(groups.get((), []))
     if trivial_sources:
         logger.info(
@@ -272,12 +275,16 @@ def run_pipeline(
             trivial_sources,
         )
     logger.info(
-        "%d tables -> %d distinct models (%d nontrivial)",
+        "%d tables -> %d distinct models (%d nontrivial; "
+        "rate bases in %.3f s, grouped in %.3f s)",
         len(tables),
         len(groups),
         len(groups) - (1 if trivial_sources else 0),
+        built - start,
+        grouped - built,
     )
 
+    start = time.perf_counter()
     entries = []
     for rref_key in sorted(groups):
         if rref_key == ():
@@ -290,9 +297,11 @@ def run_pipeline(
         e for e in entries if not e.report.reducible and not e.report.absorbing
     ]
     logger.info(
-        "%d catalog entries, %d non-reducible with no absorbing states",
+        "%d catalog entries, %d non-reducible with no absorbing states "
+        "(classified in %.3f s)",
         len(entries),
         len(interesting),
+        time.perf_counter() - start,
     )
     return entries
 
@@ -365,7 +374,7 @@ def entry_to_dict(e: CatalogEntry) -> dict:
         "algebra_closed": r.algebra_closed,
         "known_label": r.known_label,
         "generators": [
-            [[str(Fraction(x)) for x in row] for row in g]
+            [[str(x) for x in row] for row in g]
             for g in r.subspace.basis
         ],
         "sources": [

@@ -3,8 +3,13 @@
 Matrices are immutable tuples of row tuples with ``int`` or
 ``fractions.Fraction`` entries.  Everything here is exact: no floating
 point, so subspace membership and equality are decisions rather than
-tolerance judgements.  Row reduction is fraction-free, in ``int``; an
-rref entry is ``int`` exactly when its value is integral.
+tolerance judgements.  Integrality is decided once, where exact data
+enters: ``integral_rows`` scales each row to integers, and
+``rref_integral`` runs the one fraction-free elimination kernel on such
+rows with no type check.  ``rref`` is the two in turn, so callers that
+row-reduce many relabelings of one span (``modelgen.model_orbit``) scale
+once and call ``rref_integral``.  An rref entry is ``int`` exactly when
+its value is integral.
 ``span_coordinates`` runs on ``object``-dtype numpy arrays of the same
 values.  ``reach``, the transitive closure of a stack of off-diagonal
 nonzero patterns, is boolean and so exact too: it decides
@@ -113,22 +118,51 @@ def unvectorize(v: Sequence[Scalar], k: int) -> Matrix:
     return tuple(tuple(v[r : r + k]) for r in range(0, k * k, k))
 
 
-def _eliminate(work: list[list[Scalar]], ncols: int) -> int:
+def exact(x: object) -> Scalar:
+    """The exact value of a real number: ``int`` when integral, else ``Fraction``.
+
+    ``bool``, numpy scalars and floats are converted (a float to its exact
+    binary value); a string is refused with TypeError rather than parsed.
+    """
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        if isinstance(x, (str, bytes)):
+            raise TypeError(f"not a number: {x!r}")
+        x = Fraction(x)
+    # int(): Fraction(np.int64(2)) keeps a numpy numerator
+    return int(x.numerator) if x.denominator == 1 else x
+
+
+def integral_rows(rows: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[int]]:
+    """Each row scaled by the lcm of its entries' denominators, in ``int``.
+
+    This is the one integrality decision of the row reductions: one
+    C-level pass over the entry types (``bool`` and ``Fraction`` are not
+    ``int``), and rows that hold only ``int`` come back as given.
+    Scaling a row leaves its span, and so every rref, unchanged.
+    """
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    scaled = []
+    for row in rows:
+        d = math.lcm(*(Fraction(x).denominator for x in row))
+        scaled.append([int(Fraction(x) * d) for x in row])
+    return scaled
+
+
+def _eliminate(work: list[Sequence[int]], ncols: int) -> int:
     """Fraction-free Gauss-Jordan elimination of ``work`` in place; returns the rank.
 
-    Pivots are sought only in the first ``ncols`` columns and cleared
-    above and below; the rank rows come first, the zero rows after.  Rows
-    are scaled to integers on entry.  Pivot p clears entry f of a row x by
-    x - (f // p) y when p divides f, else by p x - f y divided by the
-    row's content, so the loop runs in ``int`` only.  Rank rows are
-    divided by their pivots at the end, so an entry is ``int`` exactly
-    when its value is integral.
+    Every entry must be ``int``; nothing here checks it (``integral_rows``
+    decides that).  Pivots are sought only in the first ``ncols`` columns
+    and cleared above and below; the rank rows come first, the zero rows
+    after.  Pivot p clears entry f of a row x by x - (f // p) y when p
+    divides f, else by p x - f y divided by the row's content, so the loop
+    runs in ``int`` only.  Rows are replaced, never written into, so they
+    may be tuples.  Rank rows are divided by their pivots at the end, so
+    an entry is ``int`` exactly when its value is integral.
     """
-    # one C-level pass over the entry types; bool and Fraction are not int
-    if not set(map(type, chain.from_iterable(work))) <= {int}:
-        for i, row in enumerate(work):
-            d = math.lcm(*(Fraction(x).denominator for x in row))
-            work[i] = [int(Fraction(x) * d) for x in row]
     n = len(work)
     pivots: list[int] = []  # the pivot column of each rank row
     for col in range(ncols):
@@ -162,18 +196,30 @@ def _eliminate(work: list[list[Scalar]], ncols: int) -> int:
     return len(pivots)
 
 
+def rref_integral(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
+    """:func:`rref` of rows whose entries are all ``int``, with no type check.
+
+    The caller has decided integrality, e.g. by one :func:`integral_rows`
+    for a whole family of relabeled rows; a non-``int`` entry here gives
+    a wrong result or a TypeError.
+    """
+    work = list(rows)
+    if not work:
+        return ()
+    rank = _eliminate(work, len(work[0]))
+    return tuple(tuple(row) for row in work[:rank])
+
+
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Vector, ...]:
     """Reduced row-echelon form over the rationals.
 
     Zero rows are dropped and pivots are 1 with their columns cleared, so
     the result is the unique canonical basis of the row space: two spans
-    are equal iff their rrefs are.  Entries are ``int`` when integral.
+    are equal iff their rrefs are.  Entries of any exact or float type are
+    accepted; integrality is decided here, by :func:`integral_rows`, and
+    the output holds ``int`` where a value is integral, else ``Fraction``.
     """
-    work = [list(row) for row in rows]
-    if not work:
-        return ()
-    rank = _eliminate(work, len(work[0]))
-    return tuple(tuple(row) for row in work[:rank])
+    return rref_integral(integral_rows(rows))
 
 
 def pivot_columns(rref_rows: Sequence[Vector]) -> list[int]:
@@ -214,7 +260,9 @@ def rref_with_transform(
     if n == 0:
         return (), ()
     ncols = len(rows[0])
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    aug = integral_rows(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    )
     rank = _eliminate(aug, ncols)
     basis = tuple(tuple(row[:ncols]) for row in aug[:rank])
     transform = tuple(tuple(row[ncols:]) for row in aug[:rank])

@@ -55,20 +55,20 @@ def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelS
 
     Every generator must be order x order and have zero column sums
     (membership in the ambient space of rate matrices with sign
-    constraint relaxed); ValueError otherwise.  Integral
-    entries are stored as ``int``, so a span has one stored basis
-    whatever type the caller used, and the exact membership checks over
-    its generators (``linalg.span_coordinates``) run on ``int`` values.
+    constraint relaxed); ValueError otherwise.  Entries are decided here,
+    once: an ``int`` is kept as it is, and any other entry (``bool``,
+    ``Fraction``, numpy scalar, float) is stored as its exact value by
+    ``linalg.exact``, ``int`` when integral, else ``Fraction``.  So a span
+    has one stored basis whatever type the caller used, renderings print
+    its entries as numbers, and the exact checks over its generators
+    (``linalg.span_coordinates``, ``closure.pair_products``) never run in
+    float arithmetic.
     """
     gens: list[Matrix] = []
     seen = set()
     for g in generators:
-        g = linalg.mat(
-            [
-                x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
-                for x in row
-            ]
-            for row in g
+        g = tuple(
+            tuple(x if type(x) is int else linalg.exact(x) for x in row) for row in g
         )
         _check_shape(g, order, "generator")
         if not linalg.has_zero_column_sums(g):
@@ -191,9 +191,14 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
     Key: a conjugate's first pivot is the first cell of its relabeled
     support, and rrefs whose first pivot comes later compare smaller, so
     only the relabelings that push that cell furthest are row-reduced;
-    every relabeling onto the key is among them.  Group: relabeling is a
-    left action, so if q maps the span onto the key, p does too exactly
-    when q^-1 o p fixes the span, and the group is q^-1 o ``to_key``.
+    every relabeling onto the key is among them.  Integrality is decided
+    once per span: ``m.rref`` is scaled to integer rows by one
+    ``linalg.integral_rows`` (a no-op for an integral span), and a
+    relabeling only permutes the entries within each row, so every
+    candidate's rows are integral and go to ``linalg.rref_integral`` with
+    no type check.  Group: relabeling is a left action, so if q maps the
+    span onto the key, p does too exactly when q^-1 o p fixes the span,
+    and the group is q^-1 o ``to_key``.
     """
     perms = tuple(p for p, _ in relabel_gathers(m.order))
     if len(perms) == 1 or not m.rref:
@@ -203,8 +208,9 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
     support = tuple(any(col) for col in zip(*m.rref))
     firsts = [g(support).index(True) for _, g in getters]
     last = max(firsts)
+    rows = linalg.integral_rows(m.rref)
     conjugates = [
-        (p, linalg.rref([g(row) for row in m.rref]))
+        (p, linalg.rref_integral([g(row) for row in rows]))
         for (p, g), first in zip(getters, firsts)
         if first == last
     ]

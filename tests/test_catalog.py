@@ -221,6 +221,42 @@ def test_pipeline_logs_enumeration_time(caplog):
     )
 
 
+def test_pipeline_logs_grouping_time(caplog):
+    with caplog.at_level(logging.INFO, logger=catalog.logger.name):
+        run_pipeline(order=2)
+    assert re.search(
+        r"5 tables -> \d+ distinct models \(\d+ nontrivial; "
+        r"rate bases in \d+\.\d{3} s, grouped in \d+\.\d{3} s\)",
+        caplog.text,
+    )
+
+
+def test_pipeline_logs_classification_time(caplog):
+    # tables= skips enumeration, but the later stages still log their times
+    with caplog.at_level(logging.INFO, logger=catalog.logger.name):
+        run_pipeline(tables=enumerate_semigroups(2))
+    assert "enumerated in" not in caplog.text
+    assert re.search(
+        r"\d+ catalog entries, \d+ non-reducible with no absorbing states "
+        r"\(classified in \d+\.\d{3} s\)",
+        caplog.text,
+    )
+
+
+def test_generator_entries_render_as_the_same_number_in_md_and_json():
+    # a bool and a float entry are stored as int and Fraction, so both
+    # renderings print 1 and -1/2, not True or -0.5
+    for gen, text in (
+        (((False, True), (False, -1)), ("0", "1", "0", "-1")),
+        (((-0.5, 1), (0.5, -1)), ("-1/2", "1", "1/2", "-1")),
+    ):
+        entry = catalog.classify_model(subspace_from_generators(2, [gen]), [], [])
+        assert [x for row in entry_to_dict(entry)["generators"][0] for x in row] == list(text)
+        md = render([entry], "md")
+        block = md.split("L1 =\n", 1)[1].split("```", 1)[0]
+        assert tuple(re.findall(r"[^\s\[\]]+", block)) == text
+
+
 def test_pipeline_from_tables_matches_enumeration(catalog2):
     entries = run_pipeline(tables=enumerate_semigroups(2))
     assert render(entries, "json") == render(catalog2, "json")

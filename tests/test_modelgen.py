@@ -5,7 +5,9 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_linalg import assert_int_exactly_when_integral, reference_rref
 
 from liemarkov import linalg
 from liemarkov.catalog import known_subspaces
@@ -369,6 +371,83 @@ def test_model_orbit_matches_full_pass_order5(semigroups5):
     assert len(spans) == 1344
     for m in spans.values():
         assert model_orbit(m) == full_model_orbit(m)
+
+
+def entry_types(rows):
+    return [[type(x) for x in row] for row in rows]
+
+
+def test_model_orbit_int_kernel_matches_reference_on_candidate_rows(orbit_models, monkeypatch):
+    # every conjugated candidate that model_orbit row-reduces, golden and registry spans
+    inputs = []
+    kernel = linalg.rref_integral
+
+    def recording(rows):
+        inputs.append(rows)
+        return kernel(rows)
+
+    monkeypatch.setattr(linalg, "rref_integral", recording)
+    for m, orbit in orbit_models:
+        assert model_orbit(m) == orbit
+    monkeypatch.undo()
+    # K2ST's rref has halves; its candidates reach the kernel scaled to integers
+    assert any(type(x) is Fraction for m, _ in orbit_models for row in m.rref for x in row)
+    assert len(inputs) > 700
+    for rows in inputs:
+        assert all(type(x) is int for row in rows for x in row)
+        result = linalg.rref_integral(rows)
+        assert result == reference_rref(rows)
+        assert_int_exactly_when_integral(result)
+
+
+def random_rational_span(rng, k, involution=None):
+    """A span of 1..3 random k x k generators with rational entries and zero column sums.
+
+    With an involution, each generator's relabeling by it joins the span,
+    so the involution lies in the span's symmetry group.
+    """
+    values = [0, 0, 0, 1, 2, -1, Fraction(1, 2), Fraction(1, 3), Fraction(-3, 2), Fraction(2, 5)]
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        g = [[rng.choice(values) if i != j else 0 for j in range(k)] for i in range(k)]
+        for j in range(k):
+            g[j][j] = -sum(g[i][j] for i in range(k))
+        gens.append(linalg.mat(g))
+        if involution is not None:
+            gens.append(linalg.conjugate(gens[-1], involution))
+    return subspace_from_generators(k, gens)
+
+
+def test_model_orbit_matches_full_pass_on_rational_spans():
+    rng = random.Random(1919)
+    spans = []
+    while len(spans) < 50:
+        involution = rng.choice([None, (1, 0, 2, 3), (0, 3, 2, 1), (1, 0, 3, 2)])
+        m = random_rational_span(rng, 4, involution)
+        if any(type(x) is Fraction for row in m.rref for x in row):
+            spans.append(m)
+    for m in spans:
+        orbit, full = model_orbit(m), full_model_orbit(m)
+        assert orbit == full
+        assert entry_types(orbit.key) == entry_types(full.key)
+    assert len({len(model_orbit(m).group) for m in spans}) > 1
+
+
+def test_generator_entries_are_stored_as_exact_numbers():
+    # bool, numpy and Fraction(2) entries equal their int values; a float its exact value
+    plain = ((0, 1, 2), (0, -1, 0), (0, 0, -2))
+    spans = [
+        subspace_from_generators(3, [[[convert(x) for x in row] for row in plain]])
+        for convert in (int, np.int64, Fraction, lambda x: True if x == 1 else x)
+    ]
+    for sub in spans:
+        assert sub == spans[0]
+        assert all(_all_int(g) for g in sub.basis) and _all_int(sub.rref)
+    half = subspace_from_generators(2, [((-0.5, 1), (np.float64(0.5), -1))])
+    assert half.basis == (((Fraction(-1, 2), 1), (Fraction(1, 2), -1)),)
+    assert entry_types(half.basis[0]) == [[Fraction, int], [Fraction, int]]
+    with pytest.raises(TypeError, match="not a number"):
+        subspace_from_generators(2, [(("-1", 1), ("1", -1))])
 
 
 def _all_int(rows):
