@@ -8,8 +8,9 @@ enters: ``integral_rows`` scales each row to integers, and
 ``rref_integral`` runs the one fraction-free elimination kernel on such
 rows with no type check.  ``rref`` is the two in turn, so callers that
 row-reduce many relabelings of one span (``modelgen.model_orbit``) scale
-once and call ``rref_integral``.  An rref entry is ``int`` exactly when
-its value is integral.
+once and call ``rref_integral``, with the least rref found so far as a
+bound that cuts a candidate once its row 0 compares greater.  An rref
+entry is ``int`` exactly when its value is integral.
 ``span_coordinates`` runs on ``object``-dtype numpy arrays of the same
 values.  ``reach``, the transitive closure of a stack of off-diagonal
 nonzero patterns, is boolean and so exact too: it decides
@@ -151,7 +152,9 @@ def integral_rows(rows: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[int]]:
     return scaled
 
 
-def _eliminate(work: list[Sequence[int]], ncols: int) -> int:
+def _eliminate(
+    work: list[Sequence[int]], ncols: int, bound: tuple[Sequence[int], int] | None = None
+) -> int | None:
     """Fraction-free Gauss-Jordan elimination of ``work`` in place; returns the rank.
 
     Every entry must be ``int``; nothing here checks it (``integral_rows``
@@ -162,6 +165,19 @@ def _eliminate(work: list[Sequence[int]], ncols: int) -> int:
     runs in ``int`` only.  Rows are replaced, never written into, so they
     may be tuples.  Rank rows are divided by their pivots at the end, so
     an entry is ``int`` exactly when its value is integral.
+
+    ``bound`` is ``(b, c0)``: an integral row b whose first nonzero entry,
+    at c0, is positive, for rows that are zero before column c0 and not
+    all zero at it.  Row 0 is then the pivot row of c0, and once column
+    j > c0 is processed its entry there is final up to the scale of the
+    row: no later pivot row is nonzero in an earlier column, and the
+    later steps only add multiples of such rows to row 0 or scale it.  So
+    rref row 0 and b / b[c0] compare at j by the signs of
+    ``work[0][j] * b[c0]`` and ``b[j] * work[0][c0]``, flipped when
+    ``work[0][c0] < 0``.  At the first column where they differ the run
+    returns None if row 0 is the greater (it is cut), and stops comparing
+    if it is the smaller; while they are equal a full-rank run goes on
+    comparing before it stops.  A tie is never cut.
     """
     n = len(work)
     pivots: list[int] = []  # the pivot column of each rank row
@@ -171,23 +187,32 @@ def _eliminate(work: list[Sequence[int]], ncols: int) -> int:
             if work[found][col] != 0:
                 break
         else:
-            continue
-        work[top], work[found] = work[found], work[top]
-        prow = work[top]
-        p = prow[col]
-        for r in range(n):
-            f = work[r][col]
-            if r == top or f == 0:
-                continue
-            if f % p == 0:
-                q = f // p
-                work[r] = [x - q * y for x, y in zip(work[r], prow)]
-            else:
-                row = [p * x - f * y for x, y in zip(work[r], prow)]
-                c = math.gcd(*row)  # 0 for an all-zero row
-                work[r] = [x // c for x in row] if c > 1 else row
-        pivots.append(col)
-        if len(pivots) == n:
+            found = n
+        if found < n:
+            work[top], work[found] = work[found], work[top]
+            prow = work[top]
+            p = prow[col]
+            for r in range(n):
+                f = work[r][col]
+                if r == top or f == 0:
+                    continue
+                if f % p == 0:
+                    q = f // p
+                    work[r] = [x - q * y for x, y in zip(work[r], prow)]
+                else:
+                    row = [p * x - f * y for x, y in zip(work[r], prow)]
+                    c = math.gcd(*row)  # 0 for an all-zero row
+                    work[r] = [x // c for x in row] if c > 1 else row
+            pivots.append(col)
+        if bound is not None and col > bound[1]:
+            b, c0 = bound
+            s = work[0][c0]
+            x, y = work[0][col] * b[c0], b[col] * s
+            if x != y:
+                if (x > y) == (s > 0):
+                    return None
+                bound = None
+        if len(pivots) == n and bound is None:
             break
     for i, col in enumerate(pivots):
         p = work[i][col]
@@ -196,17 +221,25 @@ def _eliminate(work: list[Sequence[int]], ncols: int) -> int:
     return len(pivots)
 
 
-def rref_integral(rows: Sequence[Sequence[int]]) -> tuple[Vector, ...]:
+def rref_integral(
+    rows: Sequence[Sequence[int]], bound: tuple[Sequence[int], int] | None = None
+) -> tuple[Vector, ...] | None:
     """:func:`rref` of rows whose entries are all ``int``, with no type check.
 
     The caller has decided integrality, e.g. by one :func:`integral_rows`
     for a whole family of relabeled rows; a non-``int`` entry here gives
-    a wrong result or a TypeError.
+    a wrong result or a TypeError.  With ``bound = (b, c0)``, an integral
+    row whose first nonzero entry is b[c0] > 0, for rows whose first
+    nonzero column is c0, the result is None exactly when the rref's row
+    0 is greater than b / b[c0]; the elimination stops at the first
+    column that shows it.  An equal or smaller row 0 gives the full rref.
     """
     work = list(rows)
     if not work:
         return ()
-    rank = _eliminate(work, len(work[0]))
+    rank = _eliminate(work, len(work[0]), bound)
+    if rank is None:
+        return None
     return tuple(tuple(row) for row in work[:rank])
 
 

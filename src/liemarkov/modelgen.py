@@ -196,9 +196,14 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
     ``linalg.integral_rows`` (a no-op for an integral span), and a
     relabeling only permutes the entries within each row, so every
     candidate's rows are integral and go to ``linalg.rref_integral`` with
-    no type check.  Group: relabeling is a left action, so if q maps the
-    span onto the key, p does too exactly when q^-1 o p fixes the span,
-    and the group is q^-1 o ``to_key``.
+    no type check.  Bound: every candidate has its first pivot in the
+    same column, and the least rref found so far bounds the rest by its
+    row 0; the kernel cuts a candidate as soon as its row 0 compares
+    greater, which rules it out as the key.  A tie on row 0 is never cut,
+    so every relabeling onto the key still reaches ``to_key``, in getter
+    order.  Group: relabeling is a left action, so if q maps the span
+    onto the key, p does too exactly when q^-1 o p fixes the span, and
+    the group is q^-1 o ``to_key``.
     """
     perms = tuple(p for p, _ in relabel_gathers(m.order))
     if len(perms) == 1 or not m.rref:
@@ -209,17 +214,21 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
     firsts = [g(support).index(True) for _, g in getters]
     last = max(firsts)
     rows = linalg.integral_rows(m.rref)
-    conjugates = [
-        (p, linalg.rref_integral([g(row) for row in rows]))
-        for (p, g), first in zip(getters, firsts)
-        if first == last
-    ]
-    key = min(r for _, r in conjugates)
-    to_key = tuple(p for p, r in conjugates if r == key)
+    key, to_key, bound = None, [], None
+    for (p, g), first in zip(getters, firsts):
+        if first != last:
+            continue
+        r = linalg.rref_integral([g(row) for row in rows], bound)
+        if r is None or (key is not None and r > key):
+            continue
+        if r != key:
+            key, to_key = r, []
+            bound = (linalg.integral_rows(key[:1])[0], last)
+        to_key.append(p)
     back = invert(to_key[0])
     group = tuple(sorted(compose(back, p) for p in to_key))
     return ModelOrbit(
-        key=key, group=group, variants=len(perms) // len(group), to_key=to_key
+        key=key, group=group, variants=len(perms) // len(group), to_key=tuple(to_key)
     )
 
 

@@ -25,6 +25,11 @@ def semigroups5():
 
 
 @pytest.fixture(scope="session")
+def semigroups6():
+    return enumerate_semigroups(6)
+
+
+@pytest.fixture(scope="session")
 def catalog2():
     return run_pipeline(order=2)
 

@@ -316,8 +316,8 @@ def test_enumerate_order5_matches_oeis(semigroups5):
 
 
 @pytest.mark.order6
-def test_enumerate_order6_matches_oeis():
-    tables = enumerate_semigroups(6)
+def test_enumerate_order6_matches_oeis(semigroups6):
+    tables = semigroups6
     assert len(tables) == 28634  # OEIS A027851
     assert all(a.table < b.table for a, b in zip(tables, tables[1:]))
     for t in tables:

@@ -170,6 +170,63 @@ def test_rref_dense_random_integer_matrices():
     assert linalg.rref(rows) == reference_rref(rows) == linalg.rref(base)
 
 
+def random_stack_at(rng, c0, ncols):
+    """1..4 random integer rows, zero before column c0 and not all zero at it.
+
+    Small entries of both signs, so pivots at c0 are often negative and
+    often do not divide the entries they clear (the p x - f y step);
+    a third of the stacks get a dependent row on top.
+    """
+    values = [-3, -2, -1, 0, 0, 1, 2, 3]
+    rows = [[0] * c0 + [rng.choice(values) for _ in range(ncols - c0)] for _ in range(rng.randint(1, 4))]
+    if all(row[c0] == 0 for row in rows):
+        rng.choice(rows)[c0] = rng.choice([-2, -1, 1, 2])
+    if rng.random() < 1 / 3:
+        a, b = rng.choice([-2, -1, 1, 2]), rng.randint(-2, 2)
+        rows.append([a * x + b * y for x, y in zip(rng.choice(rows), rng.choice(rows))])
+    rng.shuffle(rows)
+    return rows
+
+
+def test_rref_integral_bound_cuts_exactly_the_greater_row0():
+    # each stack against every rref of its first-pivot column, its own (the tie) included
+    rng = random.Random(20)
+    counts = {"cut": 0, "tie with another span": 0, "smaller": 0, "negative pivot": 0}
+    for c0 in range(3):
+        stacks = [random_stack_at(rng, c0, 6) for _ in range(40)]
+        refs = [reference_rref(rows) for rows in stacks]
+        for rows, ref in zip(stacks, refs):
+            counts["negative pivot"] += next(row[c0] for row in rows if row[c0]) < 0
+            for other in refs:
+                bound = (linalg.integral_rows(other[:1])[0], c0)
+                result = linalg.rref_integral(rows, bound)
+                if ref[0] > other[0]:
+                    assert result is None
+                    counts["cut"] += 1
+                else:
+                    assert result == ref
+                    assert_int_exactly_when_integral(result)
+                    counts["tie with another span"] += ref[0] == other[0] and ref != other
+                    counts["smaller"] += ref[0] < other[0]
+    assert all(n > 20 for n in counts.values()), counts
+
+
+def test_rref_integral_bound_under_negative_and_non_dividing_pivots():
+    # row 0 keeps its pivot -2 through column 2, where its entry 1 stands for -1/2
+    rows = [[0, -2, 1, 0], [0, 0, 0, 3]]
+    ref = reference_rref(rows)
+    assert ref[0] == (0, 1, Fraction(-1, 2), 0)
+    assert linalg.rref_integral(rows, ((0, 1, 0, 0), 1)) == ref
+    assert linalg.rref_integral(rows, ((0, 2, -1, 0), 1)) == ref
+    assert linalg.rref_integral(rows, ((0, 1, -1, 0), 1)) is None
+    # -2 does not divide the 3 below it; the rank is full at column 2 and column 3 decides
+    rows = [[0, -2, 1, 4], [0, 3, 1, 0]]
+    ref = reference_rref(rows)
+    assert ref[0] == (0, 1, 0, Fraction(-4, 5))
+    assert linalg.rref_integral(rows, ((0, 5, 0, -4), 1)) == ref
+    assert linalg.rref_integral(rows, ((0, 5, 0, -5), 1)) is None
+
+
 def test_span_coordinates_int_path():
     rows = linalg.rref([[1, 0, 2, -1], [0, 1, -1, 3]])
     assert is_integral(rows)

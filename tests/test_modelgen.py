@@ -13,7 +13,7 @@ from liemarkov import linalg
 from liemarkov.catalog import known_subspaces
 from liemarkov.cayley import make_table, relabel_gathers
 from liemarkov.closure import commutator
-from liemarkov.constructors import fixture
+from liemarkov.constructors import cyclic_group, fixture, group_based_model, symmetric_group_3
 from liemarkov.modelgen import (
     ModelOrbit,
     ModelSubspace,
@@ -373,31 +373,65 @@ def test_model_orbit_matches_full_pass_order5(semigroups5):
         assert model_orbit(m) == full_model_orbit(m)
 
 
+@pytest.mark.order6
+def test_model_orbit_matches_full_pass_order6_sample(semigroups6):
+    spans = {}
+    for t in semigroups6:
+        m = rate_basis(regular_rep(t))
+        spans.setdefault(m.rref, m)
+    del spans[()]
+    assert len(spans) == 18254
+    sample = random.Random(6).sample(sorted(spans), 40)
+    # and three spans with large symmetry groups: the group-based models of C6 and S3
+    # and equal-input-6, in the labelings their constructions give
+    named = [group_based_model(cyclic_group(6)), group_based_model(symmetric_group_3())]
+    named.append(rate_basis(regular_rep(make_table([[i] * 6 for i in range(6)]))))
+    nontrivial = 0
+    for m in [spans[r] for r in sample] + named:
+        full = full_model_orbit(m)
+        assert model_orbit(m) == full
+        nontrivial += len(full.group) > 1
+    assert nontrivial >= 10
+
+
 def entry_types(rows):
     return [[type(x) for x in row] for row in rows]
 
 
 def test_model_orbit_int_kernel_matches_reference_on_candidate_rows(orbit_models, monkeypatch):
-    # every conjugated candidate that model_orbit row-reduces, golden and registry spans
+    # every conjugated candidate that model_orbit row-reduces, golden and registry spans,
+    # with the span's key and what the bounded kernel returned for it
     inputs = []
     kernel = linalg.rref_integral
+    key = None
 
-    def recording(rows):
-        inputs.append(rows)
-        return kernel(rows)
+    def recording(rows, bound=None):
+        result = kernel(rows, bound)
+        inputs.append((rows, key, result))
+        return result
 
     monkeypatch.setattr(linalg, "rref_integral", recording)
     for m, orbit in orbit_models:
+        key = orbit.key
         assert model_orbit(m) == orbit
     monkeypatch.undo()
     # K2ST's rref has halves; its candidates reach the kernel scaled to integers
     assert any(type(x) is Fraction for m, _ in orbit_models for row in m.rref for x in row)
     assert len(inputs) > 700
-    for rows in inputs:
+    cut = 0
+    for rows, span_key, bounded in inputs:
         assert all(type(x) is int for row in rows for x in row)
         result = linalg.rref_integral(rows)
         assert result == reference_rref(rows)
         assert_int_exactly_when_integral(result)
+        if bounded is None:
+            # a cut candidate is never the key
+            assert reference_rref(rows) > span_key
+            cut += 1
+        else:
+            assert bounded == result
+    # a bound that never cuts would leave every candidate to run to the end
+    assert cut > 0
 
 
 def random_rational_span(rng, k, involution=None):
