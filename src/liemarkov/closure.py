@@ -115,32 +115,25 @@ def commutator(
     return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
 
-def pair_products(
-    m: ModelSubspace, pairs: Sequence[tuple[int, int]], bracket: bool
-) -> np.ndarray:
-    """Exact ``object`` stack of g_i g_j, or of g_i g_j - g_j g_i, one per pair (i, j)."""
+def pair_products(m: ModelSubspace, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Exact ``object`` stack of the brackets g_i g_j - g_j g_i, one per pair (i, j)."""
     k = m.order
     g = np.array(m.basis, dtype=object).reshape(-1, k, k)
     i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
-    mats = g[i] @ g[j]
-    return mats - g[j] @ g[i] if bracket else mats
+    return g[i] @ g[j] - g[j] @ g[i]
 
 
-def _first_escape(m: ModelSubspace, pairs: list, bracket: bool) -> ClosureCheck:
-    """First pair (i, j) whose g_i g_j, or g_i g_j - g_j g_i, leaves the span."""
-    mats = pair_products(m, pairs, bracket)
-    _, inside = linalg.span_coordinates(m.rref, mats.reshape(-1, m.order**2))
+def check_lie_closed(m: ModelSubspace) -> ClosureCheck:
+    """Exact test of commutator closure over all generator pairs i < j, in row-major order."""
+    n = len(m.basis)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    brackets = pair_products(m, pairs)
+    _, inside = linalg.span_coordinates(m.rref, brackets.reshape(-1, m.order**2))
     escaped = np.flatnonzero(~inside)
     if not escaped.size:
         return ClosureCheck(True, None)
     i, j = pairs[escaped[0]]
-    return ClosureCheck(False, ClosureWitness(i, j, linalg.mat(mats[escaped[0]].tolist())))
-
-
-def check_lie_closed(m: ModelSubspace) -> ClosureCheck:
-    """Exact test of commutator closure over all generator pairs i < j."""
-    n = len(m.basis)
-    return _first_escape(m, [(i, j) for i in range(n) for j in range(i + 1, n)], bracket=True)
+    return ClosureCheck(False, ClosureWitness(i, j, linalg.mat(brackets[escaped[0]].tolist())))
 
 
 def check_algebra_closed(m: ModelSubspace) -> ClosureCheck:
@@ -148,14 +141,20 @@ def check_algebra_closed(m: ModelSubspace) -> ClosureCheck:
 
     Semigroup-derived generators satisfy L_i L_j = -L_i - L_j + L_k with
     a_i a_j = a_k, so derived models always pass; fixture models may not.
-    Cross products are tested before squares, so the witness of a failure
-    is the first escaping product of two distinct generators when one
-    exists.
+    All n^2 products come from one broadcast matmul and one
+    ``linalg.span_coordinates`` call.  The witness of a failure is the
+    first escaping g_i g_j, i != j, in row-major order, else the first
+    escaping square.
     """
-    n = len(m.basis)
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    pairs += [(i, i) for i in range(n)]
-    return _first_escape(m, pairs, bracket=False)
+    g = np.array(m.basis, dtype=object).reshape(-1, m.order, m.order)
+    prods = g[:, None] @ g[None, :]
+    _, inside = linalg.span_coordinates(m.rref, prods.reshape(-1, m.order**2))
+    escaped = ~inside.reshape(len(g), len(g))
+    if not escaped.any():
+        return ClosureCheck(True, None)
+    cross = escaped & ~np.eye(len(g), dtype=bool)
+    i, j = (int(x) for x in np.argwhere(cross if cross.any() else escaped)[0])
+    return ClosureCheck(False, ClosureWitness(i, j, linalg.mat(prods[i, j].tolist())))
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import functools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,35 +51,51 @@ def _check_shape(x: Matrix, order: int, what: str) -> None:
         )
 
 
+def _exact_flat(flat: tuple) -> tuple[tuple[Scalar, ...], bool]:
+    """``flat`` with exact entries, and whether one pass over its entry types found all ``int``."""
+    if set(map(type, flat)) <= {int}:
+        return flat, True
+    return tuple(map(linalg.exact, flat)), False
+
+
+def _span(order: int, flats: Iterable[tuple[tuple[Scalar, ...], bool]]) -> ModelSubspace:
+    """The span of ``_exact_flat`` rows, first occurrences kept; all-``int`` rows skip scaling."""
+    rows: dict[tuple[Scalar, ...], Matrix] = {}
+    integral = True
+    for flat, is_int in flats:
+        g = linalg.unvectorize(flat, order)
+        if not linalg.has_zero_column_sums(g):
+            raise ValueError(f"generator has nonzero column sums: {g}")
+        if any(flat) and flat not in rows:
+            rows[flat] = g
+            integral = integral and is_int
+    rref = linalg.rref_integral(list(rows)) if integral else linalg.rref(list(rows))
+    return ModelSubspace(order, tuple(rows.values()), rref)
+
+
 def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelSubspace:
     """Build a ModelSubspace; zero and repeated generators are dropped.
 
     Every generator must be order x order and have zero column sums
     (membership in the ambient space of rate matrices with sign
-    constraint relaxed); ValueError otherwise.  Entries are decided here,
-    once: an ``int`` is kept as it is, and any other entry (``bool``,
-    ``Fraction``, numpy scalar, float) is stored as its exact value by
-    ``linalg.exact``, ``int`` when integral, else ``Fraction``.  So a span
-    has one stored basis whatever type the caller used, renderings print
-    its entries as numbers, and the exact checks over its generators
-    (``linalg.span_coordinates``, ``closure.pair_products``) never run in
-    float arithmetic.
+    constraint relaxed); ValueError otherwise.  One pass over a flattened
+    generator's entry types keeps an all-``int`` one as it is; any other
+    has every entry (``bool``, ``Fraction``, numpy scalar, float) stored as
+    ``linalg.exact`` gives it, ``int`` when integral, else ``Fraction``,
+    and TypeError for a string.  So a span has one stored basis whatever
+    type the caller used, and a float generator equal to an earlier one is
+    a repeat.  Entries are converted before the shape is checked, and the
+    shape before the column sums.
     """
-    gens: list[Matrix] = []
-    seen = set()
-    for g in generators:
-        g = tuple(
-            tuple(x if type(x) is int else linalg.exact(x) for x in row) for row in g
-        )
-        _check_shape(g, order, "generator")
-        if not linalg.has_zero_column_sums(g):
-            raise ValueError(f"generator has nonzero column sums: {g}")
-        if linalg.is_zero(g) or g in seen:
-            continue
-        seen.add(g)
-        gens.append(g)
-    rows = [linalg.vectorize(g) for g in gens]
-    return ModelSubspace(order, tuple(gens), linalg.rref(rows))
+
+    def flats():
+        for g in generators:
+            rows = tuple(map(tuple, g))
+            flat = _exact_flat(tuple(chain.from_iterable(rows)))
+            _check_shape(rows, order, "generator")
+            yield flat
+
+    return _span(order, flats())
 
 
 def rate_basis(r: RegularRep) -> ModelSubspace:
@@ -87,13 +104,13 @@ def rate_basis(r: RegularRep) -> ModelSubspace:
     Duplicates and zero generators (A_i equal to the identity) are
     dropped, which is why the dimension can fall below the semigroup
     order.  Every surviving generator lies in the stochastic cone: its
-    off-diagonal entries are the 0/1 off-diagonal entries of A_i.
+    off-diagonal entries are the 0/1 off-diagonal entries of A_i.  Each
+    A_i - I is formed as one flat row, and integer rows go straight to
+    the ``int`` kernel.
     """
-    k = r.order
-    ident = linalg.identity(k)
-    return subspace_from_generators(
-        k, (linalg.mat_sub(a, ident) for a in r.matrices)
-    )
+    ident = linalg.vectorize(linalg.identity(r.order))
+    flats = (tuple(map(operator.sub, chain.from_iterable(a), ident)) for a in r.matrices)
+    return _span(r.order, map(_exact_flat, flats))
 
 
 def contains(
@@ -117,26 +134,28 @@ def generic_support(m: ModelSubspace) -> tuple[tuple[bool, ...], ...]:
     equals the support of any strictly positive combination.
     """
     k = m.order
-    sup = [[False] * k for _ in range(k)]
-    for g in m.basis:
-        for i in range(k):
-            for j in range(k):
-                if i != j and g[i][j] > 0:
-                    sup[i][j] = True
-    return tuple(tuple(row) for row in sup)
+    return tuple(
+        tuple(i != j and any(g[i][j] > 0 for g in m.basis) for j in range(k))
+        for i in range(k)
+    )
+
+
+def _absorbing(sup: Sequence[Sequence[bool]]) -> set[int]:
+    return {j for j, col in enumerate(zip(*sup)) if not any(col)}
+
+
+def _reducible(sup: Sequence[Sequence[bool]]) -> bool:
+    reach = linalg.reach(np.array([sup]))[0]
+    return not reach[~np.eye(len(sup), dtype=bool)].all()
 
 
 def absorbing_states(m: ModelSubspace) -> set[int]:
     """States with no exit rate in any model matrix (0-based indices).
 
     Columns index source states, so state j is absorbing iff column j of
-    the generic support is all False off the diagonal.
+    the generic support is all False (its diagonal is False).
     """
-    sup = generic_support(m)
-    k = m.order
-    return {
-        j for j in range(k) if not any(sup[i][j] for i in range(k) if i != j)
-    }
+    return _absorbing(generic_support(m))
 
 
 def is_reducible(m: ModelSubspace) -> bool:
@@ -147,8 +166,7 @@ def is_reducible(m: ModelSubspace) -> bool:
     i -> j instead, which leaves strong connectivity unchanged: the model
     is reducible iff some off-diagonal entry of that closure is False.
     """
-    reach = linalg.reach(np.array([generic_support(m)]))[0]
-    return not reach[~np.eye(m.order, dtype=bool)].all()
+    return _reducible(generic_support(m))
 
 
 def conjugate_subspace(m: ModelSubspace, perm: Sequence[int]) -> ModelSubspace:

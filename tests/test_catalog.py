@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from liemarkov import catalog, cli, linalg
+from liemarkov import catalog, cli, linalg, representation
 from liemarkov.catalog import (
     PipelineInvariantError,
     build_registry,
@@ -199,6 +199,26 @@ def test_pipeline_rejects_bad_arguments():
         run_pipeline(
             tables=[make_table([[0, 0], [0, 0]]), make_table([[1, 0], [0, 0]])]
         )
+
+
+def test_pipeline_checks_each_table_for_associativity_once(monkeypatch):
+    build_registry()  # cached: its own regular representations are not counted
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return is_associative(t)
+
+    # every binding the pipeline could look up
+    for mod in (catalog, representation):
+        monkeypatch.setattr(mod, "is_associative", counted, raising=False)
+    tables = [
+        make_table([[0, 0], [0, 0]]),
+        make_table([[0, 1], [1, 0]]),
+        make_table([[0, 1], [0, 1]]),
+    ]
+    run_pipeline(tables=tables)
+    assert calls == tables
 
 
 def test_pipeline_rejects_order5_before_enumerating(monkeypatch):

@@ -30,7 +30,7 @@ from liemarkov.closure import (
     verify_multiplicative_closure,
 )
 from liemarkov.constructors import fixture
-from liemarkov.modelgen import rate_basis, subspace_from_generators
+from liemarkov.modelgen import contains, rate_basis, subspace_from_generators
 from liemarkov.representation import regular_rep
 
 
@@ -221,6 +221,63 @@ def test_exact_checks_match_per_pair_reference():
             failures += not got.closed
     # SYM and its halving fail both checks, JJ3 only the algebra check
     assert failures == 5
+
+
+def _loop_algebra_witness(m):
+    """Closed flag, pair and product of the first escape: cross products row-major, then squares."""
+    gens = m.basis
+    n = len(gens)
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    pairs += [(i, i) for i in range(n)]
+    for i, j in pairs:
+        prod = linalg.mat_mul(gens[i], gens[j])
+        if contains(m, prod) is None:
+            return False, (i, j), prod
+    return True, None, None
+
+
+def random_int_rate_matrix(rng, k):
+    q = [[rng.randint(0, 3) if i != j else 0 for j in range(k)] for i in range(k)]
+    for j in range(k):
+        q[j][j] = -sum(q[i][j] for i in range(k))
+    return linalg.mat(q)
+
+
+def test_algebra_witness_matches_pair_loop():
+    sym = fixture("SYM").subspace
+    rng = random.Random(21)
+    models = [fixture(n).subspace for n in ("JJ3", "SYM", "GM2")] + golden_spans(every=1)
+    # seeded subsets of SYM's generators: only cross products escape
+    for size in (2, 3, 4):
+        for _ in range(4):
+            models.append(subspace_from_generators(4, rng.sample(sym.basis, size)))
+    # a 3-cycle alone: its square is the only product, and it escapes
+    cycle = ((-1, 0, 1), (1, -1, 0), (0, 1, -1))
+    only_square = subspace_from_generators(3, [cycle])
+    models.append(only_square)
+    # seeded integer rate matrices: (0, 0) escapes before the first cross product
+    for k, n in ((3, 2), (4, 2), (4, 3)):
+        for _ in range(3):
+            models.append(
+                subspace_from_generators(k, [random_int_rate_matrix(rng, k) for _ in range(n)])
+            )
+    square_first = 0
+    for m in models:
+        got = check_algebra_closed(m)
+        closed, pair, prod = _loop_algebra_witness(m)
+        assert got.closed == closed
+        if closed:
+            assert got.witness is None
+            continue
+        assert (got.witness.i, got.witness.j) == pair
+        assert type(got.witness.i) is int and type(got.witness.j) is int
+        assert got.witness.matrix == prod
+        # raw row-major order would name (0, 0) here instead of a cross product
+        g0 = m.basis[0]
+        square_first += pair[0] != pair[1] and contains(m, linalg.mat_mul(g0, g0)) is None
+    check = check_algebra_closed(only_square)
+    assert (check.closed, check.witness.i, check.witness.j) == (False, 0, 0)
+    assert square_first >= 3
 
 
 # --- matrix exponential ------------------------------------------------------

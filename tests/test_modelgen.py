@@ -526,3 +526,78 @@ def test_non_integral_entries_stay_fraction():
     assert sub.dim == 2
     assert sub.rref == ((1, 0, -1, 0), (0, 1, 0, -1))
     assert all(type(x) is int for row in sub.rref for x in row)
+
+
+def reference_rate_basis(t):
+    """Independent rate basis: A - I per element in order, first occurrences, Fraction rref."""
+    k = t.order
+    ident = linalg.identity(k)
+    gens = []
+    for a in regular_rep(t).matrices:
+        g = linalg.mat_sub(a, ident)
+        if not linalg.is_zero(g) and g not in gens:
+            gens.append(g)
+    rref = reference_rref([linalg.vectorize(g) for g in gens]) if gens else ()
+    return tuple(gens), rref
+
+
+def assert_rate_bases_match_reference(tables):
+    for t in tables:
+        sub = rate_basis(regular_rep(t))
+        basis, rref = reference_rate_basis(t)
+        assert sub.order == t.order
+        assert sub.basis == basis
+        assert sub.rref == rref
+        assert all(_all_int(g) for g in sub.basis)
+        # all int up to order 4; some order-5 rrefs hold genuine halves
+        assert_int_exactly_when_integral(sub.rref)
+
+
+def test_rate_basis_matches_reference_orders_1_to_4(semigroups2, semigroups3, semigroups4):
+    tables = [make_table([[0]])] + semigroups2 + semigroups3 + semigroups4
+    assert len(tables) == 1 + 5 + 24 + 188
+    assert_rate_bases_match_reference(tables)
+    assert all(_all_int(rate_basis(regular_rep(t)).rref) for t in tables)
+
+
+@pytest.mark.slow
+def test_rate_basis_matches_reference_order5(semigroups5):
+    assert_rate_bases_match_reference(semigroups5)
+
+
+def test_subspace_from_generators_entry_contract():
+    half = Fraction(1, 2)
+    # zero column sums; int, Fraction, bool, numpy and float entries in one generator
+    mixed = (
+        (-1, half, True, np.int64(0)),
+        (0.5, -half, 0, np.int64(1)),
+        (0.5, 0, -1, np.int64(-1)),
+        (0, 0, 0, 0),
+    )
+    exact = ((-1, half, 1, 0), (half, -half, 0, 1), (half, 0, -1, -1), (0, 0, 0, 0))
+    got = subspace_from_generators(4, [mixed])
+    assert got == subspace_from_generators(4, [exact])
+    assert repr(got) == repr(subspace_from_generators(4, [exact]))
+    assert entry_types(got.basis[0]) == entry_types(exact)
+
+    # a float generator equal to an earlier int one is a repeat
+    g = ((-1, 1), (1, -1))
+    as_float = tuple(tuple(float(x) for x in row) for row in g)
+    assert subspace_from_generators(2, [g, as_float]) == subspace_from_generators(2, [g])
+    assert subspace_from_generators(2, [as_float, g]).basis == (g,)
+
+    with pytest.raises(TypeError, match="not a number"):
+        subspace_from_generators(2, [g, ((-1, "1"), (1, -1))])
+    # entries are converted before the shape is checked, the shape before the column sums
+    with pytest.raises(TypeError, match="not a number"):
+        subspace_from_generators(2, [((-1, "1", 0), (1, -1))])
+    with pytest.raises(ValueError) as shape:
+        subspace_from_generators(2, [((1, 0, 0), (0, 0))])
+    assert str(shape.value) == (
+        "order mismatch: expected a 2 x 2 generator, got 2 rows of lengths [2, 3]"
+    )
+    with pytest.raises(ValueError) as sums:
+        subspace_from_generators(2, [g, ((1, 0.5), (0, 0))])
+    assert str(sums.value) == (
+        "generator has nonzero column sums: ((1, Fraction(1, 2)), (0, 0))"
+    )
