@@ -38,10 +38,10 @@ from .constructors import (
 from .modelgen import (
     ModelSubspace,
     RrefKey,
-    _absorbing,
-    _reducible,
+    absorbing_states_of_support,
     canonical_subspace,
     generic_support,
+    is_reducible_support,
     model_orbit,
     rate_basis,
     subspace_from_generators,
@@ -202,8 +202,8 @@ def classify_model(
     report = ModelReport(
         subspace=sub,
         dimension=sub.dim,
-        absorbing=frozenset(_absorbing(support)),
-        reducible=_reducible(support),
+        absorbing=frozenset(absorbing_states_of_support(support)),
+        reducible=is_reducible_support(support),
         symmetry=SymmetryGroup(
             sub.order, orbit.group, name_group_elements(sub.order, orbit.group)
         ),

@@ -60,8 +60,12 @@ def is_zero(a: Matrix) -> bool:
     return all(x == 0 for row in a for x in row)
 
 
+def column_sums(a: Matrix) -> Vector:
+    return tuple(sum(col) for col in zip(*a))
+
+
 def has_zero_column_sums(a: Matrix) -> bool:
-    return not any(map(sum, zip(*a)))
+    return all(s == 0 for s in column_sums(a))
 
 
 def has_nonneg_offdiag(a: Matrix) -> bool:

@@ -51,26 +51,16 @@ def _check_shape(x: Matrix, order: int, what: str) -> None:
         )
 
 
-def _exact_flat(flat: tuple) -> tuple[tuple[Scalar, ...], bool]:
-    """``flat`` with exact entries, and whether one pass over its entry types found all ``int``."""
-    if set(map(type, flat)) <= {int}:
-        return flat, True
-    return tuple(map(linalg.exact, flat)), False
-
-
-def _span(order: int, flats: Iterable[tuple[tuple[Scalar, ...], bool]]) -> ModelSubspace:
-    """The span of ``_exact_flat`` rows, first occurrences kept; all-``int`` rows skip scaling."""
+def _span(order: int, flats: Iterable[tuple[Scalar, ...]]) -> ModelSubspace:
+    """Span of exact row-major generators; zero ones and repeats are dropped, first kept."""
     rows: dict[tuple[Scalar, ...], Matrix] = {}
-    integral = True
-    for flat, is_int in flats:
+    for flat in flats:
         g = linalg.unvectorize(flat, order)
         if not linalg.has_zero_column_sums(g):
             raise ValueError(f"generator has nonzero column sums: {g}")
         if any(flat) and flat not in rows:
             rows[flat] = g
-            integral = integral and is_int
-    rref = linalg.rref_integral(list(rows)) if integral else linalg.rref(list(rows))
-    return ModelSubspace(order, tuple(rows.values()), rref)
+    return ModelSubspace(order, tuple(rows.values()), linalg.rref(list(rows)))
 
 
 def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelSubspace:
@@ -78,20 +68,20 @@ def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelS
 
     Every generator must be order x order and have zero column sums
     (membership in the ambient space of rate matrices with sign
-    constraint relaxed); ValueError otherwise.  One pass over a flattened
-    generator's entry types keeps an all-``int`` one as it is; any other
-    has every entry (``bool``, ``Fraction``, numpy scalar, float) stored as
-    ``linalg.exact`` gives it, ``int`` when integral, else ``Fraction``,
-    and TypeError for a string.  So a span has one stored basis whatever
-    type the caller used, and a float generator equal to an earlier one is
-    a repeat.  Entries are converted before the shape is checked, and the
-    shape before the column sums.
+    constraint relaxed); ValueError otherwise.  Each generator is
+    flattened once and every entry stored as ``linalg.exact`` gives it:
+    an ``int`` as it is, any other (``bool``, ``Fraction``, numpy scalar,
+    float) as its exact value, ``int`` when integral, else ``Fraction``; a
+    string raises TypeError.  So a span has one stored basis whatever type
+    the caller used, a float copy of an earlier generator is a repeat, and
+    the exact checks over its generators never run in float arithmetic.
+    Entries are converted, then the shape checked, then the column sums.
     """
 
     def flats():
         for g in generators:
             rows = tuple(map(tuple, g))
-            flat = _exact_flat(tuple(chain.from_iterable(rows)))
+            flat = tuple(map(linalg.exact, chain.from_iterable(rows)))
             _check_shape(rows, order, "generator")
             yield flat
 
@@ -105,12 +95,12 @@ def rate_basis(r: RegularRep) -> ModelSubspace:
     dropped, which is why the dimension can fall below the semigroup
     order.  Every surviving generator lies in the stochastic cone: its
     off-diagonal entries are the 0/1 off-diagonal entries of A_i.  Each
-    A_i - I is formed as one flat row, and integer rows go straight to
-    the ``int`` kernel.
+    A_i - I is formed as one flat row of ``int``, which ``linalg.rref``
+    hands to the ``int`` kernel as it is.
     """
     ident = linalg.vectorize(linalg.identity(r.order))
     flats = (tuple(map(operator.sub, chain.from_iterable(a), ident)) for a in r.matrices)
-    return _span(r.order, map(_exact_flat, flats))
+    return _span(r.order, flats)
 
 
 def contains(
@@ -134,28 +124,30 @@ def generic_support(m: ModelSubspace) -> tuple[tuple[bool, ...], ...]:
     equals the support of any strictly positive combination.
     """
     k = m.order
-    return tuple(
-        tuple(i != j and any(g[i][j] > 0 for g in m.basis) for j in range(k))
-        for i in range(k)
-    )
-
-
-def _absorbing(sup: Sequence[Sequence[bool]]) -> set[int]:
-    return {j for j, col in enumerate(zip(*sup)) if not any(col)}
-
-
-def _reducible(sup: Sequence[Sequence[bool]]) -> bool:
-    reach = linalg.reach(np.array([sup]))[0]
-    return not reach[~np.eye(len(sup), dtype=bool)].all()
+    sup = [[False] * k for _ in range(k)]
+    for g in m.basis:
+        for i in range(k):
+            for j in range(k):
+                if i != j and g[i][j] > 0:
+                    sup[i][j] = True
+    return tuple(tuple(row) for row in sup)
 
 
 def absorbing_states(m: ModelSubspace) -> set[int]:
     """States with no exit rate in any model matrix (0-based indices).
 
     Columns index source states, so state j is absorbing iff column j of
-    the generic support is all False (its diagonal is False).
+    the generic support is all False off the diagonal.
     """
-    return _absorbing(generic_support(m))
+    return absorbing_states_of_support(generic_support(m))
+
+
+def absorbing_states_of_support(sup: Sequence[Sequence[bool]]) -> set[int]:
+    """:func:`absorbing_states` read off a generic support already built."""
+    k = len(sup)
+    return {
+        j for j in range(k) if not any(sup[i][j] for i in range(k) if i != j)
+    }
 
 
 def is_reducible(m: ModelSubspace) -> bool:
@@ -166,7 +158,13 @@ def is_reducible(m: ModelSubspace) -> bool:
     i -> j instead, which leaves strong connectivity unchanged: the model
     is reducible iff some off-diagonal entry of that closure is False.
     """
-    return _reducible(generic_support(m))
+    return is_reducible_support(generic_support(m))
+
+
+def is_reducible_support(sup: Sequence[Sequence[bool]]) -> bool:
+    """:func:`is_reducible` read off a generic support already built."""
+    reach = linalg.reach(np.array([sup]))[0]
+    return not reach[~np.eye(len(sup), dtype=bool)].all()
 
 
 def conjugate_subspace(m: ModelSubspace, perm: Sequence[int]) -> ModelSubspace:
