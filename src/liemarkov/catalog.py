@@ -15,12 +15,12 @@ import csv
 import functools
 import hashlib
 import io
-import json
 import logging
 import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -323,26 +323,37 @@ def find_entry(entries: Sequence[CatalogEntry], model_id_str: str) -> CatalogEnt
 
 def commutator_table(
     m: ModelSubspace,
-) -> list[tuple[int, int, tuple[Fraction, ...]]]:
+) -> list[tuple[int, int, tuple[int | Fraction, ...]]]:
     """Exact coefficients of every generator-pair bracket over the generators.
 
     Requires a Lie-closed subspace; a bracket outside the span is a
     structural inconsistency for derived models, and the first such pair
-    raises.  All brackets are formed and solved in one stacked pass.
+    raises.  All brackets are formed in one stacked pass; a zero bracket
+    gets all-zero coefficients and is not solved, so a fully commutative
+    span runs no elimination.  The nonzero ones are solved together over
+    one ``rref_with_transform`` of the generators.  A coefficient is
+    ``int`` when integral, else ``Fraction``.
     """
     n = len(m.basis)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    basis, transform = linalg.rref_with_transform([linalg.vectorize(g) for g in m.basis])
     brackets = pair_products(m, pairs).reshape(-1, m.order**2)
-    coords, inside = linalg.span_coordinates(basis, brackets)
-    if not inside.all():
-        i, j = pairs[np.argmin(inside)]
-        raise PipelineInvariantError(
-            f"bracket of generators {i + 1}, {j + 1} left the span"
+    coeffs = [(0,) * n] * len(pairs)
+    nonzero = [p for p, row in enumerate(brackets.tolist()) if any(row)]
+    if nonzero:
+        basis, transform = linalg.rref_with_transform(
+            [linalg.vectorize(g) for g in m.basis]
         )
-    # coordinates over the rref rows, mapped onto the generators
-    over_gens = (coords @ np.array(transform, dtype=object)).tolist()
-    return [(i, j, tuple(c)) for (i, j), c in zip(pairs, over_gens)]
+        coords, inside = linalg.span_coordinates(basis, brackets[nonzero])
+        if not inside.all():
+            i, j = pairs[nonzero[np.argmin(inside)]]
+            raise PipelineInvariantError(
+                f"bracket of generators {i + 1}, {j + 1} left the span"
+            )
+        # coordinates over the rref rows, mapped onto the generators
+        over_gens = (coords @ np.array(transform, dtype=object)).tolist()
+        for p, c in zip(nonzero, over_gens):
+            coeffs[p] = tuple(map(linalg.exact, c))
+    return [(i, j, c) for (i, j), c in zip(pairs, coeffs)]
 
 
 def format_combination(coeffs: Sequence[Fraction]) -> str:
@@ -388,15 +399,86 @@ def entry_to_dict(e: CatalogEntry) -> dict:
     }
 
 
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+# the encoder of a flat list whose items are all of one such type; other flat
+# lists of scalars go item by item through _json_scalar
+_JSON_FLAT = {frozenset({str}): encode_basestring_ascii, frozenset({int}): int.__repr__}
+
+
+def _json_scalar(x: object) -> str:
+    # json.encoder's order: bool before int, and NaN and the infinities by name
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if math.isinf(x):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _json_block(x: object, pad: str) -> str:
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        kinds = frozenset(map(type, x))
+        if kinds <= _JSON_SCALARS:
+            items = map(_JSON_FLAT.get(kinds, _json_scalar), x)
+        else:
+            items = [_json_block(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for k, v in x.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            items.append(encode_basestring_ascii(k) + ": " + _json_block(v, inner))
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return _json_scalar(x)
+
+
+def json_indent2(value: object) -> str:
+    """The text of ``json.dumps(value, indent=2)``, byte for byte.
+
+    With an ``indent``, the standard library's ``json.dumps`` runs its
+    pure-Python encoder (the C one serves only the compact form), so the
+    library writes its documents here instead: strings go through the C
+    ``encode_basestring_ascii``, and each flat list of scalars is one
+    ``str.join``.  Values are ``dict`` with ``str`` keys, ``list``,
+    ``tuple``, ``str``, ``int``, ``bool``, ``None`` and ``float``; any
+    other value or key raises TypeError.
+    """
+    return _json_block(value, "\n")
+
+
 def render(
     entries: Sequence[CatalogEntry], fmt: str = "json", order: int | None = None
 ) -> str:
-    """Render a catalog as json, csv, or markdown (md)."""
+    """Render a catalog as json, csv, or markdown (md).
+
+    The json text is that of ``json.dumps(doc, indent=2)`` plus a newline,
+    written by :func:`json_indent2`.  The markdown lists each entry's
+    generators, its commutator table (:func:`commutator_table`, which
+    solves only the nonzero brackets) and its source semigroups.
+    """
     if order is None and entries:
         order = entries[0].order
     if fmt == "json":
         doc = {"order": order, "entries": [entry_to_dict(e) for e in entries]}
-        return json.dumps(doc, indent=2) + "\n"
+        return json_indent2(doc) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -440,18 +522,17 @@ def render(
     raise ValueError(f"unknown format {fmt!r}; expected json, csv, or md")
 
 
-def _fmt_matrix(rows) -> str:
-    return "\n".join(
-        "  [" + " ".join(str(x).rjust(3) for x in row) + "]" for row in rows
-    )
-
-
 def _render_markdown(entries: Sequence[CatalogEntry], order: int | None) -> str:
     lines = [f"# Model catalog (k = {order})", ""]
     lines.append(f"{len(entries)} model classes.")
     lines.append("")
     for e in entries:
         r = e.report
+        # one %-format per matrix: generator entries right-aligned to width 3,
+        # Cayley-table entries 1-based
+        k = e.order
+        gen_fmt = "\n".join(["  [" + " ".join(["%3s"] * k) + "]"] * k)
+        table_fmt = "\n".join([" ".join(["%d"] * k)] * k)
         title = e.model_id if r.known_label is None else f"{e.model_id} — {r.known_label}"
         lines.append(f"## {title}")
         lines.append("")
@@ -475,7 +556,7 @@ def _render_markdown(entries: Sequence[CatalogEntry], order: int | None) -> str:
             lines.append("```")
             for idx, g in enumerate(r.subspace.basis, start=1):
                 lines.append(f"L{idx} =")
-                lines.append(_fmt_matrix(g))
+                lines.append(gen_fmt % linalg.vectorize(g))
             lines.append("```")
             lines.append("")
             brackets = commutator_table(r.subspace)
@@ -493,9 +574,7 @@ def _render_markdown(entries: Sequence[CatalogEntry], order: int | None) -> str:
         lines.append("")
         lines.append("```")
         for t in r.provenance:
-            lines.append(
-                "\n".join(" ".join(str(x + 1) for x in row) for row in t.table)
-            )
+            lines.append(table_fmt % tuple(x + 1 for row in t.table for x in row))
             lines.append("")
         lines[-1] = "```"
         lines.append("")

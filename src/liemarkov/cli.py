@@ -89,7 +89,7 @@ def _single_model_doc(sub: ModelSubspace, label: str | None) -> str:
             [[str(x) for x in row] for row in g] for g in sub.basis
         ],
     }
-    return json.dumps({"order": sub.order, "entries": [entry_like]}, indent=2) + "\n"
+    return cat.json_indent2({"order": sub.order, "entries": [entry_like]}) + "\n"
 
 
 def cmd_enumerate(args, cfg) -> int:
@@ -115,7 +115,7 @@ def cmd_classify(args, cfg) -> int:
             entry = cat.find_entry(entries, args.model_id)
         except KeyError:
             continue
-        sys.stdout.write(json.dumps(cat.entry_to_dict(entry), indent=2) + "\n")
+        sys.stdout.write(cat.json_indent2(cat.entry_to_dict(entry)) + "\n")
         return 0
     raise ValueError(f"model id {args.model_id!r} not found in orders {orders}")
 
@@ -138,7 +138,7 @@ def cmd_verify_closure(args, cfg) -> int:
     detail = dataclasses.asdict(report)
     detail["lie_witness"] = None if report.lie_witness is None else "present"
     detail["algebra_witness"] = None if report.algebra_witness is None else "present"
-    print(json.dumps(detail, indent=2))
+    print(cat.json_indent2(detail))
     return 0
 
 

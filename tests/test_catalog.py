@@ -7,6 +7,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from liemarkov import catalog, cli, linalg, representation
@@ -17,6 +18,7 @@ from liemarkov.catalog import (
     entry_to_dict,
     find_entry,
     format_combination,
+    json_indent2,
     known_subspaces,
     model_id,
     new_model_table,
@@ -178,6 +180,34 @@ def test_pipeline_k5_summary(catalog5):
         ("2b1392516a56fdf2", 4, "F20", "C5-group-based"),
         ("550111b0cc107754", 5, "S5", "equal-input-5"),
     ]
+
+
+@pytest.mark.slow
+def test_pipeline_k5_renderings_pinned(catalog5):
+    # matrices five wide, which the golden order-4 catalog does not have
+    digests = {
+        fmt: hashlib.sha256(render(catalog5, fmt).encode()).hexdigest()
+        for fmt in ("json", "md")
+    }
+    assert digests == {
+        "json": "b59c5661b039a69653273818c6f247faedd4391654a72e5e9bebfef2cc866ecc",
+        "md": "42b60e444eaf761464211c4b364271dfd276a497744a5e25fd556bf134fb836a",
+    }
+
+
+@pytest.mark.slow
+def test_commutator_table_k5_coefficients(catalog5):
+    tables = [commutator_table(e.report.subspace) for e in catalog5]
+    # linalg.exact's rule: an integral coefficient is int, never Fraction(0, 1)
+    coeffs = [x for t in tables for _, _, c in t for x in c]
+    assert all(type(x) is int or x.denominator > 1 for x in coeffs)
+    # the values of every pair, as solved for every bracket at order 5
+    text = "\n".join(
+        f"{i},{j}:" + ",".join(map(str, c)) for t in tables for i, j, c in t
+    )
+    assert text.count("\n") + 1 == 8163
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "9e9988b02576c6665cc48d0dd00208c9cd3c54a713241c2ed475bf525419ba36"
 
 
 def test_pipeline_lie_closure_asserted_everywhere(catalog2, catalog3, catalog4):
@@ -369,6 +399,20 @@ def test_commutator_table_empty_for_one_dimensional():
     assert commutator_table(sub) == []
 
 
+def test_render_markdown_solves_only_nonzero_brackets(catalog4, monkeypatch):
+    # 131 entries, 126 with pairs, 53 of those fully commutative
+    calls = []
+    solve = linalg.rref_with_transform
+
+    def counted(rows):
+        calls.append(len(rows))
+        return solve(rows)
+
+    monkeypatch.setattr(catalog.linalg, "rref_with_transform", counted)
+    render(catalog4, "md")
+    assert len(calls) == 73
+
+
 def test_format_combination():
     assert format_combination([Fraction(1), Fraction(-1)]) == "L1 - L2"
     assert format_combination([Fraction(0), Fraction(0)]) == "0"
@@ -404,6 +448,39 @@ def test_render_json_shape(catalog2):
 def test_render_json_round_trip(catalog3):
     doc = json.loads(render(catalog3, "json"))
     assert json.dumps(doc, indent=2) + "\n" == render(catalog3, "json")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        {},
+        {"a": [], "b": {}, "c": [[], {}], "d": [{}]},
+        [None, True, False],
+        {"none": None, "yes": True, "no": False},
+        [-1, 0, -(10**29) - 7, 123456789012345678901234567890],
+        [0.1, -0.0, 1e-300, float("nan"), float("inf"), -float("inf"), 2.0],
+        ["quote \" and backslash \\", "ctl \x00\x01\t\n\r\x1f\x7f", "—", "\U0001f600"],
+        {"\"key\"\n—": "\U0001f600"},
+        (1, ("a", (None,)), [(), (2.5,)]),
+        [[[1, 2], ["1/2", "-1"]], {"mixed": [1, "a", None, 1.5, True]}],
+        "top-level string",
+        -12,
+        3.5,
+        None,
+    ],
+)
+def test_json_indent2_matches_stdlib(value):
+    assert json_indent2(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1, 2}, [np.int64(1)], {"a": {1: "b"}}, {None: 0}, [b"bytes"], object()],
+)
+def test_json_indent2_refuses_other_values(value):
+    with pytest.raises(TypeError):
+        json_indent2(value)
 
 
 def test_render_empty_catalog():
