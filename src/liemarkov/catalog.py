@@ -57,7 +57,7 @@ from .symmetry import (
 
 logger = logging.getLogger(__name__)
 
-PIPELINE_ORDERS = range(2, 5)
+PIPELINE_ORDERS = range(2, 6)
 """The orders that ``run_pipeline(order=...)`` enumerates."""
 
 
@@ -224,7 +224,7 @@ def run_pipeline(
     """Derive, classify, and deduplicate the models of a set of semigroups.
 
     Exactly one source: ``order`` enumerates all semigroups of that order
-    (one of ``PIPELINE_ORDERS``, 2..4), ``tables`` uses the given Cayley
+    (one of ``PIPELINE_ORDERS``, 2..5), ``tables`` uses the given Cayley
     tables (validated for associativity).
 
     One entry per distinct nontrivial model: semigroups whose rate bases
@@ -572,10 +572,6 @@ def _render_markdown(entries: Sequence[CatalogEntry], order: int | None) -> str:
             f"Source semigroups ({len(r.provenance)}; 1-based Cayley tables):"
         )
         lines.append("")
-        lines.append("```")
-        for t in r.provenance:
-            lines.append(table_fmt % tuple(x + 1 for row in t.table for x in row))
-            lines.append("")
-        lines[-1] = "```"
-        lines.append("")
+        cells = (tuple(x + 1 for row in t.table for x in row) for t in r.provenance)
+        lines += ["```", "\n\n".join(table_fmt % c for c in cells), "```", ""]
     return "\n".join(lines)

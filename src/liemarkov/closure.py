@@ -18,22 +18,23 @@ SIMAX 2005).  Entry (i, j), i != j, of e^{Qt} is a sum over paths
 i -> j of the off-diagonal nonzero pattern of Qt, in every term of the
 power series, so expm sets it to exactly 0 where ``linalg.reach`` finds
 no such path; a triangular Q gives a triangular e^{Qt}, whatever the
-rounding of the Pade solve.  logm takes one of three routes for each
-matrix, the first that serves it.  A matrix whose eigenvalues avoid the closed negative
-real axis and whose eigenvector matrix is well conditioned (1-norm
-condition number at most LOGM_EIG_MAX_COND) gets V log(w) V^-1 from one
-batched eigendecomposition.  Every other matrix, defective or nearly so,
-goes through inverse scaling and squaring: square roots until it is
-within 1-norm LOGM_SERIES_RADIUS of the identity, then a fixed number of
-terms of the Gregory series log A = 2 atanh((A + I)^-1 (A - I)) (Higham,
-Functions of Matrices, section 11.3).  A matrix whose exact off-diagonal
-zero pattern has no cycle and whose diagonal is positive, such as a
-product of an absorbing-state chain, is triangular up to a relabeling of
-its states, and its square roots come without iteration from the
-Bjorck-Hammarling recurrence (the Schur method, ibid. section 6.2).  Any
-other matrix takes Denman-Beavers square roots.
+rounding of the Pade solve.  logm takes one of two routes for each
+matrix.  A matrix whose eigenvalues avoid the closed negative real axis
+and the disc of radius eps times its 1-norm, and whose eigenvector matrix
+is well conditioned (1-norm condition number at most LOGM_EIG_MAX_COND),
+gets V log(w) V^-1 from one batched eigendecomposition.  Every other
+matrix, defective or nearly so, goes through inverse scaling and
+squaring: square roots until it is within 1-norm LOGM_SERIES_RADIUS of
+the identity, then a fixed number of terms of the Gregory series log A =
+2 atanh((A + I)^-1 (A - I)) (Higham, Functions of Matrices, section
+11.3).  Only the square-root kernel depends on the matrix.  One whose
+exact off-diagonal zero pattern has no cycle and whose diagonal is
+positive, such as a product of an absorbing-state chain, is triangular
+up to a relabeling of its states, and its roots come without iteration
+from the Bjorck-Hammarling recurrence (the Schur method, ibid. section
+6.2); any other matrix takes Denman-Beavers roots.
 
-Failure is per-matrix data: each log kernel returns its results with a
+Failure is per-matrix data: each log route returns its results with a
 boolean mask of the matrices it could serve, and a non-finite logarithm
 counts as none.  Only the public logm raises, once, if any matrix of its
 stack failed; the sampled verification reads the mask and redraws those
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -250,13 +251,15 @@ def _sqrtm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _logm_eig_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Logarithms of a stack as V log(w) V^-1, and which of them to trust.
 
-    A matrix is served when its eigenvalues and eigenvectors are finite,
-    no eigenvalue is real and <= 0, the 1-norm condition number of its
-    eigenvector matrix V is at most LOGM_EIG_MAX_COND, and the imaginary
-    part of its result is at rounding level, i.e. at most k * cond(V) *
-    eps * max|log w| in the 1-norm.  Its error is then of order cond(V) *
-    eps * |log w| (Higham, Functions of Matrices, section 4.5).  The
-    entries of the other matrices are unspecified.
+    A matrix P is served when its eigenvalues and eigenvectors are finite,
+    no eigenvalue is real and <= 0, none is below eps * |P|_1 in modulus
+    (the computed log of such an eigenvalue is rounding noise), the 1-norm
+    condition number of its eigenvector matrix V is at most
+    LOGM_EIG_MAX_COND, and the imaginary part of its result is at rounding
+    level, i.e. at most k * cond(V) * eps * max|log w| in the 1-norm.  Its
+    error is then of order cond(V) * eps * |log w| (Higham, Functions of
+    Matrices, section 4.5).  The entries of the other matrices are
+    unspecified.
     """
     try:
         w, v = np.linalg.eig(a)
@@ -272,6 +275,7 @@ def _logm_eig_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok = (
         np.isfinite(w).all(axis=-1)
         & ~((w.imag == 0) & (w.real <= 0)).any(axis=-1)
+        & (np.abs(w).min(axis=-1) >= np.finfo(float).eps * _norm1(a))
         & (cond <= LOGM_EIG_MAX_COND)
     )
     logs = np.zeros_like(a)
@@ -285,7 +289,7 @@ def _logm_eig_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logs, ok
 
 
-def _sqrtm_triangular(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sqrtm_triangular(t: np.ndarray) -> np.ndarray:
     """Principal square roots of upper triangular matrices with a positive diagonal.
 
     R[i, i] = sqrt(T[i, i]), then one vectorized pass per superdiagonal of
@@ -293,7 +297,7 @@ def _sqrtm_triangular(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (R[i, i] + R[j, j]), where R R still holds only the inner terms
     i < l < j because R is zero from that superdiagonal on (Higham,
     Functions of Matrices, section 6.2).  No iteration, so every root is
-    served; the mask is all True, in the form of ``_sqrtm_stack``.
+    served.
     """
     k = t.shape[-1]
     r = np.zeros_like(t)
@@ -303,101 +307,95 @@ def _sqrtm_triangular(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         i = np.arange(k - d)
         j = i + d
         r[:, i, j] = (t[:, i, j] - (r @ r)[:, i, j]) / (r[:, i, i] + r[:, j, j])
-    return r, np.ones(len(t), dtype=bool)
+    return r
 
 
-def _logm_by_roots(
-    a: np.ndarray, sqrtm: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-) -> tuple[np.ndarray, np.ndarray]:
+def _schur_roots_order(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which matrices of a stack take Schur-method square roots, and each one's state order.
+
+    A matrix takes them when the exact zero pattern of its off-diagonal
+    entries has no cycle and its diagonal is positive.  Sorting its states
+    by their number of descendants in that pattern, most first, puts every
+    edge i -> j above the diagonal, since i has all of j's descendants and
+    j too; relabeled by that order, the matrix is upper triangular with
+    exact zeros below.  Every other matrix keeps the identity order.
+    """
+    reach = linalg.reach(a)
+    diag = np.arange(a.shape[-1])
+    schur = ~reach[:, diag, diag].any(axis=-1) & (a[:, diag, diag] > 0).all(axis=-1)
+    order = np.argsort(-reach.sum(axis=-1), axis=-1, kind="stable")
+    return schur, np.where(schur[:, None], order, diag)
+
+
+def _logm_roots_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal logarithms of a stack by inverse scaling and squaring.
 
-    Each matrix of the (n, k, k) stack takes repeated principal square
-    roots from ``sqrtm`` until it is within 1-norm LOGM_SERIES_RADIUS = 0.5
-    of the identity; depth is capped at 40, since products of substitution
-    matrices can sit far from the identity.  Then Z = (A + I)^-1 (A - I)
-    comes from one batched solve, and log A = 2 (Z + Z^3/3 + Z^5/5 + ...)
-    is summed to a fixed LOGM_SERIES_TERMS terms, enough for 1e-18 at
-    that radius; each sum is scaled back up by its own depth.  Returns the
-    logarithms and which of them to trust: a matrix fails, alone, when
-    one of its square roots fails or it is still outside the radius after
-    40 roots.  The entries of failed matrices are zero; only the others
-    enter the solve and the series.
+    Each matrix is relabeled once by ``_schur_roots_order``.  Then it takes
+    repeated principal square roots until it is within 1-norm
+    LOGM_SERIES_RADIUS = 0.5 of the identity: Schur-method roots
+    (``_sqrtm_triangular``) where that helper chose them, Denman-Beavers
+    roots (``_sqrtm_stack``) for the rest.  Depth is capped at 40, since
+    products of substitution matrices can sit far from the identity.  Then
+    Z = (A + I)^-1 (A - I) comes from one batched solve, and log A = 2 (Z
+    + Z^3/3 + Z^5/5 + ...) is summed to a fixed LOGM_SERIES_TERMS terms,
+    enough for 1e-18 at that radius; each sum is scaled back up by its own
+    depth and relabeled back.  Returns the logarithms and which of them to
+    trust: a matrix fails, alone, when one of its square roots fails or it
+    is still outside the radius after 40 roots.  The entries of failed
+    matrices are zero; only the others enter the solve and the series.
     """
-    a = a.copy()
     n_mats, k, _ = a.shape
+    schur, order = _schur_roots_order(a)
+    # simultaneous row and column relabeling: t[m, i, j] = a[m, order[m, i], order[m, j]]
+    at = (np.arange(n_mats)[:, None, None], order[:, :, None], order[:, None, :])
+    t = a[at]
     ident = np.eye(k)
     ok = np.ones(n_mats, dtype=bool)
     depth = np.zeros(n_mats, dtype=int)
-    todo = np.flatnonzero(_norm1(a - ident) >= LOGM_SERIES_RADIUS)
+    todo = np.flatnonzero(_norm1(t - ident) >= LOGM_SERIES_RADIUS)
     for _ in range(LOGM_MAX_SQRT_DEPTH):
         if not todo.size:
             break
-        root, rooted = sqrtm(a[todo])
-        a[todo] = root
+        tri, rest = todo[schur[todo]], todo[~schur[todo]]
+        # most stacks need one kernel only, and an empty call is not free
+        if tri.size:
+            t[tri] = _sqrtm_triangular(t[tri])
+        if rest.size:
+            t[rest], rooted = _sqrtm_stack(t[rest])
+            ok[rest[~rooted]] = False
         depth[todo] += 1
-        ok[todo[~rooted]] = False
-        todo = todo[rooted & (_norm1(root - ident) >= LOGM_SERIES_RADIUS)]
+        todo = todo[ok[todo] & (_norm1(t[todo] - ident) >= LOGM_SERIES_RADIUS)]
     ok[todo] = False
-    a, depth = a[ok], depth[ok]
+    t, depth = t[ok], depth[ok]
     # A + I and A - I commute, so either order of the solve gives Z
-    z = np.linalg.solve(a + ident, a - ident)
+    z = np.linalg.solve(t + ident, t - ident)
     z2 = z @ z
     total = z.copy()
     power = z
     for j in range(1, LOGM_SERIES_TERMS):
         power = power @ z2
         total += power / (2 * j + 1)
-    logs = np.zeros((n_mats, k, k))
+    logs_t = np.zeros((n_mats, k, k))
     # the series' factor 2 and each square root's factor 2, exactly
-    logs[ok] = np.ldexp(total, depth[:, None, None] + 1)
-    return logs, ok
-
-
-def _logm_triangular_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Logarithms of a stack through triangular square roots, and which of them to trust.
-
-    A matrix is served when the exact zero pattern of its off-diagonal
-    entries has no cycle and its diagonal is positive.  Sorting its states
-    by their number of descendants in that pattern, most first, puts every
-    edge i -> j above the diagonal, since i has all of j's descendants and
-    j too; the relabeled matrix T is upper triangular with exact zeros
-    below.  Its logarithm is ``_logm_by_roots`` with the Schur-method
-    roots of ``_sqrtm_triangular``, relabeled back.  A matrix still outside
-    the series radius after 40 roots is declined too.  The entries of
-    declined matrices are zero.
-    """
-    reach = linalg.reach(a)
-    diag = np.arange(a.shape[-1])
-    ok = ~reach[:, diag, diag].any(axis=-1) & (a[:, diag, diag] > 0).all(axis=-1)
-    idx = np.flatnonzero(ok)
-    order = np.argsort(-reach[idx].sum(axis=-1), axis=-1, kind="stable")
-    # simultaneous row and column relabeling: t[m, i, j] = a[m, order[i], order[j]]
-    at = (idx[:, None, None], order[:, :, None], order[:, None, :])
-    logs_t, ok[idx] = _logm_by_roots(a[at], _sqrtm_triangular)
-    logs = np.zeros_like(a)
+    logs_t[ok] = np.ldexp(total, depth[:, None, None] + 1)
+    logs = np.zeros_like(logs_t)
     logs[at] = logs_t
     return logs, ok
-
-
-def _logm_sqrt_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_logm_by_roots`` with Denman-Beavers square roots, for any matrix."""
-    return _logm_by_roots(a, _sqrtm_stack)
 
 
 def _logm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal logarithms of an (n, k, k) stack, and which of them to trust.
 
     A matrix with a non-finite entry fails before any route sees it.  The
-    eigen route serves what it can of the rest, the triangular route what
-    it can of the remainder, and the Denman-Beavers route takes what is
-    left.  A logarithm with a non-finite entry counts as none, so an input
-    that overflows fails rather than yielding a NaN log.  The entries of
-    failed matrices are unspecified.
+    eigen route serves what it can of the rest, and the roots route takes
+    what is left.  A logarithm with a non-finite entry counts as none, so
+    an input that overflows fails rather than yielding a NaN log.  The
+    entries of failed matrices are unspecified.
     """
     logs = np.zeros_like(a)
     ok = np.zeros(len(a), dtype=bool)
     todo = np.flatnonzero(np.isfinite(a).all(axis=(-2, -1)))
-    for route in (_logm_eig_route, _logm_triangular_route, _logm_sqrt_route):
+    for route in (_logm_eig_route, _logm_roots_route):
         if not todo.size:
             break
         logs[todo], ok[todo] = route(a[todo])
@@ -411,17 +409,17 @@ def logm(p: np.ndarray | Sequence) -> np.ndarray:
     ``p`` is one (k, k) matrix or a stack (n, k, k).  One batched
     eigendecomposition serves every matrix that is diagonalizable by a
     well-conditioned eigenvector matrix V with no eigenvalue on the closed
-    negative real axis: its logarithm is V log(w) V^-1, real part kept
-    (see ``_logm_eig_route`` for the exact rule).  Every other matrix,
+    negative real axis or at rounding level: its logarithm is V log(w)
+    V^-1, real part kept (see ``_logm_eig_route`` for the exact rule).  Every other matrix,
     e.g. a defective one, goes through inverse scaling and squaring
-    (square roots to within 1-norm 0.5 of the identity, then a
-    fixed-length atanh series).  Its square roots are triangular ones
-    (``_logm_triangular_route``) when its off-diagonal zero pattern has no
-    cycle and its diagonal is positive, and Denman-Beavers ones
-    (``_logm_sqrt_route``) otherwise.  The route depends only on the
-    matrix itself, so a stack gives the same results as single calls.
-    Raises LogmConvergenceError if any matrix of the stack has no real
-    principal logarithm that a square-root route can reach, e.g. one with
+    (``_logm_roots_route``: square roots to within 1-norm 0.5 of the
+    identity, then a fixed-length atanh series).  Its square roots are
+    Schur-method ones when its off-diagonal zero pattern has no cycle and
+    its diagonal is positive, and Denman-Beavers ones otherwise.  The
+    route and the kernel depend only on the matrix itself, so a stack
+    gives the same results as single calls.  Raises LogmConvergenceError
+    if any matrix of the stack has no real principal logarithm that the
+    roots route can reach, e.g. one with
     an eigenvalue on the closed negative real axis, or if its logarithm
     is not finite, e.g. for a NaN input.
     """

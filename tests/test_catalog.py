@@ -220,7 +220,7 @@ def test_pipeline_rejects_bad_arguments():
     with pytest.raises(ValueError):
         run_pipeline()
     with pytest.raises(ValueError):
-        run_pipeline(order=5)
+        run_pipeline(order=6)
     with pytest.raises(ValueError):
         run_pipeline(order=1)
     with pytest.raises(ValueError, match="mixed orders"):
@@ -251,15 +251,22 @@ def test_pipeline_checks_each_table_for_associativity_once(monkeypatch):
     assert calls == tables
 
 
-def test_pipeline_rejects_order5_before_enumerating(monkeypatch):
-    # enumeration covers order 5, derivation does not: the pipeline's own
+def test_pipeline_rejects_order6_before_enumerating(monkeypatch):
+    # enumeration covers order 6, derivation does not: the pipeline's own
     # order check must refuse it before any enumeration starts
     def refuse(k):
         raise AssertionError(f"enumerated order {k}")
 
     monkeypatch.setattr(catalog, "enumerate_semigroups", refuse)
-    with pytest.raises(ValueError, match="orders 2..4"):
-        run_pipeline(order=5)
+    with pytest.raises(ValueError, match="orders 2..5"):
+        run_pipeline(order=6)
+
+
+@pytest.mark.slow
+def test_pipeline_order5_matches_catalog5(catalog5):
+    # order= enumerates itself; the same ids in the same order as the tables
+    entries = run_pipeline(order=5)
+    assert [e.model_id for e in entries] == [e.model_id for e in catalog5]
 
 
 def test_pipeline_logs_enumeration_time(caplog):
@@ -313,7 +320,7 @@ def test_pipeline_from_tables_matches_enumeration(catalog2):
 
 
 def test_pipeline_from_tables_supports_other_orders():
-    # order= stops at 4 and enumeration at 5, but explicit tables have no cap
+    # order= stops at 5 and enumeration at 6, but explicit tables have no cap
     from liemarkov.constructors import symmetric_group_3
 
     entries = run_pipeline(tables=[symmetric_group_3().table])
@@ -510,6 +517,39 @@ def test_render_markdown_bytes_pinned(catalog4):
     assert digest == "511295f62ab5f8e36cc8e47e0772367725fdd1ad53e6e7a373c69417ab6ceb46"
 
 
+def test_render_markdown_closes_the_fence_of_an_entry_without_sources():
+    # a library caller's entry with no source tables gets an empty, closed block
+    entry = catalog.classify_model(subspace_from_generators(2, [((-1, 1), (1, -1))]), [], [])
+    assert render([entry], "md") == "\n".join([
+        "# Model catalog (k = 2)",
+        "",
+        "1 model classes.",
+        "",
+        "## b0b6aa4db5cfbffc — binary-symmetric",
+        "",
+        "- dimension: 1",
+        "- reducible: False; absorbing states: none",
+        "- symmetry group: Z2 (order 2): e, (1 2)",
+        "- isomorphic variants: 1",
+        "- Lie closed: True; matrix-algebra closed: True",
+        "",
+        "Generators:",
+        "",
+        "```",
+        "L1 =",
+        "  [ -1   1]",
+        "  [  1  -1]",
+        "```",
+        "",
+        "Source semigroups (0; 1-based Cayley tables):",
+        "",
+        "```",
+        "",
+        "```",
+        "",
+    ])
+
+
 def test_render_unknown_format(catalog2):
     with pytest.raises(ValueError, match="unknown format"):
         render(catalog2, "yaml")
@@ -584,7 +624,7 @@ def test_cli_classify_rejects_order_zero(capsys):
     argv = ["classify", "--model-id", KNOWN_IDS["binary-symmetric"], "--order", "0"]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert "orders 2..4, got 0" in err
+    assert "orders 2..5, got 0" in err
 
 
 @pytest.mark.parametrize(
