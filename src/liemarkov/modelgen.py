@@ -12,6 +12,7 @@ membership, and cross-run canonical keys are all exact decisions.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,9 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg
-from .cayley import Perm, compose, invert, relabel_gathers
+from .cayley import Perm, relabel_gathers
 from .linalg import Matrix, Scalar
-from .representation import RegularRep
+from .representation import RegularRep, ones
 
 RrefKey = tuple[tuple[Scalar, ...], ...]
 
@@ -52,15 +53,21 @@ def _check_shape(x: Matrix, order: int, what: str) -> None:
 
 
 def _span(order: int, flats: Iterable[tuple[Scalar, ...]]) -> ModelSubspace:
-    """Span of exact row-major generators; zero ones and repeats are dropped, first kept."""
-    rows: dict[tuple[Scalar, ...], Matrix] = {}
+    """Span of exact row-major generators; zero ones and repeats are dropped, first kept.
+
+    Column sums are checked on the flat rows (column j is ``flat[j::order]``),
+    once per distinct nonzero generator; only the kept rows become matrices.
+    """
+    rows: dict[tuple[Scalar, ...], None] = {}
     for flat in flats:
-        g = linalg.unvectorize(flat, order)
-        if not linalg.has_zero_column_sums(g):
+        if flat in rows or not any(flat):
+            continue
+        if any(sum(flat[j::order]) for j in range(order)):
+            g = linalg.unvectorize(flat, order)
             raise ValueError(f"generator has nonzero column sums: {g}")
-        if any(flat) and flat not in rows:
-            rows[flat] = g
-    return ModelSubspace(order, tuple(rows.values()), linalg.rref(list(rows)))
+        rows[flat] = None
+    basis = tuple(linalg.unvectorize(flat, order) for flat in rows)
+    return ModelSubspace(order, basis, linalg.rref(list(rows)))
 
 
 def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelSubspace:
@@ -95,12 +102,24 @@ def rate_basis(r: RegularRep) -> ModelSubspace:
     dropped, which is why the dimension can fall below the semigroup
     order.  Every surviving generator lies in the stochastic cone: its
     off-diagonal entries are the 0/1 off-diagonal entries of A_i.  Each
-    A_i - I is formed as one flat row of ``int``, which ``linalg.rref``
-    hands to the ``int`` kernel as it is.
+    A_i - I is written straight from row i of the Cayley table as one
+    flat row of ``int`` (-1 on the diagonal, plus 1 at each position of
+    ``representation.ones``), which ``linalg.rref`` hands to the ``int``
+    kernel as it is.
     """
-    ident = linalg.vectorize(linalg.identity(r.order))
-    flats = (tuple(map(operator.sub, chain.from_iterable(a), ident)) for a in r.matrices)
-    return _span(r.order, flats)
+    k = r.order
+    minus_ident = [0] * (k * k)
+    for s in range(0, k * k, k + 1):
+        minus_ident[s] = -1
+
+    def flats():
+        for i in range(k):
+            row = minus_ident.copy()
+            for s in ones(r.table, i):
+                row[s] += 1
+            yield tuple(row)
+
+    return _span(k, flats())
 
 
 def contains(
@@ -201,12 +220,64 @@ def _orbit_getters(k: int) -> tuple[tuple[Perm, operator.itemgetter], ...]:
     return tuple((p, operator.itemgetter(*src)) for p, src in relabel_gathers(k))
 
 
+@functools.cache
+def _perm_products(k: int) -> tuple[tuple[int, ...], ...]:
+    """The product table of S_k on the indices of ``_orbit_getters(k)``.
+
+    Entry [a][b] is the index of p_a o p_b; index 0 is the identity.  The
+    indices are the lexicographic ranks that ``itertools.permutations``
+    gives, so each composite is ranked by a binary search on its digits
+    read as a base-k number.  Built on the first orbit of order k that
+    needs it; at k = 6 the 720 x 720 table holds about 4 MB.
+    """
+    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+    comp = perms[:, perms]  # comp[a, b, x] = p_a[p_b[x]]
+    weights = k ** np.arange(k - 1, -1, -1, dtype=np.int32)
+    index = np.searchsorted(perms @ weights, comp @ weights)
+    ints = list(range(len(perms)))  # one int object per index, shared by every row
+    return tuple(tuple(map(ints.__getitem__, row.tolist())) for row in index)
+
+
+def _right_coset(products: Sequence[Sequence[int]], p: int, group: Iterable[int]) -> list[int]:
+    """The indices of p o h for h in ``group``: relabelings whose conjugate equals p's.
+
+    Relabeling is a left action, (p o h).L = p.(h.L), so p o h gives p's
+    rref for every symmetry h of the span L.
+    """
+    row = products[p]
+    return [row[h] for h in group]
+
+
+def _generated(products: Sequence[Sequence[int]], group: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """The group generated by a group of indices and one more index s.
+
+    A union of right cosets group o e, one representative e at a time,
+    closed under right multiplication by every element of ``group`` and
+    by s, the identity's coset first: a finite set closed under its
+    generators is the group they generate.
+    """
+    elems, seen, reps = list(group), set(group), [0]
+    for e in reps:
+        row = products[e]
+        for x in (*group, s):
+            y = row[x]
+            if y not in seen:
+                coset = [products[h][y] for h in group]
+                elems += coset
+                seen.update(coset)
+                reps.append(y)
+    return tuple(elems)
+
+
+_KEY, _DEAD = 1, 2
+
+
 def model_orbit(m: ModelSubspace) -> ModelOrbit:
-    """The orbit of ``m.rref``, row-reducing only the relabelings that can reach the key.
+    """The orbit of ``m.rref``, row-reducing one relabeling per right coset found.
 
     Key: a conjugate's first pivot is the first cell of its relabeled
     support, and rrefs whose first pivot comes later compare smaller, so
-    only the relabelings that push that cell furthest are row-reduced;
+    only the relabelings that push that cell furthest are candidates;
     every relabeling onto the key is among them.  Integrality is decided
     once per span: ``m.rref`` is scaled to integer rows by one
     ``linalg.integral_rows`` (a no-op for an integral span), and a
@@ -215,36 +286,74 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
     no type check.  Bound: every candidate has its first pivot in the
     same column, and the least rref found so far bounds the rest by its
     row 0; the kernel cuts a candidate as soon as its row 0 compares
-    greater, which rules it out as the key.  A tie on row 0 is never cut,
-    so every relabeling onto the key still reaches ``to_key``, in getter
-    order.  Group: relabeling is a left action, so if q maps the span
-    onto the key, p does too exactly when q^-1 o p fixes the span, and
-    the group is q^-1 o ``to_key``.
+    greater, which rules it out as the key.  A tie on row 0 is never cut.
+
+    Cosets: relabeling is a left action, (p o h).L = p.(h.L), so p and q
+    give the same rref exactly when q^-1 o p fixes the span.  Each tie
+    with the least rref so far (a provisional key that is later beaten
+    included) is such a symmetry, and the symmetries found are kept as a
+    group H, closed under composition.  Every relabeling in the right
+    coset p o H gives p's rref, so one elimination decides a whole
+    coset: a candidate in the coset of a relabeling onto the key joins
+    ``to_key`` without an elimination, and one in the coset of a cut or
+    greater candidate, or of a beaten key, is skipped; when H grows,
+    every decided coset grows with it.  (The mirror h o p would be wrong:
+    (h o p).L = h.(p.L) is p.L exactly when h fixes p.L, which h.L = L
+    does not imply.)  Both decisions are exact, so ``to_key`` is still
+    every relabeling onto the key, in getter order.  Group: if q maps the
+    span onto the key, p does too exactly when q^-1 o p fixes the span,
+    and each such p joined ``to_key`` as q itself, in a coset q o H, or
+    by a tie that put q^-1 o p in H; so at the end H is the whole
+    symmetry group.
     """
-    perms = tuple(p for p, _ in relabel_gathers(m.order))
-    if len(perms) == 1 or not m.rref:
+    if m.order < 2 or not m.rref:
         # every relabeling fixes the rref
+        perms = tuple(p for p, _ in relabel_gathers(m.order))
         return ModelOrbit(key=m.rref, group=perms, variants=1, to_key=perms)
     getters = _orbit_getters(m.order)
+    products = _perm_products(m.order)
     support = tuple(any(col) for col in zip(*m.rref))
     firsts = [g(support).index(True) for _, g in getters]
     last = max(firsts)
     rows = linalg.integral_rows(m.rref)
     key, to_key, bound = None, [], None
-    for (p, g), first in zip(getters, firsts):
+    sym: tuple[int, ...] = (0,)  # H, the symmetries found so far
+    beaten: list[int] = []  # candidates known not to reach the key
+    status = bytearray(len(getters))  # _KEY or _DEAD once a candidate's coset is known
+
+    def mark(reps: Iterable[int], value: int) -> None:
+        for rep in reps:
+            for j in _right_coset(products, rep, sym):
+                status[j] = value
+
+    for i, ((p, g), first) in enumerate(zip(getters, firsts)):
         if first != last:
+            continue
+        known = status[i]
+        if known:
+            if known == _KEY:
+                to_key.append(p)
             continue
         r = linalg.rref_integral([g(row) for row in rows], bound)
         if r is None or (key is not None and r > key):
+            beaten.append(i)
+            if len(sym) > 1:  # with H trivial the coset is i alone, and i is done
+                mark([i], _DEAD)
             continue
-        if r != key:
-            key, to_key = r, []
+        if r == key:
+            sym = _generated(products, sym, products[q].index(i))  # q^-1 o p
+            mark(beaten, _DEAD)  # each known coset grows with H
+        else:
+            if key is not None:
+                beaten.append(q)
+                mark([q], _DEAD)
+            key, q, to_key = r, i, []
             bound = (linalg.integral_rows(key[:1])[0], last)
+        mark([q], _KEY)
         to_key.append(p)
-    back = invert(to_key[0])
-    group = tuple(sorted(compose(back, p) for p in to_key))
+    group = tuple(sorted(getters[h][0] for h in sym))
     return ModelOrbit(
-        key=key, group=group, variants=len(perms) // len(group), to_key=tuple(to_key)
+        key=key, group=group, variants=len(getters) // len(group), to_key=tuple(to_key)
     )
 
 

@@ -182,6 +182,34 @@ def test_pipeline_k5_summary(catalog5):
     ]
 
 
+@pytest.mark.order6
+def test_pipeline_k6_summary(semigroups6):
+    # measured on this implementation, not figures from the paper; about 2 minutes
+    catalog6 = run_pipeline(tables=semigroups6)
+    assert len(catalog6) == 18254
+    assert len({e.model_id for e in catalog6}) == 13556
+    assert Counter(e.report.dimension for e in catalog6) == {
+        1: 11, 2: 244, 3: 1710, 4: 4965, 5: 7056, 6: 4268
+    }
+    assert Counter(len(e.report.symmetry) for e in catalog6) == {
+        1: 9530, 2: 6442, 3: 2, 4: 1390, 6: 496, 8: 136, 12: 164, 16: 12,
+        18: 2, 20: 1, 24: 47, 36: 10, 48: 16, 120: 5, 720: 1,
+    }
+    # the left groups G x L_n with |G| n = 6: L6, C6, C2 x L3, C3 x L2 and S3
+    interesting = [
+        e for e in catalog6 if not e.report.reducible and not e.report.absorbing
+    ]
+    assert sorted(
+        (e.model_id, e.report.dimension, len(e.report.symmetry)) for e in interesting
+    ) == [
+        ("0a5363fb7da75afd", 6, 720),
+        ("27821e9b33e05eb1", 5, 12),
+        ("6e1588ed5e012764", 6, 12),
+        ("786cfdb541b94f13", 6, 12),
+        ("9f05181a26dab002", 5, 36),
+    ]
+
+
 @pytest.mark.slow
 def test_pipeline_k5_renderings_pinned(catalog5):
     # matrices five wide, which the golden order-4 catalog does not have

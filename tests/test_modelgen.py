@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from test_linalg import assert_int_exactly_when_integral, reference_rref
 
-from liemarkov import linalg
+from liemarkov import linalg, modelgen
 from liemarkov.catalog import known_subspaces
-from liemarkov.cayley import make_table, relabel_gathers
+from liemarkov.cayley import compose, make_table, relabel_gathers
 from liemarkov.closure import commutator
 from liemarkov.constructors import cyclic_group, fixture, group_based_model, symmetric_group_3
 from liemarkov.modelgen import (
@@ -28,7 +28,7 @@ from liemarkov.modelgen import (
     rate_basis,
     subspace_from_generators,
 )
-from liemarkov.representation import regular_rep
+from liemarkov.representation import regular_rep, rep_is_injective
 
 
 def zeros(k):
@@ -467,6 +467,62 @@ def test_model_orbit_matches_full_pass_on_rational_spans():
     assert len({len(model_orbit(m).group) for m in spans}) > 1
 
 
+def test_perm_products_compose_getter_indices():
+    for k in (2, 3, 4):
+        perms = [p for p, _ in modelgen._orbit_getters(k)]
+        products = modelgen._perm_products(k)
+        assert [[perms[x] for x in row] for row in products] == [
+            [compose(a, b) for b in perms] for a in perms
+        ]
+
+
+def count_eliminations(monkeypatch, models):
+    """Each model's orbit and how many candidates ``model_orbit`` row-reduced for it."""
+    kernel = linalg.rref_integral
+    calls = []
+
+    def counting(rows, bound=None):
+        calls.append(None)
+        return kernel(rows, bound)
+
+    monkeypatch.setattr(linalg, "rref_integral", counting)
+    out = []
+    for m in models:
+        calls.clear()
+        out.append((model_orbit(m), len(calls)))
+    monkeypatch.undo()
+    return out
+
+
+def test_model_orbit_eliminates_one_relabeling_per_coset(monkeypatch):
+    # every relabeling of these spans is a symmetry, so each one ties the key and a
+    # pass with one elimination per candidate row-reduces all k! of them
+    named = known_subspaces()
+    models = [named[name] for name in ("equal-input-5", "F81", "K3ST")]
+    for m, (orbit, calls) in zip(models, count_eliminations(monkeypatch, models)):
+        assert orbit == full_model_orbit(m)
+        assert calls < len(orbit.group) == math.factorial(m.order)
+
+
+def test_model_orbit_eliminations_on_golden_spans(orbit_models, monkeypatch):
+    golden = [m for m, _ in orbit_models[:131]]
+    counted = count_eliminations(monkeypatch, golden)
+    assert [orbit for orbit, _ in counted] == [orbit for _, orbit in orbit_models[:131]]
+    # one elimination per candidate row-reduces 1612
+    assert sum(calls for _, calls in counted) <= 1171
+
+
+def test_model_orbit_mirror_cosets_give_wrong_orbits(orbit_models, monkeypatch):
+    # relabeling acts on the left: p o h gives p's conjugate for a symmetry h, h o p
+    # in general does not, and reusing h o p must show in the orbits
+    def mirror(products, p, group):
+        return [products[h][p] for h in group]
+
+    monkeypatch.setattr(modelgen, "_right_coset", mirror)
+    wrong = [m for m, _ in orbit_models[:131] if model_orbit(m) != full_model_orbit(m)]
+    assert wrong
+
+
 def test_generator_entries_are_stored_as_exact_numbers():
     # bool, numpy and Fraction(2) entries equal their int values; a float its exact value
     plain = ((0, 1, 2), (0, -1, 0), (0, 0, -2))
@@ -563,6 +619,17 @@ def test_rate_basis_matches_reference_orders_1_to_4(semigroups2, semigroups3, se
 @pytest.mark.slow
 def test_rate_basis_matches_reference_order5(semigroups5):
     assert_rate_bases_match_reference(semigroups5)
+
+
+@pytest.mark.slow
+def test_rate_basis_from_table_matches_matrix_path(semigroups4, semigroups5):
+    for t in semigroups4 + semigroups5:
+        rep = regular_rep(t)
+        mats = rep.matrices
+        ident = linalg.identity(t.order)
+        by_matrices = subspace_from_generators(t.order, [linalg.mat_sub(a, ident) for a in mats])
+        assert rate_basis(rep) == by_matrices
+        assert rep_is_injective(rep) == (len(set(mats)) == t.order)
 
 
 def test_subspace_from_generators_entry_contract():

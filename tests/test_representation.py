@@ -3,14 +3,15 @@ import pytest
 from liemarkov.cayley import make_table
 from liemarkov.constructors import cyclic_group, klein_group, symmetric_group_3
 from liemarkov.linalg import identity, mat_mul
-from liemarkov.representation import regular_rep, rep_is_injective
+from liemarkov.representation import ones, regular_rep, rep_is_injective
 
 
 def check_homomorphism(r, t):
     """A_i A_j == A_{t[i][j]} entrywise for all pairs."""
+    mats = r.matrices
     for i in range(t.order):
         for j in range(t.order):
-            if mat_mul(r.matrices[i], r.matrices[j]) != r.matrices[t.table[i][j]]:
+            if mat_mul(mats[i], mats[j]) != mats[t.table[i][j]]:
                 return False
     return True
 
@@ -33,6 +34,13 @@ def test_injective_rep_with_identity_element():
     assert r.matrices[0] == ((1, 1), (0, 0))
     assert r.matrices[1] == identity(2)
     assert rep_is_injective(r)
+
+
+def test_rep_keeps_its_table():
+    r = regular_rep(ABSORB_2_WITH_IDENTITY)
+    assert r.table is ABSORB_2_WITH_IDENTITY and r.order == 2
+    # row-major positions of the ones: A_0 = ((1, 1), (0, 0)), A_1 the identity
+    assert [ones(r.table, i) for i in range(2)] == [(0, 1), (0, 3)]
 
 
 def test_left_const_k4_rep_has_constant_rows():
