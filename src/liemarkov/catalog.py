@@ -17,6 +17,7 @@ import hashlib
 import io
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .cayley import CayleyTable, enumerate_semigroups, make_table
-from .closure import check_algebra_closed, check_lie_closed, pair_products
+from .closure import exact_checks
 from .constructors import (
     cyclic_group,
     equivariant_model,
@@ -36,14 +37,14 @@ from .constructors import (
     klein_group,
 )
 from .modelgen import (
+    STACK_BLOCK,
     ModelSubspace,
     RrefKey,
-    absorbing_states_of_support,
+    SpanStack,
     canonical_subspace,
-    generic_support,
-    is_reducible_support,
     model_orbit,
     rate_basis,
+    span_stacks,
     subspace_from_generators,
 )
 from .representation import regular_rep
@@ -178,43 +179,75 @@ def build_registry() -> Registry:
 # --- pipeline ----------------------------------------------------------------
 
 
+def _classify_stack(
+    stack: SpanStack,
+    members: Sequence[Sequence[int]],
+    tables: Sequence[CayleyTable],
+) -> tuple[list[CatalogEntry], float, float]:
+    """:func:`classify_model` of every span of a stack, ``members[s]`` the sources of span s.
+
+    Returns the entries, the seconds of the stacked exact checks
+    (closure, support, absorbing states, reducibility) and the seconds
+    spent in ``model_orbit``.
+    """
+    start = time.perf_counter()
+    checks = exact_checks(stack)
+    reducible = stack.reducible().tolist()
+    absorbing = [
+        frozenset(j for j, a in enumerate(row) if a) for row in stack.absorbing().tolist()
+    ]
+    checks_s = time.perf_counter() - start
+    orbits_s = 0.0
+    entries = []
+    for s, sub in enumerate(stack.spans):
+        algebra, lie = checks[s]
+        if not lie.closed:
+            raise PipelineInvariantError(
+                "semigroup-derived model failed Lie closure; witness pair "
+                f"({lie.witness.i}, {lie.witness.j})"
+            )
+        start = time.perf_counter()
+        orbit = model_orbit(sub)
+        orbits_s += time.perf_counter() - start
+        if len(orbit.group) * orbit.variants != math.factorial(sub.order):
+            raise PipelineInvariantError(
+                f"orbit-stabilizer fails: |G| = {len(orbit.group)}, "
+                f"{orbit.variants} variants, k = {sub.order}"
+            )
+        key = orbit.key
+        report = ModelReport(
+            subspace=sub,
+            dimension=sub.dim,
+            absorbing=absorbing[s],
+            reducible=reducible[s],
+            symmetry=SymmetryGroup(
+                sub.order, orbit.group, name_group_elements(sub.order, orbit.group)
+            ),
+            variant_count=orbit.variants,
+            lie_closed=lie.closed,
+            algebra_closed=algebra.closed,
+            known_label=build_registry().get((sub.order, key)),
+            provenance=tuple(tables[i] for i in members[s]),
+            source_ids=tuple(i + 1 for i in members[s]),
+        )
+        entries.append(CatalogEntry(model_id(sub.order, key), sub.order, report))
+    return entries, checks_s, orbits_s
+
+
 def classify_model(
     sub: ModelSubspace,
     member_indices: Sequence[int],
     tables: Sequence[CayleyTable],
 ) -> CatalogEntry:
-    # algebra closure implies Lie closure, so a passing algebra check serves both
-    algebra = check_algebra_closed(sub)
-    lie = algebra if algebra.closed else check_lie_closed(sub)
-    if not lie.closed:
-        raise PipelineInvariantError(
-            "semigroup-derived model failed Lie closure; witness pair "
-            f"({lie.witness.i}, {lie.witness.j})"
-        )
-    orbit = model_orbit(sub)
-    if len(orbit.group) * orbit.variants != math.factorial(sub.order):
-        raise PipelineInvariantError(
-            f"orbit-stabilizer fails: |G| = {len(orbit.group)}, "
-            f"{orbit.variants} variants, k = {sub.order}"
-        )
-    key = orbit.key
-    support = generic_support(sub)
-    report = ModelReport(
-        subspace=sub,
-        dimension=sub.dim,
-        absorbing=frozenset(absorbing_states_of_support(support)),
-        reducible=is_reducible_support(support),
-        symmetry=SymmetryGroup(
-            sub.order, orbit.group, name_group_elements(sub.order, orbit.group)
-        ),
-        variant_count=orbit.variants,
-        lie_closed=lie.closed,
-        algebra_closed=algebra.closed,
-        known_label=build_registry().get((sub.order, key)),
-        provenance=tuple(tables[i] for i in member_indices),
-        source_ids=tuple(i + 1 for i in member_indices),
-    )
-    return CatalogEntry(model_id(sub.order, key), sub.order, report)
+    """The catalog entry of one span, whose sources are ``tables[i]`` for i in ``member_indices``.
+
+    A :class:`~liemarkov.modelgen.SpanStack` of one span gives the exact
+    checks and the support facts; ``model_orbit`` gives the key, the
+    symmetry group and the variant count.  Raises
+    PipelineInvariantError if the span is not Lie closed or its orbit
+    fails orbit-stabilizer.
+    """
+    return _classify_stack(SpanStack([sub]), [member_indices], tables)[0][0]
 
 
 def run_pipeline(
@@ -290,23 +323,29 @@ def run_pipeline(
     )
 
     start = time.perf_counter()
-    entries = []
-    for rref_key in sorted(groups):
-        if rref_key == ():
-            continue
-        members = groups[rref_key]
-        # representative basis from the lexicographically smallest source
-        rep = subspaces[min(members, key=lambda i: tables[i].table)]
-        entries.append(classify_model(rep, sorted(members), tables))
+    # representative basis from the lexicographically smallest source
+    members = [sorted(groups[key]) for key in sorted(groups) if key != ()]
+    reps = [subspaces[min(idx, key=lambda i: tables[i].table)] for idx in members]
+    entries: list[CatalogEntry] = []
+    checks_s = orbits_s = 0.0
+    for lo in range(0, len(reps), STACK_BLOCK):
+        block, block_checks_s, block_orbits_s = _classify_stack(
+            SpanStack(reps[lo : lo + STACK_BLOCK]), members[lo : lo + STACK_BLOCK], tables
+        )
+        entries += block
+        checks_s += block_checks_s
+        orbits_s += block_orbits_s
     interesting = [
         e for e in entries if not e.report.reducible and not e.report.absorbing
     ]
     logger.info(
         "%d catalog entries, %d non-reducible with no absorbing states "
-        "(classified in %.3f s)",
+        "(classified in %.3f s); stacked exact checks %.3f s, orbits %.3f s",
         len(entries),
         len(interesting),
         time.perf_counter() - start,
+        checks_s,
+        orbits_s,
     )
     return entries
 
@@ -321,6 +360,53 @@ def find_entry(entries: Sequence[CatalogEntry], model_id_str: str) -> CatalogEnt
 # --- commutator tables ---------------------------------------------------------
 
 
+def _commutator_tables(
+    stack: SpanStack,
+) -> list[list[tuple[int, int, tuple[int | Fraction, ...]]]]:
+    """:func:`commutator_table` of every span of a stack.
+
+    The brackets are the stack's, and the first escaping one, in span and
+    then row-major order, raises.  Only a span with a nonzero bracket runs
+    ``rref_with_transform``: over its rref the coordinates of a bracket are
+    its entries at the pivot columns, and the transform maps them onto the
+    generators.  The stack's brackets carry the factor c^2 of its scaled
+    generators, which is divided out.
+    """
+    brackets = stack.brackets()
+    hot = np.triu((brackets != 0).any(axis=-1), 1)
+    if hot.any():
+        escaped = np.argwhere(hot & stack.bracket_escaped())
+        if escaped.size:
+            _, i, j = escaped[0].tolist()
+            raise PipelineInvariantError(f"bracket of generators {i + 1}, {j + 1} left the span")
+    where = np.argwhere(hot)
+    solve: dict[int, list] = {}
+    for (s, i, j), row in zip(where.tolist(), brackets[tuple(where.T)].tolist()):
+        solve.setdefault(s, []).append((i, j, row))
+    tables = []
+    for s, m in enumerate(stack.spans):
+        coeffs = {}
+        n = len(m.basis)
+        if s in solve:
+            kk = m.order**2
+            row = stack.rows[s]
+            basis, transform = linalg.rref_with_transform(
+                [row[t : t + kk] for t in range(0, n * kk, kk)]
+            )
+            pivots = linalg.pivot_columns(basis)
+            columns = list(zip(*transform))
+            c2 = stack.gen_scale(s) ** 2
+            for i, j, bracket in solve[s]:
+                coords = [bracket[p] for p in pivots]
+                sums = [sum(map(operator.mul, coords, col)) for col in columns]
+                coeffs[i, j] = tuple(linalg.exact(x if c2 == 1 else x / c2) for x in sums)
+        zero = (0,) * n
+        tables.append(
+            [(i, j, coeffs.get((i, j), zero)) for i in range(n) for j in range(i + 1, n)]
+        )
+    return tables
+
+
 def commutator_table(
     m: ModelSubspace,
 ) -> list[tuple[int, int, tuple[int | Fraction, ...]]]:
@@ -328,32 +414,14 @@ def commutator_table(
 
     Requires a Lie-closed subspace; a bracket outside the span is a
     structural inconsistency for derived models, and the first such pair
-    raises.  All brackets are formed in one stacked pass; a zero bracket
+    raises.  The brackets come from a
+    :class:`~liemarkov.modelgen.SpanStack` of one span; a zero bracket
     gets all-zero coefficients and is not solved, so a fully commutative
     span runs no elimination.  The nonzero ones are solved together over
     one ``rref_with_transform`` of the generators.  A coefficient is
     ``int`` when integral, else ``Fraction``.
     """
-    n = len(m.basis)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    brackets = pair_products(m, pairs).reshape(-1, m.order**2)
-    coeffs = [(0,) * n] * len(pairs)
-    nonzero = [p for p, row in enumerate(brackets.tolist()) if any(row)]
-    if nonzero:
-        basis, transform = linalg.rref_with_transform(
-            [linalg.vectorize(g) for g in m.basis]
-        )
-        coords, inside = linalg.span_coordinates(basis, brackets[nonzero])
-        if not inside.all():
-            i, j = pairs[nonzero[np.argmin(inside)]]
-            raise PipelineInvariantError(
-                f"bracket of generators {i + 1}, {j + 1} left the span"
-            )
-        # coordinates over the rref rows, mapped onto the generators
-        over_gens = (coords @ np.array(transform, dtype=object)).tolist()
-        for p, c in zip(nonzero, over_gens):
-            coeffs[p] = tuple(map(linalg.exact, c))
-    return [(i, j, c) for (i, j), c in zip(pairs, coeffs)]
+    return _commutator_tables(SpanStack([m]))[0]
 
 
 def format_combination(coeffs: Sequence[Fraction]) -> str:
@@ -471,8 +539,10 @@ def render(
 
     The json text is that of ``json.dumps(doc, indent=2)`` plus a newline,
     written by :func:`json_indent2`.  The markdown lists each entry's
-    generators, its commutator table (:func:`commutator_table`, which
-    solves only the nonzero brackets) and its source semigroups.
+    generators, its commutator table and its source semigroups; the
+    tables (:func:`commutator_table`'s, which solves only the nonzero
+    brackets) come from stacks of the entries' spans, ``STACK_BLOCK`` at
+    a time.
     """
     if order is None and entries:
         order = entries[0].order
@@ -526,7 +596,13 @@ def _render_markdown(entries: Sequence[CatalogEntry], order: int | None) -> str:
     lines = [f"# Model catalog (k = {order})", ""]
     lines.append(f"{len(entries)} model classes.")
     lines.append("")
-    for e in entries:
+    # every entry's commutator table, from stacks of its spans
+    tables = (
+        t
+        for stack in span_stacks([e.report.subspace for e in entries])
+        for t in _commutator_tables(stack)
+    )
+    for e, brackets in zip(entries, tables):
         r = e.report
         # one %-format per matrix: generator entries right-aligned to width 3,
         # Cayley-table entries 1-based
@@ -559,7 +635,6 @@ def _render_markdown(entries: Sequence[CatalogEntry], order: int | None) -> str:
                 lines.append(gen_fmt % linalg.vectorize(g))
             lines.append("```")
             lines.append("")
-            brackets = commutator_table(r.subspace)
             if brackets:
                 lines.append("Commutators:")
                 lines.append("")

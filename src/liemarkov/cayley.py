@@ -145,7 +145,10 @@ def enumerate_semigroups(k: int) -> list[CayleyTable]:
 
     Depth-first fill of the table in row-major order with two prunings
     after each placement.  Associativity: every triple whose four
-    participating products just became defined is checked.  Canonicity,
+    participating products just became defined is checked.  Before a
+    cell is filled, the triples in which it is the outer product and
+    every other product is defined force its value: only that value is
+    tried, and none when two such triples disagree.  Canonicity,
     lex-leader pruning whose ties persist down the search tree: each
     non-identity relabeling p compares ``p(m[p^-1 i][p^-1 j])`` with the
     partial table in row-major order up to the first cell that differs or
@@ -155,8 +158,10 @@ def enumerate_semigroups(k: int) -> list[CayleyTable]:
     its source are placed.  On complete tables this is the full test
     against :func:`canonical_form`: one representative, the canonical
     form, per isomorphism class, with anti-isomorphic classes kept apart.
-    Order 4 takes about 10 ms, order 5 about 0.25 s, order 6 11-14 s
-    (measured on a 2-vCPU machine, Python 3.11).
+    Order 4 takes about 14 ms, order 5 about 0.3 s and order 6 about
+    12 s (on a shared 2-vCPU machine, Python 3.11, where the forced
+    values took 14% off orders 4 and 5: 16.0 -> 13.7 ms and 346 -> 298 ms,
+    medians of interleaved runs).
     """
     if not 1 <= k <= MAX_ENUM_ORDER:
         raise ValueError(
@@ -234,7 +239,26 @@ def enumerate_semigroups(k: int) -> list[CayleyTable]:
             found.append(tuple(m))
             return
         i, j = divmod(pos, k)
-        for v in rng:
+        # the value forced by the triples in which cell (i, j) is the outer
+        # product and every other product is defined, as in consistent()
+        forced = -1
+        for (a, b) in occ[i]:
+            bj = m[rows[b] + j]
+            if bj >= 0:
+                x = m[rows[a] + bj]
+                if x >= 0:
+                    if forced >= 0 and x != forced:
+                        return
+                    forced = x
+        for (b, c) in occ[j]:
+            ib = m[rows[i] + b]
+            if ib >= 0:
+                x = m[rows[ib] + c]
+                if x >= 0:
+                    if forced >= 0 and x != forced:
+                        return
+                    forced = x
+        for v in rng if forced < 0 else (forced,):
             m[pos] = v
             occ[v].append((i, j))
             if consistent(i, j, v) and (moved := resume(pos)) is not None:

@@ -9,7 +9,13 @@ Two exact decisions and one numerical verification:
   e^{Q1 t1} e^{Q2 t2} are pushed through the matrix logarithm and the
   result is checked against the span numerically.
 
-The first two run on exact rational matrices.  Floating point enters the
+The first two are exact.  They read one stack of generator products,
+``modelgen.SpanStack``, built for one span or for a block of spans: each
+span's generators and rref are scaled to integers once, the stack is
+``int64`` when a magnitude bound shows that no product or membership
+residual can overflow and ``object`` (Python ints) otherwise, a product is
+in the span iff its residual against the scaled rref is zero, and a
+bracket is the difference of two products.  Floating point enters the
 package only here, in expm/logm and the sampled verification.
 
 expm is scaling and squaring with the [13/13] Pade approximant (Higham,
@@ -44,6 +50,7 @@ trials.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,7 +58,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import Matrix, Scalar
-from .modelgen import ModelSubspace
+from .modelgen import ModelSubspace, SpanStack
 
 # [13/13] Pade coefficients b_0..b_13 and the largest 1-norm at which the
 # approximant's backward error stays below the unit roundoff (Higham 2005)
@@ -116,25 +123,57 @@ def commutator(
     return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
 
-def pair_products(m: ModelSubspace, pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Exact ``object`` stack of the brackets g_i g_j - g_j g_i, one per pair (i, j)."""
-    k = m.order
-    g = np.array(m.basis, dtype=object).reshape(-1, k, k)
-    i, j = np.array(pairs, dtype=int).reshape(-1, 2).T
-    return g[i] @ g[j] - g[j] @ g[i]
+def algebra_checks(stack: SpanStack) -> list[ClosureCheck]:
+    """:func:`check_algebra_closed` of every span of a stack, from its product residuals."""
+    residuals = stack.residuals
+    checks = []
+    for s, failed in enumerate(residuals.any(axis=(1, 2, 3)).tolist()):
+        if not failed:
+            checks.append(ClosureCheck(True, None))
+            continue
+        esc = (residuals[s] != 0).any(axis=-1)
+        cross = esc & ~np.eye(len(esc), dtype=bool)
+        i, j = np.argwhere(cross if cross.any() else esc)[0].tolist()
+        g = stack.spans[s].basis
+        checks.append(ClosureCheck(False, ClosureWitness(i, j, linalg.mat_mul(g[i], g[j]))))
+    return checks
+
+
+def lie_checks(stack: SpanStack) -> list[ClosureCheck]:
+    """:func:`check_lie_closed` of every span of a stack, from its bracket residuals."""
+    escaped = np.triu(stack.bracket_escaped(), 1)
+    checks = []
+    for s, closed in enumerate((~escaped.any(axis=(1, 2))).tolist()):
+        if closed:
+            checks.append(ClosureCheck(True, None))
+            continue
+        i, j = np.argwhere(escaped[s])[0].tolist()
+        g = stack.spans[s].basis
+        checks.append(ClosureCheck(False, ClosureWitness(i, j, commutator(g[i], g[j]))))
+    return checks
+
+
+def exact_checks(stack: SpanStack) -> list[tuple[ClosureCheck, ClosureCheck]]:
+    """The (algebra, Lie) checks of every span of a stack.
+
+    Algebra closure implies Lie closure, so a passing algebra check serves
+    as the Lie check too, and the brackets are checked only when some span
+    of the stack fails the algebra check.
+    """
+    algebra = algebra_checks(stack)
+    if all(map(operator.attrgetter("closed"), algebra)):
+        return list(zip(algebra, algebra))
+    return [(a, a if a.closed else b) for a, b in zip(algebra, lie_checks(stack))]
 
 
 def check_lie_closed(m: ModelSubspace) -> ClosureCheck:
-    """Exact test of commutator closure over all generator pairs i < j, in row-major order."""
-    n = len(m.basis)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    brackets = pair_products(m, pairs)
-    _, inside = linalg.span_coordinates(m.rref, brackets.reshape(-1, m.order**2))
-    escaped = np.flatnonzero(~inside)
-    if not escaped.size:
-        return ClosureCheck(True, None)
-    i, j = pairs[escaped[0]]
-    return ClosureCheck(False, ClosureWitness(i, j, linalg.mat(brackets[escaped[0]].tolist())))
+    """Exact test of commutator closure over all generator pairs i < j.
+
+    The witness of a failure is the first escaping bracket in row-major
+    order.  A :class:`~liemarkov.modelgen.SpanStack` of one span, whose
+    brackets are differences of its products.
+    """
+    return lie_checks(SpanStack([m]))[0]
 
 
 def check_algebra_closed(m: ModelSubspace) -> ClosureCheck:
@@ -142,20 +181,12 @@ def check_algebra_closed(m: ModelSubspace) -> ClosureCheck:
 
     Semigroup-derived generators satisfy L_i L_j = -L_i - L_j + L_k with
     a_i a_j = a_k, so derived models always pass; fixture models may not.
-    All n^2 products come from one broadcast matmul and one
-    ``linalg.span_coordinates`` call.  The witness of a failure is the
-    first escaping g_i g_j, i != j, in row-major order, else the first
-    escaping square.
+    All n^2 products and their membership come from a
+    :class:`~liemarkov.modelgen.SpanStack` of one span.  The witness of a
+    failure is the first escaping g_i g_j, i != j, in row-major order,
+    else the first escaping square.
     """
-    g = np.array(m.basis, dtype=object).reshape(-1, m.order, m.order)
-    prods = g[:, None] @ g[None, :]
-    _, inside = linalg.span_coordinates(m.rref, prods.reshape(-1, m.order**2))
-    escaped = ~inside.reshape(len(g), len(g))
-    if not escaped.any():
-        return ClosureCheck(True, None)
-    cross = escaped & ~np.eye(len(g), dtype=bool)
-    i, j = (int(x) for x in np.argwhere(cross if cross.any() else escaped)[0])
-    return ClosureCheck(False, ClosureWitness(i, j, linalg.mat(prods[i, j].tolist())))
+    return algebra_checks(SpanStack([m]))[0]
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:
@@ -494,8 +525,7 @@ def verify_multiplicative_closure(
         pending = pending[~ok]
         if not pending.size:
             break
-    algebra = check_algebra_closed(m)
-    lie = algebra if algebra.closed else check_lie_closed(m)
+    ((algebra, lie),) = exact_checks(SpanStack([m]))
     if pending.size:
         status = "inconclusive"
     else:

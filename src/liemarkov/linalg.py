@@ -12,10 +12,12 @@ once and call ``rref_integral``, with the least rref found so far as a
 bound that cuts a candidate once its row 0 compares greater.  An rref
 entry is ``int`` exactly when its value is integral.
 ``span_coordinates`` runs on ``object``-dtype numpy arrays of the same
-values.  ``reach``, the transitive closure of a stack of off-diagonal
-nonzero patterns, is boolean and so exact too: it decides
-``modelgen.is_reducible``, and which entries ``closure.expm`` keeps at
-exactly 0 and which products the triangular ``logm`` route serves.
+values (``modelgen.contains``); generator products and their membership
+are ``modelgen.SpanStack``'s.  ``reach``, the transitive closure of a
+stack of off-diagonal nonzero patterns, is boolean and so exact too: it
+decides ``modelgen.is_reducible`` for a whole stack of spans, and which
+entries ``closure.expm`` keeps at exactly 0 and which products the
+triangular ``logm`` route serves.
 Floating point enters the package only in :mod:`liemarkov.closure`.
 """
 
@@ -302,6 +304,14 @@ def rref_with_transform(
     return basis, transform
 
 
+@functools.cache
+def off_diagonal(k: int) -> np.ndarray:
+    """The read-only (k, k) bool mask of the off-diagonal entries."""
+    mask = ~np.eye(k, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def reach(a: np.ndarray) -> np.ndarray:
     """Transitive closure of the off-diagonal nonzero pattern of an (n, k, k) stack.
 
@@ -310,7 +320,7 @@ def reach(a: np.ndarray) -> np.ndarray:
     length covered, up to 2^s >= k.
     """
     k = a.shape[-1]
-    reach = (a != 0) & ~np.eye(k, dtype=bool)
+    reach = (a != 0) & off_diagonal(k)
     for _ in range((k - 1).bit_length()):
         reach = reach | (reach @ reach)
     return reach

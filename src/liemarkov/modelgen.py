@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -135,38 +135,155 @@ def contains(
     return tuple(coords[0].tolist()) if inside[0] else None
 
 
+STACK_BLOCK = 128
+"""The most spans :func:`span_stacks` puts in one :class:`SpanStack`.
+
+A stack holds n^2 products of k^2 entries per span: at order 6 a block
+of 128 spans is about 1.3 MB in ``int64``, where all 18254 order-6 spans
+at once would be about 190 MB.
+"""
+
+
+class SpanStack:
+    """Exact generator products and supports of same-order spans, in one stack.
+
+    This is the one code that forms generator products.  Span s is one
+    row: its flattened generators, then its flattened rref rows, zero-padded
+    to the stack's largest counts n and d.  ``linalg.integral_rows``
+    scales each row to integers once, by a positive factor c, so every
+    scaled pivot is c; scaling keeps signs and spans, so memberships, the
+    brackets up to the factor c^2, and supports are read off the integer
+    stack.  Zero generators have zero products, which lie in every span;
+    a stack of one span pads nothing.
+
+    Over an rref basis the coordinates of v are its entries at the pivot
+    columns p_t, so v lies in the span iff c v - sum_t v[p_t] (c r_t) is
+    zero: two matmuls for the whole stack, one with a one-hot matrix of
+    the pivot columns and one with the scaled rref rows.  The stack is
+    ``int64`` when, with a the largest scaled entry (at least 1),
+    2 (d + 1) k a^3 < 2^63: a product entry is a sum of k terms of size
+    at most a^2, a bracket entry the difference of two such, and a
+    residual entry a sum of d + 1 terms of size at most k a^3; a bracket
+    is in the span iff the residuals of its two products are equal.
+    Otherwise it is ``object``, with the same numpy expressions on Python
+    ints.  Raises ValueError for no spans or spans of mixed orders.
+
+    ``rows`` and ``int_rows`` hold each span's row before and after
+    scaling; ``gens`` (S, n, k, k) and ``rref`` (S, d, k^2) are its scaled
+    parts; ``products`` (S, n, n, k^2) holds g_i g_j row-major, and
+    ``residuals`` (same shape) is c g_i g_j less its combination of the
+    scaled rref rows, zero iff the product is in the span.
+    """
+
+    def __init__(self, spans: Sequence[ModelSubspace]) -> None:
+        if not spans:
+            raise ValueError("a span stack needs at least one span")
+        k = spans[0].order
+        n = d = 0
+        for m in spans:
+            if m.order != k:
+                raise ValueError("a span stack holds spans of one order")
+            n = max(n, len(m.basis))
+            d = max(d, len(m.rref))
+        kk = k * k
+        s = len(spans)
+        self.spans = tuple(spans)
+        self.rows = []
+        for m in spans:
+            self.rows.append(
+                [
+                    *chain.from_iterable(chain.from_iterable(m.basis)),
+                    *itertools.repeat(0, kk * (n - len(m.basis))),
+                    *chain.from_iterable(m.rref),
+                    *itertools.repeat(0, kk * (d - len(m.rref))),
+                ]
+            )
+        ints = self.int_rows = linalg.integral_rows(self.rows)
+        a = max(map(abs, chain.from_iterable(ints)), default=1)
+        dtype = np.int64 if 2 * (d + 1) * k * a**3 < 2**63 else object
+        self.gens = g = np.array([row[: n * kk] for row in ints], dtype=dtype).reshape(s, n, k, k)
+        self.rref = np.array([row[n * kk :] for row in ints], dtype=dtype).reshape(s, d, kk)
+        # c: the first nonzero rref entry, the pivot of row 0
+        scale = np.array(
+            [next(filter(None, itertools.islice(row, n * kk, None)), 1) for row in ints],
+            dtype=dtype,
+        )
+        self.products = (g[:, :, None] @ g[:, None]).reshape(s, n, n, kk)
+        flat = self.products.reshape(s, n * n, kk)
+        # onehot[s, j, t]: column j is the pivot of rref row t (a zero row's
+        # "pivot" is column 0, which it multiplies by zero)
+        onehot = _column_index(kk) == (self.rref != 0).argmax(axis=-1)[:, None, :]
+        self.residuals = (scale[:, None, None] * flat - flat @ onehot @ self.rref).reshape(
+            s, n, n, kk
+        )
+
+    def brackets(self) -> np.ndarray:
+        """(S, n, n, k^2): the scaled brackets g_i g_j - g_j g_i."""
+        p = self.products
+        return p - p.swapaxes(1, 2)
+
+    def bracket_escaped(self) -> np.ndarray:
+        """(S, n, n) bool: the bracket of g_i and g_j is not in its span."""
+        res = self.residuals
+        return (res != res.swapaxes(1, 2)).any(axis=-1)
+
+    def gen_scale(self, s: int) -> Fraction:
+        """The factor c by which span s's generators were scaled (1 when all ``int``)."""
+        return Fraction(next(filter(None, self.int_rows[s]), 1)) / next(
+            filter(None, self.rows[s]), 1
+        )
+
+    @functools.cached_property
+    def support(self) -> np.ndarray:
+        """(S, k, k) bool: the generic support of each span (see :func:`generic_support`)."""
+        return (self.gens > 0).any(axis=1) & linalg.off_diagonal(self.gens.shape[-1])
+
+    def absorbing(self) -> np.ndarray:
+        """(S, k) bool: state j of span s has no exit rate."""
+        return ~self.support.any(axis=1)
+
+    def reducible(self) -> np.ndarray:
+        """(S,) bool: one ``linalg.reach`` over the stack of supports."""
+        # False < True: some off-diagonal entry is not reached
+        off = linalg.off_diagonal(self.gens.shape[-1])
+        return (linalg.reach(self.support) < off).any(axis=(1, 2))
+
+
+@functools.cache
+def _column_index(kk: int) -> np.ndarray:
+    """The read-only column (kk, 1) of the indices 0..kk-1."""
+    column = np.arange(kk)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+def span_stacks(spans: Sequence[ModelSubspace]) -> Iterator[SpanStack]:
+    """The spans in order, as stacks of at most STACK_BLOCK consecutive same-order spans."""
+    for _, run in itertools.groupby(spans, key=operator.attrgetter("order")):
+        run = list(run)
+        for lo in range(0, len(run), STACK_BLOCK):
+            yield SpanStack(run[lo : lo + STACK_BLOCK])
+
+
 def generic_support(m: ModelSubspace) -> tuple[tuple[bool, ...], ...]:
     """Support of a generic interior cone point: which rates can be positive.
 
     Entry (i, j), i != j, is True iff some basis generator has a positive
     (i, j) entry; the diagonal is False.  For generators in the cone this
-    equals the support of any strictly positive combination.
+    equals the support of any strictly positive combination.  A
+    :class:`SpanStack` of one span.
     """
-    k = m.order
-    sup = [[False] * k for _ in range(k)]
-    for g in m.basis:
-        for i in range(k):
-            for j in range(k):
-                if i != j and g[i][j] > 0:
-                    sup[i][j] = True
-    return tuple(tuple(row) for row in sup)
+    return tuple(map(tuple, SpanStack([m]).support[0].tolist()))
 
 
 def absorbing_states(m: ModelSubspace) -> set[int]:
     """States with no exit rate in any model matrix (0-based indices).
 
     Columns index source states, so state j is absorbing iff column j of
-    the generic support is all False off the diagonal.
+    the generic support is all False off the diagonal.  A
+    :class:`SpanStack` of one span.
     """
-    return absorbing_states_of_support(generic_support(m))
-
-
-def absorbing_states_of_support(sup: Sequence[Sequence[bool]]) -> set[int]:
-    """:func:`absorbing_states` read off a generic support already built."""
-    k = len(sup)
-    return {
-        j for j in range(k) if not any(sup[i][j] for i in range(k) if i != j)
-    }
+    return set(np.flatnonzero(SpanStack([m]).absorbing()[0]).tolist())
 
 
 def is_reducible(m: ModelSubspace) -> bool:
@@ -175,15 +292,10 @@ def is_reducible(m: ModelSubspace) -> bool:
     The digraph has an edge j -> i for each True off-diagonal (i, j) of
     the generic support.  ``linalg.reach`` closes the reversed edges
     i -> j instead, which leaves strong connectivity unchanged: the model
-    is reducible iff some off-diagonal entry of that closure is False.
+    is reducible iff some off-diagonal entry of that closure is False.  A
+    :class:`SpanStack` of one span.
     """
-    return is_reducible_support(generic_support(m))
-
-
-def is_reducible_support(sup: Sequence[Sequence[bool]]) -> bool:
-    """:func:`is_reducible` read off a generic support already built."""
-    reach = linalg.reach(np.array([sup]))[0]
-    return not reach[~np.eye(len(sup), dtype=bool)].all()
+    return bool(SpanStack([m]).reducible()[0])
 
 
 def conjugate_subspace(m: ModelSubspace, perm: Sequence[int]) -> ModelSubspace:

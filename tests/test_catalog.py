@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -432,6 +433,28 @@ def test_commutator_table_raises_on_escaping_bracket():
 def test_commutator_table_empty_for_one_dimensional():
     sub = known_subspaces()["binary-symmetric"]
     assert commutator_table(sub) == []
+
+
+def test_pipeline_logs_stacked_checks_apart_from_orbits(caplog, monkeypatch):
+    # the exact checks run in stacks; model_orbit's seconds are counted apart
+    orbit = catalog.model_orbit
+
+    def slow_orbit(m):
+        time.sleep(0.002)
+        return orbit(m)
+
+    monkeypatch.setattr(catalog, "model_orbit", slow_orbit)
+    with caplog.at_level(logging.INFO, logger=catalog.logger.name):
+        entries = run_pipeline(tables=enumerate_semigroups(3))
+    match = re.search(
+        r"\(classified in (\d+\.\d{3}) s\); "
+        r"stacked exact checks (\d+\.\d{3}) s, orbits (\d+\.\d{3}) s",
+        caplog.text,
+    )
+    assert match
+    total, checks, orbits = map(float, match.groups())
+    assert orbits >= 0.002 * len(entries) - 0.0005
+    assert checks + orbits <= total + 0.0005
 
 
 def test_render_markdown_solves_only_nonzero_brackets(catalog4, monkeypatch):
