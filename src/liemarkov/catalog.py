@@ -15,12 +15,14 @@ import csv
 import functools
 import hashlib
 import io
+import json
 import logging
 import math
 import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -180,17 +182,19 @@ def build_registry() -> Registry:
 
 
 def _classify_stack(
-    stack: SpanStack,
+    spans: Sequence[ModelSubspace],
     members: Sequence[Sequence[int]],
     tables: Sequence[CayleyTable],
 ) -> tuple[list[CatalogEntry], float, float]:
-    """:func:`classify_model` of every span of a stack, ``members[s]`` the sources of span s.
+    """:func:`classify_model` of every span, in one stack, ``members[s]`` the sources of span s.
 
-    Returns the entries, the seconds of the stacked exact checks
-    (closure, support, absorbing states, reducibility) and the seconds
-    spent in ``model_orbit``.
+    Returns the entries, the seconds of the stacked exact checks (the
+    stack's build with its products and residuals, then closure,
+    support, absorbing states and reducibility) and the seconds spent
+    in ``model_orbit``.
     """
     start = time.perf_counter()
+    stack = SpanStack(spans)
     checks = exact_checks(stack)
     reducible = stack.reducible().tolist()
     absorbing = [
@@ -247,7 +251,7 @@ def classify_model(
     PipelineInvariantError if the span is not Lie closed or its orbit
     fails orbit-stabilizer.
     """
-    return _classify_stack(SpanStack([sub]), [member_indices], tables)[0][0]
+    return _classify_stack([sub], [member_indices], tables)[0][0]
 
 
 def run_pipeline(
@@ -330,7 +334,7 @@ def run_pipeline(
     checks_s = orbits_s = 0.0
     for lo in range(0, len(reps), STACK_BLOCK):
         block, block_checks_s, block_orbits_s = _classify_stack(
-            SpanStack(reps[lo : lo + STACK_BLOCK]), members[lo : lo + STACK_BLOCK], tables
+            reps[lo : lo + STACK_BLOCK], members[lo : lo + STACK_BLOCK], tables
         )
         entries += block
         checks_s += block_checks_s
@@ -467,69 +471,54 @@ def entry_to_dict(e: CatalogEntry) -> dict:
     }
 
 
-_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
-# the encoder of a flat list whose items are all of one such type; other flat
-# lists of scalars go item by item through _json_scalar
-_JSON_FLAT = {frozenset({str}): encode_basestring_ascii, frozenset({int}): int.__repr__}
+@functools.cache
+def _json_formats(k: int) -> tuple[str, str, str]:
+    """An entry, a k x k generator and a 1-based Cayley table of the JSON catalog, as %-formats.
 
-
-def _json_scalar(x: object) -> str:
-    # json.encoder's order: bool before int, and NaN and the infinities by name
-    if isinstance(x, str):
-        return encode_basestring_ascii(x)
-    if x is None:
-        return "null"
-    if x is True:
-        return "true"
-    if x is False:
-        return "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        if x != x:
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return float.__repr__(x)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-
-
-def _json_block(x: object, pad: str) -> str:
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        inner = pad + "  "
-        kinds = frozenset(map(type, x))
-        if kinds <= _JSON_SCALARS:
-            items = map(_JSON_FLAT.get(kinds, _json_scalar), x)
-        else:
-            items = [_json_block(v, inner) for v in x]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    if isinstance(x, dict):
-        if not x:
-            return "{}"
-        inner = pad + "  "
-        items = []
-        for k, v in x.items():
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            items.append(encode_basestring_ascii(k) + ": " + _json_block(v, inner))
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    return _json_scalar(x)
-
-
-def json_indent2(value: object) -> str:
-    """The text of ``json.dumps(value, indent=2)``, byte for byte.
-
-    With an ``indent``, the standard library's ``json.dumps`` runs its
-    pure-Python encoder (the C one serves only the compact form), so the
-    library writes its documents here instead: strings go through the C
-    ``encode_basestring_ascii``, and each flat list of scalars is one
-    ``str.join``.  Values are ``dict`` with ``str`` keys, ``list``,
-    ``tuple``, ``str``, ``int``, ``bool``, ``None`` and ``float``; any
-    other value or key raises TypeError.
+    Each is the ``json.dumps(skeleton, indent=2)`` of its part, indented
+    to the part's depth in the document, with every slot ``"\\0"`` (which
+    json writes ``"\\u0000"``) made ``%s``.  A generator's cells are the
+    string ``"%s"``, quoted: the ``str`` of an ``int`` or a ``Fraction``
+    is plain ASCII, which JSON needs no escape for.
     """
-    return _json_block(value, "\n")
+
+    def part(skeleton: object, depth: int) -> str:
+        text = json.dumps(skeleton, indent=2).replace('"\\u0000"', "%s")
+        return text.replace("\n", "\n" + "  " * depth)
+
+    slot = "\0"
+    keys = ("model_id", "dimension", "reducible", "absorbing_states", "symmetry", "variant_count",
+            "lie_closed", "algebra_closed", "known_label", "generators", "sources")  # entry_to_dict's
+    entry = dict.fromkeys(keys, slot)
+    entry["symmetry"] = dict.fromkeys(("order", "name", "elements"), slot)
+    return part(entry, 2), part([["%s"] * k] * k, 4), part([[slot] * k] * k, 4)
+
+
+def _json_list(items: Sequence[str], pad: str) -> str:
+    """The indent-2 JSON of a list of item texts, each item on a new line at ``pad``."""
+    return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]" if items else "[]"
+
+
+def _render_json(entries: Sequence[CatalogEntry], order: int | None) -> str:
+    flag = ("false", "true")
+    texts = []
+    for e in entries:
+        r = e.report
+        entry_fmt, gen_fmt, table_fmt = _json_formats(e.order)
+        elements = [encode_basestring_ascii(cycle_string(p)) for p in r.symmetry.elements]
+        gens = [gen_fmt % tuple(chain.from_iterable(g)) for g in r.subspace.basis]
+        sources = [table_fmt % tuple(x + 1 for row in t.table for x in row) for t in r.provenance]
+        label = "null" if r.known_label is None else encode_basestring_ascii(r.known_label)
+        texts.append(entry_fmt % (
+            encode_basestring_ascii(e.model_id), r.dimension, flag[r.reducible],
+            _json_list([str(s + 1) for s in sorted(r.absorbing)], "\n        "),
+            len(r.symmetry), encode_basestring_ascii(r.symmetry.name),
+            _json_list(elements, "\n          "), r.variant_count,
+            flag[r.lie_closed], flag[r.algebra_closed], label,
+            _json_list(gens, "\n        "), _json_list(sources, "\n        "),
+        ))
+    head = "null" if order is None else order
+    return '{\n  "order": %s,\n  "entries": %s\n}\n' % (head, _json_list(texts, "\n    "))
 
 
 def render(
@@ -538,7 +527,10 @@ def render(
     """Render a catalog as json, csv, or markdown (md).
 
     The json text is that of ``json.dumps(doc, indent=2)`` plus a newline,
-    written by :func:`json_indent2`.  The markdown lists each entry's
+    where doc is ``{"order": order, "entries": [entry_to_dict(e), ...]}``.
+    It is written straight from the entries, through the %-formats of an
+    entry, a generator and a source table that ``json.dumps`` makes once
+    per order from skeletons of those parts.  The markdown lists each entry's
     generators, its commutator table and its source semigroups; the
     tables (:func:`commutator_table`'s, which solves only the nonzero
     brackets) come from stacks of the entries' spans, ``STACK_BLOCK`` at
@@ -547,8 +539,7 @@ def render(
     if order is None and entries:
         order = entries[0].order
     if fmt == "json":
-        doc = {"order": order, "entries": [entry_to_dict(e) for e in entries]}
-        return json_indent2(doc) + "\n"
+        return _render_json(entries, order)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -592,6 +583,13 @@ def render(
     raise ValueError(f"unknown format {fmt!r}; expected json, csv, or md")
 
 
+@functools.cache
+def _md_formats(k: int) -> tuple[str, str]:
+    """A k x k generator (entries right-aligned to width 3) and a Cayley table in markdown."""
+    gen_row, table_row = "  [" + " ".join(["%3s"] * k) + "]", " ".join(["%d"] * k)
+    return "\n".join([gen_row] * k), "\n".join([table_row] * k)
+
+
 def _render_markdown(entries: Sequence[CatalogEntry], order: int | None) -> str:
     lines = [f"# Model catalog (k = {order})", ""]
     lines.append(f"{len(entries)} model classes.")
@@ -604,11 +602,7 @@ def _render_markdown(entries: Sequence[CatalogEntry], order: int | None) -> str:
     )
     for e, brackets in zip(entries, tables):
         r = e.report
-        # one %-format per matrix: generator entries right-aligned to width 3,
-        # Cayley-table entries 1-based
-        k = e.order
-        gen_fmt = "\n".join(["  [" + " ".join(["%3s"] * k) + "]"] * k)
-        table_fmt = "\n".join([" ".join(["%d"] * k)] * k)
+        gen_fmt, table_fmt = _md_formats(e.order)
         title = e.model_id if r.known_label is None else f"{e.model_id} — {r.known_label}"
         lines.append(f"## {title}")
         lines.append("")

@@ -142,13 +142,18 @@ def integral_rows(rows: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[int]]:
 
     This is the one integrality decision of the row reductions: one
     C-level pass over the entry types (``bool`` and ``Fraction`` are not
-    ``int``), and rows that hold only ``int`` come back as given.
+    ``int``), and rows that hold only ``int`` come back as given.  When
+    that pass finds another type, the same pass over each row picks the
+    rows to scale, and every other row is returned as the same object.
     Scaling a row leaves its span, and so every rref, unchanged.
     """
     if set(map(type, chain.from_iterable(rows))) <= {int}:
         return rows
     scaled = []
     for row in rows:
+        if set(map(type, row)) <= {int}:
+            scaled.append(row)
+            continue
         d = math.lcm(*(Fraction(x).denominator for x in row))
         scaled.append([int(Fraction(x) * d) for x in row])
     return scaled

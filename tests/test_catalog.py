@@ -8,10 +8,9 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from liemarkov import catalog, cli, linalg, representation
+from liemarkov import catalog, cli, linalg, modelgen, representation
 from liemarkov.catalog import (
     PipelineInvariantError,
     build_registry,
@@ -19,7 +18,6 @@ from liemarkov.catalog import (
     entry_to_dict,
     find_entry,
     format_combination,
-    json_indent2,
     known_subspaces,
     model_id,
     new_model_table,
@@ -209,6 +207,9 @@ def test_pipeline_k6_summary(semigroups6):
         ("786cfdb541b94f13", 6, 12),
         ("9f05181a26dab002", 5, 36),
     ]
+    # the json writer on the 96 MB document
+    digest = hashlib.sha256(render(catalog6, "json").encode()).hexdigest()
+    assert digest == "d5d2e502ccaaa588e48359487e67e2f670d6d1383bb3598632fa02385ec26160"
 
 
 @pytest.mark.slow
@@ -436,14 +437,21 @@ def test_commutator_table_empty_for_one_dimensional():
 
 
 def test_pipeline_logs_stacked_checks_apart_from_orbits(caplog, monkeypatch):
-    # the exact checks run in stacks; model_orbit's seconds are counted apart
+    # the exact checks run in stacks, whose builds they count; model_orbit's
+    # seconds are counted apart
     orbit = catalog.model_orbit
+    build = modelgen.SpanStack.__init__
 
     def slow_orbit(m):
         time.sleep(0.002)
         return orbit(m)
 
+    def slow_build(self, spans):
+        time.sleep(0.02)
+        build(self, spans)
+
     monkeypatch.setattr(catalog, "model_orbit", slow_orbit)
+    monkeypatch.setattr(modelgen.SpanStack, "__init__", slow_build)
     with caplog.at_level(logging.INFO, logger=catalog.logger.name):
         entries = run_pipeline(tables=enumerate_semigroups(3))
     match = re.search(
@@ -454,6 +462,8 @@ def test_pipeline_logs_stacked_checks_apart_from_orbits(caplog, monkeypatch):
     assert match
     total, checks, orbits = map(float, match.groups())
     assert orbits >= 0.002 * len(entries) - 0.0005
+    stacks = -(-len(entries) // modelgen.STACK_BLOCK)
+    assert checks >= 0.02 * stacks - 0.0005
     assert checks + orbits <= total + 0.0005
 
 
@@ -508,37 +518,39 @@ def test_render_json_round_trip(catalog3):
     assert json.dumps(doc, indent=2) + "\n" == render(catalog3, "json")
 
 
-@pytest.mark.parametrize(
-    "value",
-    [
-        [],
-        {},
-        {"a": [], "b": {}, "c": [[], {}], "d": [{}]},
-        [None, True, False],
-        {"none": None, "yes": True, "no": False},
-        [-1, 0, -(10**29) - 7, 123456789012345678901234567890],
-        [0.1, -0.0, 1e-300, float("nan"), float("inf"), -float("inf"), 2.0],
-        ["quote \" and backslash \\", "ctl \x00\x01\t\n\r\x1f\x7f", "—", "\U0001f600"],
-        {"\"key\"\n—": "\U0001f600"},
-        (1, ("a", (None,)), [(), (2.5,)]),
-        [[[1, 2], ["1/2", "-1"]], {"mixed": [1, "a", None, 1.5, True]}],
-        "top-level string",
-        -12,
-        3.5,
-        None,
-    ],
-)
-def test_json_indent2_matches_stdlib(value):
-    assert json_indent2(value) == json.dumps(value, indent=2)
+def _stdlib_json(entries, order):
+    """The oracle of the json rendering: the standard library's text of entry_to_dict."""
+    doc = {"order": order, "entries": [entry_to_dict(e) for e in entries]}
+    return json.dumps(doc, indent=2) + "\n"
 
 
-@pytest.mark.parametrize(
-    "value",
-    [{1, 2}, [np.int64(1)], {"a": {1: "b"}}, {None: 0}, [b"bytes"], object()],
-)
-def test_json_indent2_refuses_other_values(value):
-    with pytest.raises(TypeError):
-        json_indent2(value)
+def test_render_json_is_the_stdlib_text_of_entry_to_dict(catalog2, catalog3, catalog4):
+    for order, entries in ((2, catalog2), (3, catalog3), (4, catalog4)):
+        assert render(entries, "json") == _stdlib_json(entries, order)
+
+
+def test_render_json_of_no_entries():
+    assert render([], "json") == _stdlib_json([], None)
+    assert render([], "json", order=4) == _stdlib_json([], 4)
+
+
+def test_render_json_of_a_hand_built_entry():
+    # a Fraction generator entry, no absorbing state, several sources, and a
+    # label with a quote and a non-ASCII character next to one with none
+    sub = subspace_from_generators(
+        2, [((Fraction(-1, 2), 0), (Fraction(1, 2), 0)), ((0, 1), (0, -1))]
+    )
+    tables = [make_table(t) for t in ([[0, 1], [1, 0]], [[0, 0], [0, 1]], [[0, 0], [1, 1]])]
+    entry = catalog.classify_model(sub, [0, 2, 1], tables)
+    assert any(type(x) is Fraction for g in sub.basis for row in g for x in row)
+    assert not entry.report.absorbing and len(entry.report.provenance) == 3
+    unlabelled, labelled = (
+        dataclasses.replace(entry, report=dataclasses.replace(entry.report, known_label=label))
+        for label in (None, 'twisted "K" \u2014 2')
+    )
+    for entries in ([unlabelled], [labelled], [unlabelled, labelled]):
+        assert render(entries, "json") == _stdlib_json(entries, 2)
+        assert render(entries, "json", order=5) == _stdlib_json(entries, 5)
 
 
 def test_render_empty_catalog():

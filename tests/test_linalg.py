@@ -227,6 +227,18 @@ def test_rref_integral_bound_under_negative_and_non_dividing_pivots():
     assert linalg.rref_integral(rows, ((0, 5, 0, -5), 1)) is None
 
 
+def test_integral_rows_scales_only_the_rows_that_need_it():
+    ints = [[1, 0, -2], [0, 3, 1]]
+    assert linalg.integral_rows(ints) is ints
+    mixed = [(0, 2, -1), [Fraction(1, 2), 0, Fraction(-1, 3)], [4, 6, 0], [True, 2, 0]]
+    scaled = linalg.integral_rows(mixed)
+    # the all-int rows come back as the same objects
+    assert scaled[0] is mixed[0] and scaled[2] is mixed[2]
+    assert scaled[1] == [3, 0, -2] and scaled[3] == [1, 2, 0]
+    assert all(type(x) is int for row in scaled for x in row)
+    assert linalg.rref(mixed) == reference_rref(mixed)
+
+
 def test_span_coordinates_int_path():
     rows = linalg.rref([[1, 0, 2, -1], [0, 1, -1, 3]])
     assert is_integral(rows)
