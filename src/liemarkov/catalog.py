@@ -471,6 +471,28 @@ def entry_to_dict(e: CatalogEntry) -> dict:
     }
 
 
+def _str_keys_only(x: object) -> None:
+    if isinstance(x, dict):
+        for k, v in x.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            _str_keys_only(v)
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            _str_keys_only(v)
+
+
+def json_indent2(value: object) -> str:
+    """``json.dumps(value, indent=2)``, refusing any dict key that is not a ``str``.
+
+    The standard library writes an ``int``, ``float``, ``bool`` or
+    ``None`` key as a string, so such a document would read back with
+    other keys.  The command line's small documents are written here.
+    """
+    _str_keys_only(value)
+    return json.dumps(value, indent=2)
+
+
 @functools.cache
 def _json_formats(k: int) -> tuple[str, str, str]:
     """An entry, a k x k generator and a 1-based Cayley table of the JSON catalog, as %-formats.

@@ -8,6 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from liemarkov import catalog, cli, linalg, modelgen, representation
@@ -18,6 +19,7 @@ from liemarkov.catalog import (
     entry_to_dict,
     find_entry,
     format_combination,
+    json_indent2,
     known_subspaces,
     model_id,
     new_model_table,
@@ -516,6 +518,39 @@ def test_render_json_shape(catalog2):
 def test_render_json_round_trip(catalog3):
     doc = json.loads(render(catalog3, "json"))
     assert json.dumps(doc, indent=2) + "\n" == render(catalog3, "json")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        {},
+        {"a": [], "b": {}, "c": [[], {}], "d": [{}]},
+        [None, True, False],
+        {"none": None, "yes": True, "no": False},
+        [-1, 0, -(10**29) - 7, 123456789012345678901234567890],
+        [0.1, -0.0, 1e-300, float("nan"), float("inf"), -float("inf"), 2.0],
+        ["quote \" and backslash \\", "ctl \x00\x01\t\n\r\x1f\x7f", "—", "\U0001f600"],
+        {"\"key\"\n—": "\U0001f600"},
+        (1, ("a", (None,)), [(), (2.5,)]),
+        [[[1, 2], ["1/2", "-1"]], {"mixed": [1, "a", None, 1.5, True]}],
+        "top-level string",
+        -12,
+        3.5,
+        None,
+    ],
+)
+def test_json_indent2_matches_stdlib(value):
+    assert json_indent2(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1, 2}, [np.int64(1)], {"a": {1: "b"}}, {None: 0}, [b"bytes"], object()],
+)
+def test_json_indent2_refuses_other_values(value):
+    with pytest.raises(TypeError):
+        json_indent2(value)
 
 
 def _stdlib_json(entries, order):
