@@ -144,11 +144,15 @@ def enumerate_semigroups(k: int) -> list[CayleyTable]:
     """All semigroups of order k up to isomorphism, canonical and sorted.
 
     Depth-first fill of the table in row-major order with two prunings
-    after each placement.  Associativity: every triple whose four
-    participating products just became defined is checked.  Before a
-    cell is filled, the triples in which it is the outer product and
-    every other product is defined force its value: only that value is
-    tried, and none when two such triples disagree.  Canonicity,
+    after each placement.  Associativity: before a cell is filled, the
+    triples in which it is the outer product and every other product is
+    defined force its value: only that value is tried, and none when two
+    such triples disagree.  After the placement, the triples in which the
+    new cell (i, j) is an inner product, (i, j, c) and (a, i, j), are
+    checked once their four products are defined.  These include every
+    triple that reads the new cell twice, the only ones the forced value
+    could not see, so the triples in which it is the outer product need
+    no second scan.  Canonicity,
     lex-leader pruning whose ties persist down the search tree: each
     non-identity relabeling p compares ``p(m[p^-1 i][p^-1 j])`` with the
     partial table in row-major order up to the first cell that differs or
@@ -195,20 +199,6 @@ def enumerate_semigroups(k: int) -> list[CayleyTable]:
                 left = m[rows[ai] + j]
                 right = m[ra + v]
                 if left >= 0 and right >= 0 and left != right:
-                    return False
-        # (a, b, j) with t[a][b] == i: outer product on the left is the new cell
-        for (a, b) in occ[i]:
-            bj = m[rows[b] + j]
-            if bj >= 0:
-                right = m[rows[a] + bj]
-                if right >= 0 and right != v:
-                    return False
-        # (i, b, c) with t[b][c] == j: outer product on the right is the new cell
-        for (b, c) in occ[j]:
-            ib = m[ri + b]
-            if ib >= 0:
-                left = m[rows[ib] + c]
-                if left >= 0 and left != v:
                     return False
         return True
 

@@ -22,9 +22,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import linalg
-from .cayley import Perm, relabel_gathers
+from .cayley import CayleyTable, Perm, relabel_gathers
 from .linalg import Matrix, Scalar
-from .representation import RegularRep, ones
+from .representation import RegularRep
 
 RrefKey = tuple[tuple[Scalar, ...], ...]
 
@@ -95,31 +95,37 @@ def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelS
     return _span(order, flats())
 
 
+def rate_rows(t: CayleyTable) -> list[tuple[int, ...]]:
+    """A_i - I for each row i of the Cayley table, as one flat row of ``int`` each.
+
+    Row i is -1 on the diagonal plus 1 at each position (i*j, j) of a one
+    of A_i (see ``representation.ones``); it is zero exactly when A_i is
+    the identity.
+    """
+    k = t.order
+    minus_ident = [0] * (k * k)
+    for s in range(0, k * k, k + 1):
+        minus_ident[s] = -1
+    rows = []
+    for products in t.table:
+        row = minus_ident.copy()
+        for j, x in enumerate(products):
+            row[x * k + j] += 1
+        rows.append(tuple(row))
+    return rows
+
+
 def rate_basis(r: RegularRep) -> ModelSubspace:
     """Rate-matrix generators -I + A_i of a regular representation.
 
     Duplicates and zero generators (A_i equal to the identity) are
     dropped, which is why the dimension can fall below the semigroup
     order.  Every surviving generator lies in the stochastic cone: its
-    off-diagonal entries are the 0/1 off-diagonal entries of A_i.  Each
-    A_i - I is written straight from row i of the Cayley table as one
-    flat row of ``int`` (-1 on the diagonal, plus 1 at each position of
-    ``representation.ones``), which ``linalg.rref`` hands to the ``int``
-    kernel as it is.
+    off-diagonal entries are the 0/1 off-diagonal entries of A_i.  The
+    generators are the flat ``int`` rows of :func:`rate_rows`, which
+    ``linalg.rref`` hands to the ``int`` kernel as they are.
     """
-    k = r.order
-    minus_ident = [0] * (k * k)
-    for s in range(0, k * k, k + 1):
-        minus_ident[s] = -1
-
-    def flats():
-        for i in range(k):
-            row = minus_ident.copy()
-            for s in ones(r.table, i):
-                row[s] += 1
-            yield tuple(row)
-
-    return _span(k, flats())
+    return _span(r.order, rate_rows(r.table))
 
 
 def contains(

@@ -12,8 +12,12 @@ q^-1 o p over all of them p.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .cayley import Perm, compose, identity_perm, invert
 from .linalg import Matrix
@@ -69,6 +73,23 @@ def cycle_string(p: Perm) -> str:
             x = p[x]
         parts.append("(" + " ".join(str(i + 1) for i in cyc) + ")")
     return "".join(parts) if parts else "e"
+
+
+@functools.cache
+def cycle_strings(k: int) -> Mapping[Perm, str]:
+    """:func:`cycle_string` of every permutation of {0..k-1}, read-only.
+
+    Built on the first use at order k, like the orbit's tables of S_k,
+    and shared by every later one: a catalog names the same few
+    permutations over and over.
+    """
+    return MappingProxyType({p: cycle_string(p) for p in itertools.permutations(range(k))})
+
+
+@functools.cache
+def _perm_orders(k: int) -> Mapping[Perm, int]:
+    """:func:`perm_order` of every permutation of {0..k-1}, built on the first use at order k."""
+    return MappingProxyType({p: perm_order(p) for p in itertools.permutations(range(k))})
 
 
 def parse_perm(text: str, k: int) -> Perm:
@@ -131,10 +152,11 @@ def name_group_elements(k: int, elements: tuple[Perm, ...]) -> str:
     """Abstract type of a subgroup of S_k, looked up in _GROUP_NAMES.
 
     Subgroups of S_k with k <= 5, and groups of order at most 4, are
-    named by their type; any other group is "order-N subgroup".
+    named by their type; any other group is "order-N subgroup".  Element
+    orders come from a per-order table of S_k.
     """
     n = len(elements)
-    name = _GROUP_NAMES.get((n, max(perm_order(p) for p in elements)))
+    name = _GROUP_NAMES.get((n, max(map(_perm_orders(k).__getitem__, elements))))
     return name if name and (k <= 5 or n <= 4) else f"order-{n} subgroup"
 
 

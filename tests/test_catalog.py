@@ -212,6 +212,10 @@ def test_pipeline_k6_summary(semigroups6):
     # the json writer on the 96 MB document
     digest = hashlib.sha256(render(catalog6, "json").encode()).hexdigest()
     assert digest == "d5d2e502ccaaa588e48359487e67e2f670d6d1383bb3598632fa02385ec26160"
+    # the markdown, most of whose commutator tables come from the product rule;
+    # the digest is that of the elimination-only renderer this replaced
+    digest = hashlib.sha256(render(catalog6, "md").encode()).hexdigest()
+    assert digest == "eebddaee6cdddb3213eb61852b84cbf01b48ed71587aab8746962170aad89c79"
 
 
 @pytest.mark.slow
@@ -240,6 +244,50 @@ def test_commutator_table_k5_coefficients(catalog5):
     assert text.count("\n") + 1 == 8163
     digest = hashlib.sha256(text.encode()).hexdigest()
     assert digest == "9e9988b02576c6665cc48d0dd00208c9cd3c54a713241c2ed475bf525419ba36"
+
+
+def rule_and_elimination(entries):
+    """Each entry's product-rule table (None where it does not apply) and its elimination table."""
+    rule = [catalog._product_rule_table(e) for e in entries]
+    spans = [e.report.subspace for e in entries]
+    solved = [t for stack in modelgen.span_stacks(spans) for t in catalog._commutator_tables(stack)]
+    return rule, solved
+
+
+def with_report(e, **changes):
+    return dataclasses.replace(e, report=dataclasses.replace(e.report, **changes))
+
+
+def md_brackets(text):
+    return [line for line in text.splitlines() if line.startswith("- [L")]
+
+
+def reference_brackets(sub):
+    return [
+        f"- [L{i + 1}, L{j + 1}] = {format_combination(c)}" for i, j, c in commutator_table(sub)
+    ]
+
+
+@pytest.mark.slow
+def test_product_rule_k5_agrees_with_elimination(catalog5):
+    rule, solved = rule_and_elimination(catalog5)
+    served = [i for i, t in enumerate(rule) if t is not None]
+    assert (len(served), len(catalog5) - len(served)) == (1289, 55)
+    assert all(rule[i] == solved[i] for i in served)
+    # why dependent generators keep the elimination: on 6 of the 55 spans the
+    # rule gives another valid combination than the one it pins
+    dependent = [e for e in catalog5 if len(e.report.subspace.basis) != e.report.dimension]
+    assert len(dependent) == 55
+    other = [
+        e
+        for e in dependent
+        if catalog._product_rule_table(with_report(e, dimension=len(e.report.subspace.basis)))
+        != commutator_table(e.report.subspace)
+    ]
+    assert len(other) == 6
+    assert md_brackets(render(other, "md")) == [
+        line for e in other for line in reference_brackets(e.report.subspace)
+    ]
 
 
 def test_pipeline_lie_closure_asserted_everywhere(catalog2, catalog3, catalog4):
@@ -470,7 +518,6 @@ def test_pipeline_logs_stacked_checks_apart_from_orbits(caplog, monkeypatch):
 
 
 def test_render_markdown_solves_only_nonzero_brackets(catalog4, monkeypatch):
-    # 131 entries, 126 with pairs, 53 of those fully commutative
     calls = []
     solve = linalg.rref_with_transform
 
@@ -479,8 +526,77 @@ def test_render_markdown_solves_only_nonzero_brackets(catalog4, monkeypatch):
         return solve(rows)
 
     monkeypatch.setattr(catalog.linalg, "rref_with_transform", counted)
-    render(catalog4, "md")
+    # the elimination over all 131 spans: 126 with pairs, 53 of those fully commutative
+    rule_and_elimination(catalog4)
     assert len(calls) == 73
+    # the markdown solves only the 2 entries the product rule leaves, both
+    # fully commutative
+    calls.clear()
+    render(catalog4, "md")
+    assert calls == []
+
+
+def test_product_rule_agrees_with_elimination(catalog2, catalog3, catalog4):
+    # [L_a, L_b] = L_ab - L_ba wherever the rule serves an entry
+    counts = []
+    for entries in (catalog2, catalog3, catalog4):
+        rule, solved = rule_and_elimination(entries)
+        served = [i for i, t in enumerate(rule) if t is not None]
+        assert all(rule[i] == solved[i] for i in served)
+        assert all(type(x) is int for i in served for _, _, c in rule[i] for x in c)
+        counts.append((len(served), len(entries) - len(served)))
+    assert counts == [(3, 0), (15, 0), (129, 2)]
+    # the two order-4 entries whose generators are dependent
+    assert sorted(
+        e.model_id for e, t in zip(catalog4, rule) if t is None
+    ) == ["5d12a93a81d0ac05", "e592fb285f7e55a7"]
+
+
+def test_render_markdown_checks_the_product_rule_per_entry(catalog4):
+    # each entry given the next entry's sources: their generators are not
+    # its own, so its table is solved
+    mutated = [
+        with_report(e, provenance=nxt.report.provenance)
+        for e, nxt in zip(catalog4, catalog4[1:] + catalog4[:1])
+    ]
+    assert all(catalog._product_rule_table(e) is None for e in mutated)
+    assert md_brackets(render(mutated, "md")) == [
+        line for e in catalog4 for line in reference_brackets(e.report.subspace)
+    ]
+    # dependent generators of a semigroup, on which the rule would give
+    # another combination than the elimination's
+    table = make_table([[0, 2, 2, 3], [2, 1, 2, 2], [2, 2, 2, 2], [2, 3, 2, 2]])
+    sub = rate_basis(regular_rep(table))
+    entry = catalog.classify_model(sub, [0], [table])
+    assert len(sub.basis) == 4 and sub.dim == 3
+    assert catalog._product_rule_table(with_report(entry, dimension=4)) != commutator_table(sub)
+    # independent generators of a table that is not associative, whose
+    # span is still Lie closed
+    table = make_table([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+    assert not is_associative(table)
+    gens = [linalg.unvectorize(row, 3) for row in modelgen.rate_rows(table)]
+    odd = catalog.classify_model(subspace_from_generators(3, gens), [0], [table])
+    assert odd.report.dimension == 3
+    for e in (entry, odd):
+        assert catalog._product_rule_table(e) is None
+        assert md_brackets(render([e], "md")) == reference_brackets(e.report.subspace)
+
+
+def test_render_markdown_raises_for_a_hand_built_sym_entry(catalog4):
+    sym = fixture("SYM").subspace
+    entry = with_report(catalog4[0], subspace=sym, dimension=sym.dim)
+    with pytest.raises(PipelineInvariantError, match="left the span"):
+        render([entry], "md")
+
+
+def test_render_markdown_logs_the_commutator_paths(catalog4, caplog):
+    with caplog.at_level(logging.INFO, logger=catalog.logger.name):
+        render(catalog4, "md")
+    assert re.search(
+        r"markdown: 129 commutator tables by the product rule, 2 by elimination "
+        r"\(rendered in \d+\.\d{3} s\)",
+        caplog.text,
+    )
 
 
 def test_format_combination():
