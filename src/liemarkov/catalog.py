@@ -44,13 +44,13 @@ from .modelgen import (
     RrefKey,
     SpanStack,
     canonical_subspace,
+    generator_index,
     model_orbit,
     rate_basis,
-    rate_rows,
     span_stacks,
     subspace_from_generators,
 )
-from .representation import regular_rep
+from .representation import RegularRep, rate_rows, regular_rep
 from .symmetry import (
     SymmetryGroup,
     cycle_strings,
@@ -239,6 +239,14 @@ def _classify_stack(
     return entries, checks_s, orbits_s
 
 
+def _semigroup_rep(t: CayleyTable, what: str, pos: int) -> RegularRep:
+    """``regular_rep(t)``, whose ValueError for a table that is not associative names it."""
+    try:
+        return regular_rep(t)
+    except ValueError:
+        raise ValueError(f"{what} {pos} is not associative") from None
+
+
 def classify_model(
     sub: ModelSubspace,
     member_indices: Sequence[int],
@@ -248,10 +256,18 @@ def classify_model(
 
     A :class:`~liemarkov.modelgen.SpanStack` of one span gives the exact
     checks and the support facts; ``model_orbit`` gives the key, the
-    symmetry group and the variant count.  Raises
+    symmetry group and the variant count.  Raises ValueError, naming the
+    1-based position of the source in ``tables``, when a source is not
+    associative or its rate basis spans another subspace than ``sub``
+    (``run_pipeline`` groups its sources by that span and classifies
+    through ``_classify_stack``, which skips this check).  Raises
     PipelineInvariantError if the span is not Lie closed or its orbit
     fails orbit-stabilizer.
     """
+    for i in member_indices:
+        span = rate_basis(_semigroup_rep(tables[i], "source table", i + 1))
+        if (span.order, span.rref) != (sub.order, sub.rref):
+            raise ValueError(f"source table {i + 1} does not span the given model")
     return _classify_stack([sub], [member_indices], tables)[0][0]
 
 
@@ -299,13 +315,9 @@ def run_pipeline(
             raise ValueError(f"tables of mixed orders {sorted(orders)}")
 
     start = time.perf_counter()
-    subspaces = []
-    for pos, t in enumerate(tables, start=1):
-        try:
-            rep = regular_rep(t)  # the one associativity check
-        except ValueError:
-            raise ValueError(f"table block {pos} is not associative") from None
-        subspaces.append(rate_basis(rep))
+    subspaces = [
+        rate_basis(_semigroup_rep(t, "table block", pos)) for pos, t in enumerate(tables, start=1)
+    ]
     built = time.perf_counter()
     groups: dict[RrefKey, list[int]] = {}
     for idx, sub in enumerate(subspaces):
@@ -439,24 +451,26 @@ def _product_rule_table(
     [L_a, L_b] = L_ab - L_ba: the coefficients of a bracket are
     e(ab) - e(ba), where e(x) is the unit vector of L_x's generator (zero
     when A_x = I).  This holds when the generators are exactly the
-    :func:`~liemarkov.modelgen.rate_rows` of the representative source, the
-    least table of the provenance (the one ``run_pipeline`` builds the
-    basis from), zero rows dropped and repeats sent to their first
-    occurrence, and that table is associative.  The coefficients are
-    unique only when the generators are independent; otherwise, or when
-    the generators are not the table's, this returns None.
+    :func:`~liemarkov.representation.rate_rows` of the representative
+    source, the least table of the provenance (the one ``run_pipeline``
+    builds the basis from), kept by
+    :func:`~liemarkov.modelgen.generator_index`, and that table is
+    associative.  The coefficients are unique only when the generators
+    are independent; otherwise, or when the generators are not the
+    table's, this returns None.
     """
     r = e.report
     n = len(r.subspace.basis)
     if n != r.dimension or not r.provenance:
         return None
     t = min(r.provenance, key=operator.attrgetter("table"))
-    index: dict[tuple[int, ...], int] = {}  # generator row -> its position
-    gen_of = [index.setdefault(row, len(index)) if any(row) else None for row in rate_rows(t)]
+    rows = rate_rows(t)
+    index = generator_index(rows)
     if list(index) != [tuple(chain.from_iterable(g)) for g in r.subspace.basis]:
         return None
     if not is_associative(t):
         return None
+    gen_of = [index.get(row) for row in rows]
     reps = [gen_of.index(i) for i in range(n)]  # the first element of each generator
     m = t.table
     tables = []

@@ -136,7 +136,11 @@ def canonical_form(t: CayleyTable) -> CayleyTable:
 
 @functools.cache
 def relabel_gathers(k: int) -> tuple[tuple[Perm, tuple[int, ...]], ...]:
-    """Each permutation of {0..k-1}, the identity first, with its relabel gather."""
+    """Each permutation of {0..k-1}, the identity first, with its relabel gather.
+
+    This is the package's one ordering of S_k: ``modelgen`` indexes its
+    orbits and its product table of S_k by it.
+    """
     return tuple((p, linalg.relabel_gather(p)) for p in itertools.permutations(range(k)))
 
 

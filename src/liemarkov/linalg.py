@@ -11,13 +11,14 @@ row-reduce many relabelings of one span (``modelgen.model_orbit``) scale
 once and call ``rref_integral``, with the least rref found so far as a
 bound that cuts a candidate once its row 0 compares greater.  An rref
 entry is ``int`` exactly when its value is integral.
-``span_coordinates`` runs on ``object``-dtype numpy arrays of the same
-values (``modelgen.contains``); generator products and their membership
-are ``modelgen.SpanStack``'s.  ``reach``, the transitive closure of a
-stack of off-diagonal nonzero patterns, is boolean and so exact too: it
-decides ``modelgen.is_reducible`` for a whole stack of spans, and which
-entries ``closure.expm`` keeps at exactly 0 and which products the
-triangular ``logm`` route serves.
+Coordinates over an rref are a vector's entries at its pivot columns
+(:func:`pivot_columns`), read in exact Python by ``modelgen.contains``;
+generator products and their membership are ``modelgen.SpanStack``'s.
+``reach``, the transitive closure of a stack of off-diagonal nonzero
+patterns, is boolean and so exact too: it decides
+``modelgen.is_reducible`` for a whole stack of spans, and which entries
+``closure.expm`` keeps at exactly 0 and which products the triangular
+``logm`` route serves.
 Floating point enters the package only in :mod:`liemarkov.closure`.
 """
 
@@ -263,29 +264,8 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Vector, ...]:
 
 
 def pivot_columns(rref_rows: Sequence[Vector]) -> list[int]:
-    cols = []
-    for row in rref_rows:
-        for j, x in enumerate(row):
-            if x != 0:
-                cols.append(j)
-                break
-    return cols
-
-
-def span_coordinates(
-    rref_rows: Sequence[Vector], vectors: Sequence[Sequence[Scalar]] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates of stacked vectors over canonical rref rows, and membership.
-
-    ``vectors`` is an (n, d) stack.  Over an rref basis the coordinates of
-    v are its entries at the pivot columns, and v is in the span iff
-    v - coords @ rref is zero.  Returns the (n, rank) coordinates and a
-    length-n bool array; coordinates of a vector outside are meaningless.
-    """
-    v = np.asarray(vectors, dtype=object)
-    coords = v[:, pivot_columns(rref_rows)]
-    basis = np.array(rref_rows, dtype=object).reshape(-1, v.shape[1])
-    return coords, ~(v - coords @ basis != 0).any(axis=1)
+    """The column of the first nonzero entry of each row; an rref row is never zero."""
+    return [next(j for j, x in enumerate(row) if x != 0) for row in rref_rows]
 
 
 def rref_with_transform(

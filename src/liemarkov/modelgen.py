@@ -22,9 +22,9 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import linalg
-from .cayley import CayleyTable, Perm, relabel_gathers
+from .cayley import Perm, relabel_gathers
 from .linalg import Matrix, Scalar
-from .representation import RegularRep
+from .representation import RegularRep, rate_rows
 
 RrefKey = tuple[tuple[Scalar, ...], ...]
 
@@ -52,20 +52,29 @@ def _check_shape(x: Matrix, order: int, what: str) -> None:
         )
 
 
+def generator_index(flats: Iterable[tuple[Scalar, ...]]) -> dict[tuple[Scalar, ...], int]:
+    """The generator rule of a span: zero rows dropped, repeats sent to their first occurrence.
+
+    Maps each kept row, in order, to its position among the generators, so
+    the generator of a row is ``index.get(row)``, None for a zero row.
+    """
+    index: dict[tuple[Scalar, ...], int] = {}
+    for flat in flats:
+        if any(flat):
+            index.setdefault(flat, len(index))
+    return index
+
+
 def _span(order: int, flats: Iterable[tuple[Scalar, ...]]) -> ModelSubspace:
-    """Span of exact row-major generators; zero ones and repeats are dropped, first kept.
+    """Span of exact row-major generators, kept by :func:`generator_index`.
 
     Column sums are checked on the flat rows (column j is ``flat[j::order]``),
-    once per distinct nonzero generator; only the kept rows become matrices.
+    once per kept generator; only the kept rows become matrices.
     """
-    rows: dict[tuple[Scalar, ...], None] = {}
-    for flat in flats:
-        if flat in rows or not any(flat):
-            continue
+    rows = generator_index(flats)
+    for flat in rows:
         if any(sum(flat[j::order]) for j in range(order)):
-            g = linalg.unvectorize(flat, order)
-            raise ValueError(f"generator has nonzero column sums: {g}")
-        rows[flat] = None
+            raise ValueError(f"generator has nonzero column sums: {linalg.unvectorize(flat, order)}")
     basis = tuple(linalg.unvectorize(flat, order) for flat in rows)
     return ModelSubspace(order, basis, linalg.rref(list(rows)))
 
@@ -82,7 +91,8 @@ def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelS
     string raises TypeError.  So a span has one stored basis whatever type
     the caller used, a float copy of an earlier generator is a repeat, and
     the exact checks over its generators never run in float arithmetic.
-    Entries are converted, then the shape checked, then the column sums.
+    Every generator's entries are converted and its shape checked before
+    any column sums are.
     """
 
     def flats():
@@ -95,26 +105,6 @@ def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelS
     return _span(order, flats())
 
 
-def rate_rows(t: CayleyTable) -> list[tuple[int, ...]]:
-    """A_i - I for each row i of the Cayley table, as one flat row of ``int`` each.
-
-    Row i is -1 on the diagonal plus 1 at each position (i*j, j) of a one
-    of A_i (see ``representation.ones``); it is zero exactly when A_i is
-    the identity.
-    """
-    k = t.order
-    minus_ident = [0] * (k * k)
-    for s in range(0, k * k, k + 1):
-        minus_ident[s] = -1
-    rows = []
-    for products in t.table:
-        row = minus_ident.copy()
-        for j, x in enumerate(products):
-            row[x * k + j] += 1
-        rows.append(tuple(row))
-    return rows
-
-
 def rate_basis(r: RegularRep) -> ModelSubspace:
     """Rate-matrix generators -I + A_i of a regular representation.
 
@@ -122,8 +112,9 @@ def rate_basis(r: RegularRep) -> ModelSubspace:
     dropped, which is why the dimension can fall below the semigroup
     order.  Every surviving generator lies in the stochastic cone: its
     off-diagonal entries are the 0/1 off-diagonal entries of A_i.  The
-    generators are the flat ``int`` rows of :func:`rate_rows`, which
-    ``linalg.rref`` hands to the ``int`` kernel as they are.
+    generators are the flat ``int`` rows of
+    :func:`~liemarkov.representation.rate_rows`, which ``linalg.rref``
+    hands to the ``int`` kernel as they are.
     """
     return _span(r.order, rate_rows(r.table))
 
@@ -131,14 +122,19 @@ def rate_basis(r: RegularRep) -> ModelSubspace:
 def contains(
     m: ModelSubspace, x: Sequence[Sequence[Scalar]]
 ) -> tuple[Fraction, ...] | None:
-    """Exact membership by ``linalg.span_coordinates``: coefficients over the rref, else None.
+    """Exact membership: the coefficients of ``x`` over the rref rows, else None.
 
-    Raises ValueError unless ``x`` is ``m.order`` x ``m.order``.
+    Over an rref basis the coordinates of v are its entries at the pivot
+    columns, and v lies in the span iff that combination of the rows is v
+    itself; both are read in the exact arithmetic of the entries.  Raises
+    ValueError unless ``x`` is ``m.order`` x ``m.order``.
     """
     x = linalg.mat(x)
     _check_shape(x, m.order, "matrix")
-    coords, inside = linalg.span_coordinates(m.rref, [linalg.vectorize(x)])
-    return tuple(coords[0].tolist()) if inside[0] else None
+    v = linalg.vectorize(x)
+    coords = tuple(v[p] for p in linalg.pivot_columns(m.rref))
+    combination = [sum(c * row[j] for c, row in zip(coords, m.rref)) for j in range(len(v))]
+    return coords if list(v) == combination else None
 
 
 STACK_BLOCK = 128
@@ -340,18 +336,19 @@ def _orbit_getters(k: int) -> tuple[tuple[Perm, operator.itemgetter], ...]:
 
 @functools.cache
 def _perm_products(k: int) -> tuple[tuple[int, ...], ...]:
-    """The product table of S_k on the indices of ``_orbit_getters(k)``.
+    """The product table of S_k on the indices of ``cayley.relabel_gathers(k)``.
 
-    Entry [a][b] is the index of p_a o p_b; index 0 is the identity.  The
-    indices are the lexicographic ranks that ``itertools.permutations``
-    gives, so each composite is ranked by a binary search on its digits
-    read as a base-k number.  Built on the first orbit of order k that
-    needs it; at k = 6 the 720 x 720 table holds about 4 MB.
+    Entry [a][b] is the index of p_a o p_b; index 0 is the identity.  Each
+    composite is ranked by a lookup of its digits read as a base-k number,
+    whatever order the permutations come in.  Built on the first orbit of
+    order k that needs it; at k = 6 the 720 x 720 table holds about 4 MB.
     """
-    perms = np.array(list(itertools.permutations(range(k))), dtype=np.int8)
+    perms = np.array([p for p, _ in relabel_gathers(k)], dtype=np.int8)
     comp = perms[:, perms]  # comp[a, b, x] = p_a[p_b[x]]
-    weights = k ** np.arange(k - 1, -1, -1, dtype=np.int32)
-    index = np.searchsorted(perms @ weights, comp @ weights)
+    weights = k ** np.arange(k - 1, -1, -1)
+    rank = np.empty(k**k, dtype=np.intp)
+    rank[perms @ weights] = np.arange(len(perms))
+    index = rank[comp @ weights]
     ints = list(range(len(perms)))  # one int object per index, shared by every row
     return tuple(tuple(map(ints.__getitem__, row.tolist())) for row in index)
 

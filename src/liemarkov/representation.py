@@ -7,8 +7,10 @@ of every A_i sums to 1.  Unlike the group case the map need not be
 injective, and some A_i may equal the identity.
 
 A ``RegularRep`` keeps the Cayley table itself: A_i is fixed by row i of
-the table, so every fact of the representation is read off the table
-(:func:`ones`), and the nested matrices are built only when asked for.
+the table, so every fact of the representation is read off the table.
+:func:`rate_rows` is the one place that encodes A_i e_j = e_{i*j}: it
+writes the rate generators L_i = A_i - I that the model spans, and the
+nested matrices A_i = L_i + I are built from them only when asked for.
 """
 
 from __future__ import annotations
@@ -32,21 +34,33 @@ class RegularRep:
 
     @property
     def matrices(self) -> tuple[Matrix, ...]:
-        """A_1..A_k as nested 0/1 matrices, built from the table on each access."""
+        """A_1..A_k as nested 0/1 matrices, (A_i - I) + I, built on each access."""
         k = self.order
-        mats = []
-        for i in range(k):
-            flat = [0] * (k * k)
-            for s in ones(self.table, i):
-                flat[s] = 1
-            mats.append(linalg.unvectorize(flat, k))
-        return tuple(mats)
+        ident = linalg.vectorize(linalg.identity(k))
+        return tuple(
+            linalg.unvectorize([x + y for x, y in zip(row, ident)], k)
+            for row in rate_rows(self.table)
+        )
 
 
-def ones(t: CayleyTable, i: int) -> tuple[int, ...]:
-    """Row-major positions of the ones of A_i: A_i e_j = e_{i*j}, a 1 at (i*j, j)."""
+def rate_rows(t: CayleyTable) -> list[tuple[int, ...]]:
+    """A_i - I for each row i of the Cayley table, as one flat row of ``int`` each.
+
+    A_i e_j = e_{i*j} puts a 1 at (i*j, j), row-major position
+    (i*j) k + j, so row i is -1 on the diagonal plus 1 at each of those;
+    it is zero exactly when A_i is the identity.
+    """
     k = t.order
-    return tuple(x * k + j for j, x in enumerate(t.table[i]))
+    minus_ident = [0] * (k * k)
+    for s in range(0, k * k, k + 1):
+        minus_ident[s] = -1
+    rows = []
+    for products in t.table:
+        row = minus_ident.copy()
+        for j, x in enumerate(products):
+            row[x * k + j] += 1
+        rows.append(tuple(row))
+    return rows
 
 
 def regular_rep(t: CayleyTable) -> RegularRep:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import logging
 import re
@@ -85,6 +86,24 @@ def test_classify_model_raises_on_lie_failure():
         catalog.classify_model(fixture("SYM").subspace, [], [])
 
 
+def test_classify_model_refuses_sources_that_are_not_semigroups_of_the_span():
+    table = make_table([[0, 0, 0], [0, 0, 1], [0, 1, 0]])  # 1-based ((1,1,1),(1,1,2),(1,2,1))
+    assert not is_associative(table)
+    gens = [linalg.unvectorize(row, 3) for row in representation.rate_rows(table)]
+    sub = subspace_from_generators(3, gens)
+    c3 = make_table([[(i + j) % 3 for j in range(3)] for i in range(3)])
+    with pytest.raises(ValueError, match="^source table 2 is not associative$"):
+        catalog.classify_model(sub, [1], [c3, table])
+    # an associative source whose rate basis spans another model
+    with pytest.raises(ValueError, match="^source table 1 does not span the given model$"):
+        catalog.classify_model(sub, [0, 1], [c3, table])
+    with pytest.raises(ValueError, match="^source table 1 does not span the given model$"):
+        catalog.classify_model(rate_basis(regular_rep(c3)), [0], [make_table([[0, 1], [1, 0]])])
+    # the span's own semigroup is accepted, among the tables at any position
+    entry = catalog.classify_model(rate_basis(regular_rep(c3)), [1], [table, c3])
+    assert entry.report.provenance == (c3,) and entry.report.source_ids == (2,)
+
+
 def test_classify_model_keeps_lie_closure_when_algebra_fails():
     report = catalog.classify_model(fixture("JJ3").subspace, [], []).report
     assert report.lie_closed
@@ -160,6 +179,112 @@ def test_pipeline_k4_funnel(catalog4):
     }
 
 
+def columns_are_permutations(t):
+    """True iff y -> y*a is a bijection for every a: every column of the table."""
+    return all(len(set(col)) == t.order for col in zip(*t.table))
+
+
+def left_fixed(t):
+    """The elements z with x*z = z for every x."""
+    return frozenset(z for z in range(t.order) if all(row[z] == z for row in t.table))
+
+
+def in_the_funnel(r):
+    """The funnel's last filter: non-reducible with no absorbing state."""
+    return not r.reducible and not r.absorbing
+
+
+def table_rule_failures(entries, keep=in_the_funnel):
+    """Where the entries break the table rules, checked on every source table.
+
+    A model is reducible iff some column of its source table is not a
+    permutation, its absorbing states are the z with x*z = z for every x,
+    no non-reducible model has one, and so ``keep`` must select exactly the
+    entries whose source columns are all permutations.
+    """
+    failures = []
+    for e in entries:
+        r = e.report
+        for t in r.provenance:
+            if r.reducible == columns_are_permutations(t):
+                failures.append((e.model_id, "column rule", t.table))
+            if r.absorbing != left_fixed(t):
+                failures.append((e.model_id, "absorbing rule", t.table))
+        if not r.reducible and r.absorbing:
+            failures.append((e.model_id, "absorbing state of a non-reducible model", None))
+        if keep(r) != all(map(columns_are_permutations, r.provenance)):
+            failures.append((e.model_id, "funnel filter", None))
+    return failures
+
+
+def automorphisms(t):
+    """Aut(S) by brute force over every permutation of the elements."""
+    m = t.table
+    cells = list(itertools.product(range(t.order), repeat=2))
+    return [
+        p
+        for p in itertools.permutations(range(t.order))
+        if all(p[m[x][y]] == m[p[x]][p[y]] for x, y in cells)
+    ]
+
+
+def automorphism_failures(entries):
+    """Source automorphisms that are not symmetries of their entry's model: Aut(S) in Sym(L)."""
+    return [
+        (e.model_id, p)
+        for e in entries
+        for t in e.report.provenance
+        for p in automorphisms(t)
+        if p not in e.report.symmetry.elements
+    ]
+
+
+def test_table_rules_orders_2_to_4(catalog2, catalog3, catalog4):
+    for entries in (catalog2, catalog3, catalog4):
+        assert table_rule_failures(entries) == []
+        assert automorphism_failures(entries) == []
+    # Aut(S) is often smaller than Sym(L): the check is an inclusion
+    assert sum(
+        len(automorphisms(t)) < len(e.report.symmetry)
+        for e in catalog4
+        for t in e.report.provenance
+    ) > 0
+    # mutation: a filter that also keeps the reducible spans without an
+    # absorbing state disagrees with the column rule
+    failures = table_rule_failures(catalog4, keep=lambda r: not r.absorbing)
+    assert failures and {rule for _, rule, _ in failures} == {"funnel filter"}
+
+
+@pytest.mark.slow
+def test_table_rules_order5(catalog5):
+    assert table_rule_failures(catalog5) == []
+    assert automorphism_failures(catalog5) == []
+
+
+def test_one_span_iff_one_span_with_the_identity(semigroups2, semigroups3, semigroups4, catalog4):
+    # L = span{A_a - I} and span{I, A_a} = span{I} + L, so they group the tables alike
+    for tables in (semigroups2, semigroups3, semigroups4):
+        assert_spans_group_like_identity_spans(tables)
+    # the order-4 groups of tables behind one nontrivial span
+    assert Counter(len(e.report.source_ids) for e in catalog4) == {1: 90, 2: 28, 3: 11, 4: 2}
+
+
+@pytest.mark.slow
+def test_one_span_iff_one_span_with_the_identity_order5(semigroups5):
+    assert_spans_group_like_identity_spans(semigroups5)
+
+
+def assert_spans_group_like_identity_spans(tables):
+    spans, with_identity = [], []
+    for t in tables:
+        rep = regular_rep(t)
+        spans.append(rate_basis(rep).rref)
+        ident = linalg.identity(t.order)
+        with_identity.append(linalg.rref([linalg.vectorize(a) for a in (ident, *rep.matrices)]))
+    pairs = set(zip(spans, with_identity))
+    assert len(pairs) == len(set(spans)) == len(set(with_identity))
+
+
 @pytest.mark.slow
 def test_pipeline_k5_summary(catalog5):
     # measured on this implementation, not figures from the paper
@@ -209,6 +334,8 @@ def test_pipeline_k6_summary(semigroups6):
         ("786cfdb541b94f13", 6, 12),
         ("9f05181a26dab002", 5, 36),
     ]
+    # the two table rules of the left-group account, on every source table
+    assert table_rule_failures(catalog6) == []
     # the json writer on the 96 MB document
     digest = hashlib.sha256(render(catalog6, "json").encode()).hexdigest()
     assert digest == "d5d2e502ccaaa588e48359487e67e2f670d6d1383bb3598632fa02385ec26160"
@@ -574,8 +701,13 @@ def test_render_markdown_checks_the_product_rule_per_entry(catalog4):
     # span is still Lie closed
     table = make_table([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
     assert not is_associative(table)
-    gens = [linalg.unvectorize(row, 3) for row in modelgen.rate_rows(table)]
-    odd = catalog.classify_model(subspace_from_generators(3, gens), [0], [table])
+    gens = [linalg.unvectorize(row, 3) for row in representation.rate_rows(table)]
+    # classify_model refuses it as a source, so the entry is built by hand
+    odd = with_report(
+        catalog.classify_model(subspace_from_generators(3, gens), [], []),
+        provenance=(table,),
+        source_ids=(1,),
+    )
     assert odd.report.dimension == 3
     for e in (entry, odd):
         assert catalog._product_rule_table(e) is None
@@ -692,7 +824,13 @@ def test_render_json_of_a_hand_built_entry():
         2, [((Fraction(-1, 2), 0), (Fraction(1, 2), 0)), ((0, 1), (0, -1))]
     )
     tables = [make_table(t) for t in ([[0, 1], [1, 0]], [[0, 0], [0, 1]], [[0, 0], [1, 1]])]
-    entry = catalog.classify_model(sub, [0, 2, 1], tables)
+    # none of the tables spans sub, which classify_model refuses, so the
+    # sources are set by hand
+    entry = with_report(
+        catalog.classify_model(sub, [], []),
+        provenance=tuple(tables[i] for i in (0, 2, 1)),
+        source_ids=(1, 3, 2),
+    )
     assert any(type(x) is Fraction for g in sub.basis for row in g for x in row)
     assert not entry.report.absorbing and len(entry.report.provenance) == 3
     unlabelled, labelled = (

@@ -239,31 +239,6 @@ def test_integral_rows_scales_only_the_rows_that_need_it():
     assert linalg.rref(mixed) == reference_rref(mixed)
 
 
-def test_span_coordinates_int_path():
-    rows = linalg.rref([[1, 0, 2, -1], [0, 1, -1, 3]])
-    assert is_integral(rows)
-    vectors = [[2, -3, 7, -11], [2, -3, 7, 0], [Fraction(1, 2), 0, 1, Fraction(-1, 2)]]
-    coords, inside = linalg.span_coordinates(rows, vectors)
-    assert inside.tolist() == [True, False, True]
-    assert tuple(coords[0]) == (2, -3) and all(type(c) is int for c in coords[0])
-    assert tuple(coords[2]) == (Fraction(1, 2), 0)
-
-
-def test_span_coordinates_membership():
-    rng = random.Random(2)
-    rows = linalg.rref(random_matrix(rng, 3, 8))
-    coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in rows]
-    v = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(8)]
-    coords, inside = linalg.span_coordinates(rows, [v])
-    assert inside[0] and tuple(coords[0]) == tuple(coeffs)
-
-
-def test_span_coordinates_rejects_outsider():
-    rows = linalg.rref([[1, 0, 0, 1], [0, 1, 0, -1]])
-    _, inside = linalg.span_coordinates(rows, [[0, 0, 1, 0]])
-    assert not inside[0]
-
-
 def test_rref_with_transform_reconstructs():
     rng = random.Random(3)
     for _ in range(20):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_linalg import assert_int_exactly_when_integral, reference_rref
+from test_linalg import assert_int_exactly_when_integral, is_integral, random_matrix, reference_rref
 
 from liemarkov import linalg, modelgen
 from liemarkov.catalog import known_subspaces
@@ -156,6 +156,38 @@ def test_contains_exact_on_random_rational_combinations():
         for c, row in zip(sol, (linalg.unvectorize(r, 4) for r in sub.rref)):
             rebuilt = mat_add(rebuilt, mat_scale(c, row))
         assert rebuilt == x
+
+
+def test_generator_index_drops_zeros_and_sends_repeats_to_the_first():
+    rows = [(0, 0), (1, -1), (0, 0), (-1, 1), (1, -1), (Fraction(2), -2)]
+    index = modelgen.generator_index(rows)
+    assert list(index.items()) == [((1, -1), 0), ((-1, 1), 1), ((2, -2), 2)]
+    assert [index.get(row) for row in rows] == [None, 0, None, 1, 0, 2]
+    assert modelgen.generator_index([]) == {}
+
+
+def test_contains_coordinates_int_path():
+    # contains reads rows of any span: these rref rows need not be rate matrices
+    rows = linalg.rref([[1, 0, 2, -1], [0, 1, -1, 3]])
+    assert is_integral(rows)
+    m = ModelSubspace(2, (), rows)
+    coords = contains(m, ((2, -3), (7, -11)))
+    assert coords == (2, -3) and all(type(c) is int for c in coords)
+    assert contains(m, ((2, -3), (7, 0))) is None
+    assert contains(m, ((Fraction(1, 2), 0), (1, Fraction(-1, 2)))) == (Fraction(1, 2), 0)
+
+
+def test_contains_coordinates_of_a_rational_combination():
+    rng = random.Random(2)
+    rows = linalg.rref(random_matrix(rng, 3, 9))
+    coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in rows]
+    v = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(9)]
+    assert contains(ModelSubspace(3, (), rows), linalg.unvectorize(v, 3)) == tuple(coeffs)
+
+
+def test_contains_coordinates_reject_an_outsider():
+    rows = linalg.rref([[1, 0, 0, 1], [0, 1, 0, -1]])
+    assert contains(ModelSubspace(2, (), rows), ((0, 0), (1, 0))) is None
 
 
 def test_contains_order_mismatch():
@@ -467,13 +499,22 @@ def test_model_orbit_matches_full_pass_on_rational_spans():
     assert len({len(model_orbit(m).group) for m in spans}) > 1
 
 
-def test_perm_products_compose_getter_indices():
+def test_perm_products_compose_getter_indices(monkeypatch):
     for k in (2, 3, 4):
         perms = [p for p, _ in modelgen._orbit_getters(k)]
         products = modelgen._perm_products(k)
         assert [[perms[x] for x in row] for row in products] == [
             [compose(a, b) for b in perms] for a in perms
         ]
+    # the indices are relabel_gathers' whatever its order, not sorted ranks
+    gathers = relabel_gathers(4)
+    shuffled = gathers[:1] + tuple(random.Random(4).sample(gathers[1:], len(gathers) - 1))
+    monkeypatch.setattr(modelgen, "relabel_gathers", lambda k: shuffled)
+    perms = [p for p, _ in shuffled]
+    products = modelgen._perm_products.__wrapped__(4)
+    assert [[perms[x] for x in row] for row in products] == [
+        [compose(a, b) for b in perms] for a in perms
+    ]
 
 
 def count_eliminations(monkeypatch, models):
@@ -584,12 +625,26 @@ def test_non_integral_entries_stay_fraction():
     assert all(type(x) is int for row in sub.rref for x in row)
 
 
+def reference_matrices(t):
+    """A_a for each element a, straight from the table: A_a e_j = e_{a*j}."""
+    k = t.order
+    return [
+        tuple(tuple(int(t.table[a][j] == i) for j in range(k)) for i in range(k))
+        for a in range(k)
+    ]
+
+
+def test_matrices_match_the_reference(semigroups3, semigroups4):
+    for t in semigroups3 + semigroups4:
+        assert list(regular_rep(t).matrices) == reference_matrices(t)
+
+
 def reference_rate_basis(t):
     """Independent rate basis: A - I per element in order, first occurrences, Fraction rref."""
     k = t.order
     ident = linalg.identity(k)
     gens = []
-    for a in regular_rep(t).matrices:
+    for a in reference_matrices(t):
         g = linalg.mat_sub(a, ident)
         if not linalg.is_zero(g) and g not in gens:
             gens.append(g)
@@ -625,7 +680,7 @@ def test_rate_basis_matches_reference_order5(semigroups5):
 def test_rate_basis_from_table_matches_matrix_path(semigroups4, semigroups5):
     for t in semigroups4 + semigroups5:
         rep = regular_rep(t)
-        mats = rep.matrices
+        mats = reference_matrices(t)
         ident = linalg.identity(t.order)
         by_matrices = subspace_from_generators(t.order, [linalg.mat_sub(a, ident) for a in mats])
         assert rate_basis(rep) == by_matrices

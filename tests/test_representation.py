@@ -3,7 +3,7 @@ import pytest
 from liemarkov.cayley import make_table
 from liemarkov.constructors import cyclic_group, klein_group, symmetric_group_3
 from liemarkov.linalg import identity, mat_mul
-from liemarkov.representation import ones, regular_rep, rep_is_injective
+from liemarkov.representation import rate_rows, regular_rep, rep_is_injective
 
 
 def check_homomorphism(r, t):
@@ -39,8 +39,9 @@ def test_injective_rep_with_identity_element():
 def test_rep_keeps_its_table():
     r = regular_rep(ABSORB_2_WITH_IDENTITY)
     assert r.table is ABSORB_2_WITH_IDENTITY and r.order == 2
-    # row-major positions of the ones: A_0 = ((1, 1), (0, 0)), A_1 the identity
-    assert [ones(r.table, i) for i in range(2)] == [(0, 1), (0, 3)]
+    # A_a - I row-major: A_0 = ((1, 1), (0, 0)) gives a +1 at (0, 1) and a -1 at
+    # (1, 1); A_1, the identity, gives a zero row
+    assert rate_rows(r.table) == [(0, 1, 0, -1), (0, 0, 0, 0)]
 
 
 def test_left_const_k4_rep_has_constant_rows():
