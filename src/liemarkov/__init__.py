@@ -59,7 +59,6 @@ from .modelgen import (
     canonical_subspace,
     conjugate_subspace,
     contains,
-    dedup_models,
     generic_support,
     is_reducible,
     model_orbit,

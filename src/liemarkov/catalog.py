@@ -286,9 +286,9 @@ def run_pipeline(
     zero-dimensional model (every rate matrix zero) is excluded from the
     catalog, which is how the funnel 188 -> 131 -> 4 arises at order 4.
     Isomorphic-but-differently-oriented models stay separate entries and
-    share a model_id, since the id fingerprints the isomorphism class;
-    use dedup_models for the coarser view.  Entries are ordered by their
-    exact subspace key, so output is deterministic.
+    share a model_id, since the id fingerprints the isomorphism class:
+    the entries that share a model_id are the coarser view.  Entries are
+    ordered by their exact subspace key, so output is deterministic.
     """
     if (order is None) == (tables is None):
         raise ValueError("pass exactly one of order= or tables=")

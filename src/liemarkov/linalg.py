@@ -125,15 +125,20 @@ def unvectorize(v: Sequence[Scalar], k: int) -> Matrix:
 def exact(x: object) -> Scalar:
     """The exact value of a real number: ``int`` when integral, else ``Fraction``.
 
-    ``bool``, numpy scalars and floats are converted (a float to its exact
-    binary value); a string is refused with TypeError rather than parsed.
+    ``bool``, numpy scalars and floats are converted (a float of any width
+    to its exact binary value); a string is refused with TypeError rather
+    than parsed, and a non-finite number (``inf``, ``nan``) with ValueError.
     """
     if type(x) is int:
         return x
     if type(x) is not Fraction:
         if isinstance(x, (str, bytes)):
             raise TypeError(f"not a number: {x!r}")
-        x = Fraction(x)
+        try:
+            # Fraction takes no numpy float but float64, a float subclass
+            x = Fraction(*x.as_integer_ratio()) if isinstance(x, np.floating) else Fraction(x)
+        except (OverflowError, ValueError):
+            raise ValueError(f"not a finite number: {x!r}") from None
     # int(): Fraction(np.int64(2)) keeps a numpy numerator
     return int(x.numerator) if x.denominator == 1 else x
 

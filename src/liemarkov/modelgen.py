@@ -65,16 +65,8 @@ def generator_index(flats: Iterable[tuple[Scalar, ...]]) -> dict[tuple[Scalar, .
     return index
 
 
-def _span(order: int, flats: Iterable[tuple[Scalar, ...]]) -> ModelSubspace:
-    """Span of exact row-major generators, kept by :func:`generator_index`.
-
-    Column sums are checked on the flat rows (column j is ``flat[j::order]``),
-    once per kept generator; only the kept rows become matrices.
-    """
-    rows = generator_index(flats)
-    for flat in rows:
-        if any(sum(flat[j::order]) for j in range(order)):
-            raise ValueError(f"generator has nonzero column sums: {linalg.unvectorize(flat, order)}")
+def _span(order: int, rows: dict[tuple[Scalar, ...], int]) -> ModelSubspace:
+    """Span of the exact row-major generators that :func:`generator_index` kept."""
     basis = tuple(linalg.unvectorize(flat, order) for flat in rows)
     return ModelSubspace(order, basis, linalg.rref(list(rows)))
 
@@ -88,21 +80,23 @@ def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelS
     flattened once and every entry stored as ``linalg.exact`` gives it:
     an ``int`` as it is, any other (``bool``, ``Fraction``, numpy scalar,
     float) as its exact value, ``int`` when integral, else ``Fraction``; a
-    string raises TypeError.  So a span has one stored basis whatever type
-    the caller used, a float copy of an earlier generator is a repeat, and
-    the exact checks over its generators never run in float arithmetic.
-    Every generator's entries are converted and its shape checked before
-    any column sums are.
+    string raises TypeError and a non-finite number ValueError.  So a span
+    has one stored basis whatever type the caller used, a float copy of
+    an earlier generator is a repeat, and the exact checks over its
+    generators never run in float arithmetic.  Every generator's entries
+    are converted and its shape checked before any column sums are; the
+    sums are checked once per kept generator, on its flat row (column j
+    is ``flat[j::order]``).
     """
-
-    def flats():
-        for g in generators:
-            rows = tuple(map(tuple, g))
-            flat = tuple(map(linalg.exact, chain.from_iterable(rows)))
-            _check_shape(rows, order, "generator")
-            yield flat
-
-    return _span(order, flats())
+    flats = []
+    for g in map(linalg.mat, generators):
+        flats.append(tuple(map(linalg.exact, chain.from_iterable(g))))
+        _check_shape(g, order, "generator")
+    rows = generator_index(flats)
+    for flat in rows:
+        if any(sum(flat[j::order]) for j in range(order)):
+            raise ValueError(f"generator has nonzero column sums: {linalg.unvectorize(flat, order)}")
+    return _span(order, rows)
 
 
 def rate_basis(r: RegularRep) -> ModelSubspace:
@@ -114,9 +108,11 @@ def rate_basis(r: RegularRep) -> ModelSubspace:
     off-diagonal entries are the 0/1 off-diagonal entries of A_i.  The
     generators are the flat ``int`` rows of
     :func:`~liemarkov.representation.rate_rows`, which ``linalg.rref``
-    hands to the ``int`` kernel as they are.
+    hands to the ``int`` kernel as they are; their column sums are zero
+    by construction (each column holds one -1 and one +1, or neither), so
+    they are not checked.
     """
-    return _span(r.order, rate_rows(r.table))
+    return _span(r.order, generator_index(rate_rows(r.table)))
 
 
 def contains(
@@ -311,18 +307,17 @@ def conjugate_subspace(m: ModelSubspace, perm: Sequence[int]) -> ModelSubspace:
 class ModelOrbit:
     """What the S_k orbit of a model's rref determines.
 
-    ``key`` is the minimal conjugate rref (the canonical key), ``to_key``
-    the permutations that map the model onto its key (sorted), ``group``
-    the permutations that fix the rref (sorted), read off that coset as
-    q^-1 o p for p in ``to_key`` and any one q in it, and ``variants``
-    the number of distinct conjugate rrefs, k! / |group| by
-    orbit-stabilizer.
+    ``key`` is the minimal conjugate rref (the canonical key), ``group``
+    the permutations that fix the rref (sorted), and ``variants`` the
+    number of distinct conjugate rrefs, k! / |group| by orbit-stabilizer.
+    Relabeling is a left action, so if q maps the span onto its key, p
+    does too exactly when q^-1 o p is in ``group``: the relabelings onto
+    the key are the coset q o group.
     """
 
     key: RrefKey
     group: tuple[tuple[int, ...], ...]
     variants: int
-    to_key: tuple[tuple[int, ...], ...]
 
 
 @functools.cache
@@ -384,9 +379,6 @@ def _generated(products: Sequence[Sequence[int]], group: tuple[int, ...], s: int
     return tuple(elems)
 
 
-_KEY, _DEAD = 1, 2
-
-
 def model_orbit(m: ModelSubspace) -> ModelOrbit:
     """The orbit of ``m.rref``, row-reducing one relabeling per right coset found.
 
@@ -409,67 +401,55 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
     included) is such a symmetry, and the symmetries found are kept as a
     group H, closed under composition.  Every relabeling in the right
     coset p o H gives p's rref, so one elimination decides a whole
-    coset: a candidate in the coset of a relabeling onto the key joins
-    ``to_key`` without an elimination, and one in the coset of a cut or
-    greater candidate, or of a beaten key, is skipped; when H grows,
-    every decided coset grows with it.  (The mirror h o p would be wrong:
-    (h o p).L = h.(p.L) is p.L exactly when h fixes p.L, which h.L = L
-    does not imply.)  Both decisions are exact, so ``to_key`` is still
-    every relabeling onto the key, in getter order.  Group: if q maps the
-    span onto the key, p does too exactly when q^-1 o p fixes the span,
-    and each such p joined ``to_key`` as q itself, in a coset q o H, or
-    by a tie that put q^-1 o p in H; so at the end H is the whole
-    symmetry group.
+    coset, onto the key or not, and every other candidate in it is
+    skipped; when H grows, every decided coset grows with it.  (The
+    mirror h o p would be wrong: (h o p).L = h.(p.L) is p.L exactly when
+    h fixes p.L, which h.L = L does not imply.)  Group: let q be the
+    first candidate row-reduced to the key.  Every other p onto the key
+    is a later candidate, and a beaten coset gives another rref, so p was
+    skipped in q's coset q o H (q^-1 o p in H) or row-reduced to a tie
+    that put q^-1 o p in H; so at the end H is the whole symmetry group.
     """
     if m.order < 2 or not m.rref:
         # every relabeling fixes the rref
         perms = tuple(p for p, _ in relabel_gathers(m.order))
-        return ModelOrbit(key=m.rref, group=perms, variants=1, to_key=perms)
+        return ModelOrbit(key=m.rref, group=perms, variants=1)
     getters = _orbit_getters(m.order)
     products = _perm_products(m.order)
     support = tuple(any(col) for col in zip(*m.rref))
     firsts = [g(support).index(True) for _, g in getters]
     last = max(firsts)
     rows = linalg.integral_rows(m.rref)
-    key, to_key, bound = None, [], None
+    key, bound = None, None
     sym: tuple[int, ...] = (0,)  # H, the symmetries found so far
     beaten: list[int] = []  # candidates known not to reach the key
-    status = bytearray(len(getters))  # _KEY or _DEAD once a candidate's coset is known
+    decided = bytearray(len(getters))  # 1 once a candidate's coset is known
 
-    def mark(reps: Iterable[int], value: int) -> None:
+    def decide(reps: Iterable[int]) -> None:
         for rep in reps:
             for j in _right_coset(products, rep, sym):
-                status[j] = value
+                decided[j] = 1
 
-    for i, ((p, g), first) in enumerate(zip(getters, firsts)):
-        if first != last:
-            continue
-        known = status[i]
-        if known:
-            if known == _KEY:
-                to_key.append(p)
+    for i, ((_, g), first) in enumerate(zip(getters, firsts)):
+        if first != last or decided[i]:
             continue
         r = linalg.rref_integral([g(row) for row in rows], bound)
         if r is None or (key is not None and r > key):
             beaten.append(i)
             if len(sym) > 1:  # with H trivial the coset is i alone, and i is done
-                mark([i], _DEAD)
+                decide([i])
             continue
         if r == key:
             sym = _generated(products, sym, products[q].index(i))  # q^-1 o p
-            mark(beaten, _DEAD)  # each known coset grows with H
+            decide(beaten)  # each known coset grows with H
         else:
             if key is not None:
                 beaten.append(q)
-                mark([q], _DEAD)
-            key, q, to_key = r, i, []
+            key, q = r, i
             bound = (linalg.integral_rows(key[:1])[0], last)
-        mark([q], _KEY)
-        to_key.append(p)
+        decide([q])
     group = tuple(sorted(getters[h][0] for h in sym))
-    return ModelOrbit(
-        key=key, group=group, variants=len(getters) // len(group), to_key=tuple(to_key)
-    )
+    return ModelOrbit(key=key, group=group, variants=len(getters) // len(group))
 
 
 def canonical_subspace(m: ModelSubspace) -> RrefKey:
@@ -481,38 +461,3 @@ def canonical_subspace(m: ModelSubspace) -> RrefKey:
     key is reproducible bit for bit.
     """
     return model_orbit(m).key
-
-
-@dataclass(frozen=True)
-class ModelClass:
-    """An isomorphism class of models with provenance of its members."""
-
-    key: RrefKey
-    representative: ModelSubspace
-    member_indices: tuple[int, ...]
-
-
-def dedup_models(models: Sequence[ModelSubspace]) -> list[ModelClass]:
-    """Group models by canonical key; output independent of input order.
-
-    The representative is rebuilt in canonical position: its rref equals
-    the class key, and its generators are the relabeled generators of the
-    member that minimizes them, sorted.  That keeps rendered catalogs
-    byte-identical however the inputs were ordered.
-    """
-    orbits = [model_orbit(m) for m in models]
-    groups: dict[RrefKey, list[int]] = {}
-    for idx, orbit in enumerate(orbits):
-        groups.setdefault(orbit.key, []).append(idx)
-
-    classes = []
-    for key in sorted(groups):
-        indices = groups[key]
-        best_gens = min(
-            tuple(sorted(linalg.conjugate(g, p) for g in models[idx].basis))
-            for idx in indices
-            for p in orbits[idx].to_key
-        )
-        rep = ModelSubspace(models[indices[0]].order, best_gens, key)
-        classes.append(ModelClass(key, rep, tuple(indices)))
-    return classes

@@ -5,9 +5,9 @@ matrix by the corresponding permutation matrix lands back in the model.
 Conjugation preserves nonnegativity of off-diagonal entries, so testing
 span preservation is equivalent to testing the stochastic cone.  The
 maximal symmetry group is the stabilizer of the model's rref, computed
-by :func:`liemarkov.modelgen.model_orbit` from the relabelings that map
-the span onto its canonical key: for any one q of them, the group is
-q^-1 o p over all of them p.
+by :func:`liemarkov.modelgen.model_orbit` from the ties among the
+relabelings it row-reduces: two relabelings p and q give the same rref
+exactly when q^-1 o p fixes the span.
 """
 
 from __future__ import annotations
@@ -119,9 +119,10 @@ def parse_perm(text: str, k: int) -> Perm:
 def symmetry_group(m: ModelSubspace) -> SymmetryGroup:
     """The maximal group of state permutations preserving the span.
 
-    ``model_orbit`` finds every relabeling p onto the canonical key, and
-    relabeling is a left action, so for one such q the symmetries are
-    exactly the q^-1 o p: maximality is automatic.
+    ``model_orbit`` keeps the q^-1 o p of every tie p, q it meets, closed
+    under composition, until every relabeling onto the canonical key is
+    accounted for; relabeling is a left action, so for one such q the
+    symmetries are exactly those q^-1 o p: maximality is automatic.
     """
     g = model_orbit(m).group
     return SymmetryGroup(m.order, g, name_group_elements(m.order, g))

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import logging
+import random
 import re
 import time
 from collections import Counter
@@ -150,6 +151,24 @@ def test_pipeline_k2_outcomes(catalog2):
     # the remaining semigroup produces the excluded trivial model
     tables = enumerate_semigroups(2)
     assert rate_basis(regular_rep(tables[3])).dim == 0
+
+
+@pytest.mark.parametrize("order, entries, ids", [(2, 3, 3), (3, 15, 14), (4, 131, 113)])
+def test_model_id_counts(order, entries, ids, request):
+    # entries that share a model_id are one isomorphism class of nontrivial models
+    catalog = request.getfixturevalue(f"catalog{order}")
+    assert len(catalog) == entries
+    assert len({e.model_id for e in catalog}) == ids
+
+
+def test_pipeline_output_independent_of_table_order(semigroups3, catalog3):
+    expected = [(e.model_id, e.report.subspace.rref) for e in catalog3]
+    rng = random.Random(3)
+    for _ in range(3):
+        tables = list(semigroups3)
+        rng.shuffle(tables)
+        entries = run_pipeline(tables=tables)
+        assert [(e.model_id, e.report.subspace.rref) for e in entries] == expected
 
 
 def test_pipeline_k3_counts_and_labels(catalog3):

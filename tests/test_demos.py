@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script, and the README's Library tour, runs against the source tree."""
 
 import os
 import subprocess
@@ -27,3 +27,12 @@ def test_demo_runs(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_readme_library_tour_runs():
+    readme = (ROOT / "README.md").read_text()
+    tour = readme[readme.index("\n## Library tour\n") :]
+    start = tour.index("```python\n") + len("```python\n")
+    code = tour[start : tour.index("\n```", start)]
+    assert "run_pipeline" in code
+    exec(compile(code, "README.md: Library tour", "exec"), {"__name__": "readme_tour"})

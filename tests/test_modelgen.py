@@ -21,7 +21,6 @@ from liemarkov.modelgen import (
     canonical_subspace,
     conjugate_subspace,
     contains,
-    dedup_models,
     generic_support,
     is_reducible,
     model_orbit,
@@ -93,6 +92,35 @@ def test_dim_bounded_by_order(semigroups4):
 def test_generators_rejected_without_zero_column_sums():
     with pytest.raises(ValueError, match="column sums"):
         subspace_from_generators(2, [((1, 0), (0, 0))])
+
+
+def test_rate_basis_checks_no_column_sums(monkeypatch):
+    # rate_rows rows sum to zero by construction; only callers' generators are checked
+    def no_sums(*args):
+        raise AssertionError("column sums summed")
+
+    expected = f81()
+    monkeypatch.setattr(modelgen, "sum", no_sums, raising=False)
+    assert rate_basis(regular_rep(EQUAL_INPUT_4)) == expected
+    with pytest.raises(AssertionError, match="column sums summed"):
+        subspace_from_generators(2, [((-1, 1), (1, -1))])
+
+
+@pytest.mark.parametrize(
+    "value",
+    [float("inf"), float("-inf"), float("nan"), np.float64("nan"), np.float32("inf")],
+    ids=repr,
+)
+def test_generators_rejected_with_non_finite_entries(value):
+    with pytest.raises(ValueError) as err:
+        subspace_from_generators(2, [((-1, 1), (1, -1)), ((value, 0), (0, 0))])
+    assert str(err.value) == f"not a finite number: {value!r}"
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.longdouble])
+def test_numpy_floats_of_every_width_are_stored_exactly(dtype):
+    g = ((dtype(-0.5), dtype(1)), (dtype(0.5), dtype(-1)))
+    assert subspace_from_generators(2, [g]).basis == (((Fraction(-1, 2), 1), (Fraction(1, 2), -1)),)
 
 
 @pytest.mark.parametrize(
@@ -259,55 +287,6 @@ def test_canonical_subspace_separates_nonisomorphic():
     )
 
 
-def test_dedup_merges_equal_spans():
-    t1 = make_table([[0, 0], [0, 0]])
-    t2 = make_table([[0, 0], [0, 1]])
-    subs = [rate_basis(regular_rep(t)) for t in (t1, t2)]
-    assert subs[0].rref == subs[1].rref
-    classes = dedup_models(subs)
-    assert len(classes) == 1
-    assert classes[0].member_indices == (0, 1)
-
-
-def test_dedup_merges_trivial_models_across_sources():
-    trivial1 = rate_basis(regular_rep(RIGHT_CONST_4))
-    trivial2 = subspace_from_generators(4, [])
-    classes = dedup_models([trivial1, trivial2])
-    assert len(classes) == 1
-    assert classes[0].representative.dim == 0
-
-
-def test_dedup_order4_isomorphism_classes(semigroups4):
-    subs = [rate_basis(regular_rep(t)) for t in semigroups4]
-    classes = dedup_models(subs)
-    # full isomorphism merge: coarser than the 131 distinct nontrivial
-    # spans the catalog reports (variants of one class stay separate there)
-    assert len(classes) == 114
-    assert sum(len(c.member_indices) for c in classes) == 188
-
-
-def test_dedup_output_independent_of_input_order():
-    rng = random.Random(3)
-    from liemarkov.cayley import enumerate_semigroups
-
-    tables = enumerate_semigroups(3)
-    subs = [rate_basis(regular_rep(t)) for t in tables]
-    keys = [c.key for c in dedup_models(subs)]
-    reps = [c.representative for c in dedup_models(subs)]
-    for _ in range(3):
-        shuffled = subs[:]
-        rng.shuffle(shuffled)
-        classes = dedup_models(shuffled)
-        assert [c.key for c in classes] == keys
-        assert [c.representative for c in classes] == reps
-
-
-def test_dedup_representative_rref_matches_key(semigroups4):
-    subs = [rate_basis(regular_rep(t)) for t in semigroups4[:40]]
-    for cls in dedup_models(subs):
-        assert cls.representative.rref == cls.key
-
-
 @pytest.fixture(scope="module")
 def orbit_models():
     """Every golden order-4 span plus every registry model, with its orbit."""
@@ -350,7 +329,6 @@ def test_model_orbit_key_is_brute_force_minimum(orbit_models):
         conj = brute_force_conjugate_rrefs(m)
         key = min(conj.values())
         assert orbit.key == key
-        assert orbit.to_key == tuple(p for p, r in conj.items() if r == key)
         assert orbit.variants == len(set(conj.values()))
 
 
@@ -375,7 +353,6 @@ def full_model_orbit(m):
         key=key,
         group=tuple(p for p, r in conjugates if r == m.rref),
         variants=len({r for _, r in conjugates}),
-        to_key=tuple(p for p, r in conjugates if r == key),
     )
 
 
@@ -391,6 +368,8 @@ def test_model_orbit_of_trivial_span_matches_full_pass():
     for k in (1, 2, 3, 4):
         trivial = subspace_from_generators(k, [])
         assert model_orbit(trivial) == full_model_orbit(trivial)
+    # a trivial span from a semigroup has the orbit of one from no generators
+    assert model_orbit(rate_basis(regular_rep(RIGHT_CONST_4))) == model_orbit(trivial)
 
 
 @pytest.mark.slow
@@ -722,4 +701,10 @@ def test_subspace_from_generators_entry_contract():
         subspace_from_generators(2, [g, ((1, 0.5), (0, 0))])
     assert str(sums.value) == (
         "generator has nonzero column sums: ((1, Fraction(1, 2)), (0, 0))"
+    )
+    # across generators: every shape is checked before any column sums
+    with pytest.raises(ValueError) as shape:
+        subspace_from_generators(2, [((1, 0.5), (0, 0)), ((1, 0, 0), (0, 0))])
+    assert str(shape.value) == (
+        "order mismatch: expected a 2 x 2 generator, got 2 rows of lengths [2, 3]"
     )
