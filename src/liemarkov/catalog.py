@@ -1,4 +1,4 @@
-"""Full pipeline: enumerate -> represent -> derive -> classify -> dedup -> label.
+"""Full pipeline: enumerate -> represent -> derive -> merge equal spans -> classify -> label.
 
 The catalog is deterministic: entries are ordered by the exact rref of
 their subspace, model ids are digests of the canonical (relabeling-
@@ -22,7 +22,6 @@ import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -384,10 +383,11 @@ def _commutator_tables(
 
     The brackets are the stack's, and the first escaping one, in span and
     then row-major order, raises.  Only a span with a nonzero bracket runs
-    ``rref_with_transform``: over its rref the coordinates of a bracket are
-    its entries at the pivot columns, and the transform maps them onto the
-    generators.  The stack's brackets carry the factor c^2 of its scaled
-    generators, which is divided out.
+    ``rref_with_transform`` of its ``gen_rows``: over its rref the
+    coordinates of a bracket are its entries at the pivot columns, and the
+    transform maps them onto the generators.  The stack's brackets carry
+    the factor c^2 of its scaled generators (c is the span's
+    ``stack.scale``), which is divided out.
     """
     brackets = stack.brackets()
     hot = np.triu((brackets != 0).any(axis=-1), 1)
@@ -403,16 +403,12 @@ def _commutator_tables(
     tables = []
     for s, m in enumerate(stack.spans):
         coeffs = {}
-        n = len(m.basis)
+        n = len(m.gen_rows)
         if s in solve:
-            kk = m.order**2
-            row = stack.rows[s]
-            basis, transform = linalg.rref_with_transform(
-                [row[t : t + kk] for t in range(0, n * kk, kk)]
-            )
+            basis, transform = linalg.rref_with_transform(m.gen_rows)
             pivots = linalg.pivot_columns(basis)
             columns = list(zip(*transform))
-            c2 = stack.gen_scale(s) ** 2
+            c2 = Fraction(int(stack.scale[s])) ** 2
             for i, j, bracket in solve[s]:
                 coords = [bracket[p] for p in pivots]
                 sums = [sum(map(operator.mul, coords, col)) for col in columns]
@@ -460,13 +456,13 @@ def _product_rule_table(
     table's, this returns None.
     """
     r = e.report
-    n = len(r.subspace.basis)
+    n = len(r.subspace.gen_rows)
     if n != r.dimension or not r.provenance:
         return None
     t = min(r.provenance, key=operator.attrgetter("table"))
     rows = rate_rows(t)
     index = generator_index(rows)
-    if list(index) != [tuple(chain.from_iterable(g)) for g in r.subspace.basis]:
+    if tuple(index) != r.subspace.gen_rows:
         return None
     if not is_associative(t):
         return None
@@ -589,7 +585,7 @@ def _render_json(entries: Sequence[CatalogEntry], order: int | None) -> str:
         entry_fmt, gen_fmt, table_fmt = _json_formats(e.order)
         names = cycle_strings(r.symmetry.order_k)
         elements = [encode_basestring_ascii(names[p]) for p in r.symmetry.elements]
-        gens = [gen_fmt % tuple(chain.from_iterable(g)) for g in r.subspace.basis]
+        gens = [gen_fmt % row for row in r.subspace.gen_rows]
         sources = [table_fmt % tuple(x + 1 for row in t.table for x in row) for t in r.provenance]
         label = "null" if r.known_label is None else encode_basestring_ascii(r.known_label)
         texts.append(entry_fmt % (
@@ -711,13 +707,13 @@ def _render_markdown(entries: Sequence[CatalogEntry], order: int | None) -> str:
             f"- Lie closed: {r.lie_closed}; matrix-algebra closed: {r.algebra_closed}"
         )
         lines.append("")
-        if r.subspace.basis:
+        if r.subspace.gen_rows:
             lines.append("Generators:")
             lines.append("")
             lines.append("```")
-            for idx, g in enumerate(r.subspace.basis, start=1):
+            for idx, row in enumerate(r.subspace.gen_rows, start=1):
                 lines.append(f"L{idx} =")
-                lines.append(gen_fmt % linalg.vectorize(g))
+                lines.append(gen_fmt % row)
             lines.append("```")
             lines.append("")
             if brackets:

@@ -502,7 +502,7 @@ def verify_multiplicative_closure(
     for name, value in (("t_max", t_max), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite positive number, got {value}")
-    gens = np.array(m.basis, dtype=float)
+    gens = np.array(m.gen_rows, dtype=float).reshape(-1, m.order, m.order)
     d = len(gens)
     # orthonormal basis of the span, one column per rref row
     span, _ = np.linalg.qr(np.array(m.rref, dtype=float).T)

@@ -3,10 +3,11 @@
 A rate matrix has zero column sums; inside the stochastic cone its
 off-diagonal entries are nonnegative, and the ji entry carries the
 transition rate i -> j (columns index source states).  A model is the
-real span of a finite set of rate matrices, stored in exact canonical
-form: the reduced row-echelon form of the row-major vectorized
-generators.  The rref is unique for the span, so subspace equality,
-membership, and cross-run canonical keys are all exact decisions.
+real span of a finite set of rate matrices, stored as the exact
+row-major rows of its generators and in canonical form: the reduced
+row-echelon form of those rows.  The rref is unique for the span, so
+subspace equality, membership, and cross-run canonical keys are all
+exact decisions.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -31,25 +31,45 @@ RrefKey = tuple[tuple[Scalar, ...], ...]
 
 @dataclass(frozen=True)
 class ModelSubspace:
-    """Span of rate-matrix generators, with canonical rational rref."""
+    """Span of rate-matrix generators, with canonical rational rref.
+
+    ``gen_rows`` holds the generators once, as the exact row-major rows
+    that :func:`generator_index` kept; ``basis`` builds the nested k x k
+    matrices from them on each access.
+    """
 
     order: int
-    basis: tuple[Matrix, ...]
+    gen_rows: tuple[tuple[Scalar, ...], ...]
     rref: RrefKey
 
     @property
     def dim(self) -> int:
         return len(self.rref)
 
+    @property
+    def basis(self) -> tuple[Matrix, ...]:
+        """The generators as nested k x k matrices, built from ``gen_rows`` on each access."""
+        return tuple(linalg.unvectorize(row, self.order) for row in self.gen_rows)
 
-def _check_shape(x: Matrix, order: int, what: str) -> None:
-    """Raise ValueError unless ``x`` is an order x order matrix."""
+
+def _exact_row(x: Sequence[Sequence[object]], order: int, what: str) -> tuple[Scalar, ...]:
+    """The row-major flattening of an order x order matrix, each entry as ``linalg.exact`` gives it.
+
+    An ``int`` stays as it is; any other real (``bool``, ``Fraction``,
+    numpy scalar, float) becomes its exact value, ``int`` when integral,
+    else ``Fraction``.  A string raises TypeError and a non-finite number
+    ValueError, both before the shape is checked; ValueError unless ``x``
+    is order x order.
+    """
+    x = linalg.mat(x)
+    flat = tuple(map(linalg.exact, chain.from_iterable(x)))
     if len(x) != order or any(len(row) != order for row in x):
         lengths = sorted({len(row) for row in x})
         raise ValueError(
             f"order mismatch: expected a {order} x {order} {what}, "
             f"got {len(x)} rows of lengths {lengths}"
         )
+    return flat
 
 
 def generator_index(flats: Iterable[tuple[Scalar, ...]]) -> dict[tuple[Scalar, ...], int]:
@@ -67,8 +87,7 @@ def generator_index(flats: Iterable[tuple[Scalar, ...]]) -> dict[tuple[Scalar, .
 
 def _span(order: int, rows: dict[tuple[Scalar, ...], int]) -> ModelSubspace:
     """Span of the exact row-major generators that :func:`generator_index` kept."""
-    basis = tuple(linalg.unvectorize(flat, order) for flat in rows)
-    return ModelSubspace(order, basis, linalg.rref(list(rows)))
+    return ModelSubspace(order, tuple(rows), linalg.rref(list(rows)))
 
 
 def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelSubspace:
@@ -77,22 +96,14 @@ def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelS
     Every generator must be order x order and have zero column sums
     (membership in the ambient space of rate matrices with sign
     constraint relaxed); ValueError otherwise.  Each generator is
-    flattened once and every entry stored as ``linalg.exact`` gives it:
-    an ``int`` as it is, any other (``bool``, ``Fraction``, numpy scalar,
-    float) as its exact value, ``int`` when integral, else ``Fraction``; a
-    string raises TypeError and a non-finite number ValueError.  So a span
-    has one stored basis whatever type the caller used, a float copy of
-    an earlier generator is a repeat, and the exact checks over its
-    generators never run in float arithmetic.  Every generator's entries
-    are converted and its shape checked before any column sums are; the
-    sums are checked once per kept generator, on its flat row (column j
-    is ``flat[j::order]``).
+    flattened once by :func:`_exact_row`, so a span has one stored form
+    whatever type the caller used, a float copy of an earlier generator
+    is a repeat, and the exact checks over its generators never run in
+    float arithmetic.  Every generator's entries are converted and its
+    shape checked before any column sums are; the sums are checked once
+    per kept generator, on its flat row (column j is ``flat[j::order]``).
     """
-    flats = []
-    for g in map(linalg.mat, generators):
-        flats.append(tuple(map(linalg.exact, chain.from_iterable(g))))
-        _check_shape(g, order, "generator")
-    rows = generator_index(flats)
+    rows = generator_index(_exact_row(g, order, "generator") for g in generators)
     for flat in rows:
         if any(sum(flat[j::order]) for j in range(order)):
             raise ValueError(f"generator has nonzero column sums: {linalg.unvectorize(flat, order)}")
@@ -115,19 +126,18 @@ def rate_basis(r: RegularRep) -> ModelSubspace:
     return _span(r.order, generator_index(rate_rows(r.table)))
 
 
-def contains(
-    m: ModelSubspace, x: Sequence[Sequence[Scalar]]
-) -> tuple[Fraction, ...] | None:
+def contains(m: ModelSubspace, x: Sequence[Sequence[object]]) -> tuple[Scalar, ...] | None:
     """Exact membership: the coefficients of ``x`` over the rref rows, else None.
 
-    Over an rref basis the coordinates of v are its entries at the pivot
-    columns, and v lies in the span iff that combination of the rows is v
-    itself; both are read in the exact arithmetic of the entries.  Raises
-    ValueError unless ``x`` is ``m.order`` x ``m.order``.
+    The entries of ``x`` are read as :func:`_exact_row` reads a
+    generator's, so a float is decided on its exact binary value and the
+    coordinates are ``int`` or ``Fraction``.  Over an rref basis the
+    coordinates of v are its entries at the pivot columns, and v lies in
+    the span iff that combination of the rows is v itself.  Raises
+    ValueError unless ``x`` is ``m.order`` x ``m.order`` with finite
+    entries, and TypeError for a string entry.
     """
-    x = linalg.mat(x)
-    _check_shape(x, m.order, "matrix")
-    v = linalg.vectorize(x)
+    v = _exact_row(x, m.order, "matrix")
     coords = tuple(v[p] for p in linalg.pivot_columns(m.rref))
     combination = [sum(c * row[j] for c, row in zip(coords, m.rref)) for j in range(len(v))]
     return coords if list(v) == combination else None
@@ -146,13 +156,13 @@ class SpanStack:
     """Exact generator products and supports of same-order spans, in one stack.
 
     This is the one code that forms generator products.  Span s is one
-    row: its flattened generators, then its flattened rref rows, zero-padded
-    to the stack's largest counts n and d.  ``linalg.integral_rows``
-    scales each row to integers once, by a positive factor c, so every
-    scaled pivot is c; scaling keeps signs and spans, so memberships, the
-    brackets up to the factor c^2, and supports are read off the integer
-    stack.  Zero generators have zero products, which lie in every span;
-    a stack of one span pads nothing.
+    row: its ``gen_rows``, then its rref rows, zero-padded to the stack's
+    largest counts n and d.  ``linalg.integral_rows`` scales each row to
+    integers once, by a positive factor c, so every scaled pivot is c;
+    scaling keeps signs and spans, so memberships, the brackets up to the
+    factor c^2, and supports are read off the integer stack.  Zero
+    generators have zero products, which lie in every span; a stack of
+    one span pads nothing.
 
     Over an rref basis the coordinates of v are its entries at the pivot
     columns p_t, so v lies in the span iff c v - sum_t v[p_t] (c r_t) is
@@ -166,11 +176,12 @@ class SpanStack:
     Otherwise it is ``object``, with the same numpy expressions on Python
     ints.  Raises ValueError for no spans or spans of mixed orders.
 
-    ``rows`` and ``int_rows`` hold each span's row before and after
-    scaling; ``gens`` (S, n, k, k) and ``rref`` (S, d, k^2) are its scaled
-    parts; ``products`` (S, n, n, k^2) holds g_i g_j row-major, and
-    ``residuals`` (same shape) is c g_i g_j less its combination of the
-    scaled rref rows, zero iff the product is in the span.
+    ``scale`` (S,) holds each span's factor c, the scaled pivot of its
+    rref row 0 (1 for a span of dimension 0); ``gens`` (S, n, k, k) and
+    ``rref`` (S, d, k^2) are its scaled parts; ``products``
+    (S, n, n, k^2) holds g_i g_j row-major, and ``residuals`` (same
+    shape) is c g_i g_j less its combination of the scaled rref rows,
+    zero iff the product is in the span.
     """
 
     def __init__(self, spans: Sequence[ModelSubspace]) -> None:
@@ -181,28 +192,28 @@ class SpanStack:
         for m in spans:
             if m.order != k:
                 raise ValueError("a span stack holds spans of one order")
-            n = max(n, len(m.basis))
+            n = max(n, len(m.gen_rows))
             d = max(d, len(m.rref))
         kk = k * k
         s = len(spans)
         self.spans = tuple(spans)
-        self.rows = []
-        for m in spans:
-            self.rows.append(
+        ints = linalg.integral_rows(
+            [
                 [
-                    *chain.from_iterable(chain.from_iterable(m.basis)),
-                    *itertools.repeat(0, kk * (n - len(m.basis))),
+                    *chain.from_iterable(m.gen_rows),
+                    *itertools.repeat(0, kk * (n - len(m.gen_rows))),
                     *chain.from_iterable(m.rref),
                     *itertools.repeat(0, kk * (d - len(m.rref))),
                 ]
-            )
-        ints = self.int_rows = linalg.integral_rows(self.rows)
+                for m in spans
+            ]
+        )
         a = max(map(abs, chain.from_iterable(ints)), default=1)
         dtype = np.int64 if 2 * (d + 1) * k * a**3 < 2**63 else object
         self.gens = g = np.array([row[: n * kk] for row in ints], dtype=dtype).reshape(s, n, k, k)
         self.rref = np.array([row[n * kk :] for row in ints], dtype=dtype).reshape(s, d, kk)
-        # c: the first nonzero rref entry, the pivot of row 0
-        scale = np.array(
+        # c: the first nonzero rref entry, the pivot of row 0, which is 1 before scaling
+        self.scale = np.array(
             [next(filter(None, itertools.islice(row, n * kk, None)), 1) for row in ints],
             dtype=dtype,
         )
@@ -211,7 +222,7 @@ class SpanStack:
         # onehot[s, j, t]: column j is the pivot of rref row t (a zero row's
         # "pivot" is column 0, which it multiplies by zero)
         onehot = _column_index(kk) == (self.rref != 0).argmax(axis=-1)[:, None, :]
-        self.residuals = (scale[:, None, None] * flat - flat @ onehot @ self.rref).reshape(
+        self.residuals = (self.scale[:, None, None] * flat - flat @ onehot @ self.rref).reshape(
             s, n, n, kk
         )
 
@@ -224,12 +235,6 @@ class SpanStack:
         """(S, n, n) bool: the bracket of g_i and g_j is not in its span."""
         res = self.residuals
         return (res != res.swapaxes(1, 2)).any(axis=-1)
-
-    def gen_scale(self, s: int) -> Fraction:
-        """The factor c by which span s's generators were scaled (1 when all ``int``)."""
-        return Fraction(next(filter(None, self.int_rows[s]), 1)) / next(
-            filter(None, self.rows[s]), 1
-        )
 
     @functools.cached_property
     def support(self) -> np.ndarray:
@@ -297,10 +302,15 @@ def is_reducible(m: ModelSubspace) -> bool:
 
 
 def conjugate_subspace(m: ModelSubspace, perm: Sequence[int]) -> ModelSubspace:
-    """The isomorphic model with states relabeled by ``perm``."""
-    gens = tuple(linalg.conjugate(g, perm) for g in m.basis)
-    rows = [linalg.vectorize(g) for g in gens]
-    return ModelSubspace(m.order, gens, linalg.rref(rows))
+    """The isomorphic model with states relabeled by ``perm``.
+
+    Each generator row is relabeled by one ``linalg.relabel_gather``.
+    Raises ValueError unless ``perm`` is a permutation of range(m.order).
+    """
+    if len(perm) != m.order:
+        raise ValueError(f"permutation on {len(perm)} points applied to an order-{m.order} span")
+    src = linalg.relabel_gather(tuple(perm))
+    return _span(m.order, generator_index(tuple(row[s] for s in src) for row in m.gen_rows))
 
 
 @dataclass(frozen=True)

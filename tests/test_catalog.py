@@ -888,6 +888,33 @@ def test_render_markdown_bytes_pinned(catalog4):
     assert digest == "511295f62ab5f8e36cc8e47e0772367725fdd1ad53e6e7a373c69417ab6ceb46"
 
 
+def test_pipeline_and_renderings_build_no_nested_generator(monkeypatch):
+    tables = enumerate_semigroups(4)
+
+    def nested(*args):
+        raise AssertionError("nested generator matrix built")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "unvectorize", nested)
+        entries = run_pipeline(tables=tables)
+        json_text = render(entries, "json")
+        md_text = render(entries, "md")
+    assert json_text == (ROOT / "tests" / "golden" / "catalog_k4.json").read_text()
+    digest = hashlib.sha256(md_text.encode()).hexdigest()
+    assert digest == "511295f62ab5f8e36cc8e47e0772367725fdd1ad53e6e7a373c69417ab6ceb46"
+    for e in entries:
+        sub = e.report.subspace
+        assert sub.basis == tuple(linalg.unvectorize(row, 4) for row in sub.gen_rows)
+    # one stored form, whatever number type the generators came in
+    for g in (((-2, 1), (2, -1)), ((-1, 0.5), (1, -0.5))):
+        spans = [
+            subspace_from_generators(2, [[[convert(x) for x in row] for row in g]])
+            for convert in (linalg.exact, Fraction, float)
+        ]
+        assert spans[0] == spans[1] == spans[2]
+        assert hash(spans[0]) == hash(spans[1]) == hash(spans[2])
+
+
 def test_render_markdown_closes_the_fence_of_an_entry_without_sources():
     # a library caller's entry with no source tables gets an empty, closed block
     entry = catalog.classify_model(subspace_from_generators(2, [((-1, 1), (1, -1))]), [], [])

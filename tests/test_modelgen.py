@@ -233,6 +233,40 @@ def test_contains_names_the_expected_shape(x):
         contains(f81(), x)
 
 
+def test_contains_decides_float_entries_on_their_exact_values():
+    m = subspace_from_generators(2, [((-3, 1), (3, -1))])
+    x = ((-0.9, 0.3), (0.9, -0.3))
+    # -0.9 is not exactly -3 times 0.3 in binary, so x is not a member
+    assert contains(m, x) is None
+    assert contains(m, [[Fraction(v) for v in row] for row in x]) is None
+    decimal = [[Fraction(str(v)) for v in row] for row in x]
+    assert contains(m, decimal) == (Fraction(-9, 10),)
+    ints = contains(m, ((-6, 2), (6, -2)))
+    assert ints == (-6,) and type(ints[0]) is int
+    assert contains(m, ((-1.5, 0.5), (1.5, -0.5))) == (Fraction(-3, 2),)
+
+    g = ((-3, 0, 0), (1, 0, 0), (2, 0, 0))
+    m = subspace_from_generators(3, [g])
+    answers = []
+    for i in range(1, 200):
+        x = [[0.1 * i * v for v in row] for row in g]
+        got = contains(m, x)
+        assert got == contains(m, [[Fraction(v) for v in row] for row in x])
+        assert got is None or all(type(c) in (int, Fraction) for c in got)
+        answers.append(got is not None)
+    assert any(answers) and not all(answers)
+
+
+@pytest.mark.parametrize(
+    "entry, error",
+    [("1", TypeError), (float("inf"), ValueError), (float("nan"), ValueError)],
+    ids=repr,
+)
+def test_contains_refuses_strings_and_non_finite_entries(entry, error):
+    with pytest.raises(error):
+        contains(f81(), [[entry, 0, 0, 0]] + [[0] * 4] * 3)
+
+
 def test_generic_support_full_for_equal_input():
     sup = generic_support(f81())
     for i in range(4):
@@ -279,6 +313,17 @@ def test_canonical_subspace_invariant_under_conjugation():
     key = canonical_subspace(sub)
     for p in itertools.permutations(range(4)):
         assert canonical_subspace(conjugate_subspace(sub, p)) == key
+
+
+def test_conjugate_subspace_matches_conjugated_matrices():
+    half = Fraction(1, 2)
+    sub = subspace_from_generators(3, [((-1, half, 0), (1, -half, 0), (0, 0, 0)), zeros(3)])
+    for p in itertools.permutations(range(3)):
+        expected = subspace_from_generators(3, [linalg.conjugate(g, p) for g in sub.basis])
+        assert conjugate_subspace(sub, p) == expected
+    for p in ((1, 0), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match="permutation on"):
+            conjugate_subspace(sub, p)
 
 
 def test_canonical_subspace_separates_nonisomorphic():
