@@ -500,6 +500,16 @@ def format_combination(coeffs: Sequence[Fraction]) -> str:
 # --- rendering -----------------------------------------------------------------
 
 
+def generator_strings(sub: ModelSubspace) -> list[list[list[str]]]:
+    """A span's generators as the command line's JSON documents hold them.
+
+    Each generator is a k x k list of the ``str`` of its exact entries,
+    read from the span's flat rows.
+    """
+    k = sub.order
+    return [[[str(x) for x in g[i : i + k]] for i in range(0, k * k, k)] for g in sub.gen_rows]
+
+
 def entry_to_dict(e: CatalogEntry) -> dict:
     r = e.report
     names = cycle_strings(r.symmetry.order_k)
@@ -517,10 +527,7 @@ def entry_to_dict(e: CatalogEntry) -> dict:
         "lie_closed": r.lie_closed,
         "algebra_closed": r.algebra_closed,
         "known_label": r.known_label,
-        "generators": [
-            [[str(x) for x in row] for row in g]
-            for g in r.subspace.basis
-        ],
+        "generators": generator_strings(r.subspace),
         "sources": [
             [[x + 1 for x in row] for row in t.table] for t in r.provenance
         ],

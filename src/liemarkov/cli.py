@@ -85,9 +85,7 @@ def _single_model_doc(sub: ModelSubspace, label: str | None) -> str:
         "model_id": cat.model_id(sub.order, key),
         "dimension": sub.dim,
         "known_label": registry.get((sub.order, key), label),
-        "generators": [
-            [[str(x) for x in row] for row in g] for g in sub.basis
-        ],
+        "generators": cat.generator_strings(sub),
     }
     return cat.json_indent2({"order": sub.order, "entries": [entry_like]}) + "\n"
 
@@ -133,7 +131,7 @@ def cmd_verify_closure(args, cfg) -> int:
     print(
         f"{verdict} model {args.model_id} (order {args.order}): "
         f"max residual {report.max_residual:.3e} vs tol {report.tolerance:.1e} "
-        f"over {report.numeric_trials} trials"
+        f"over {report.numeric_trials} trials, {report.check} check"
     )
     detail = dataclasses.asdict(report)
     detail["lie_witness"] = None if report.lie_witness is None else "present"

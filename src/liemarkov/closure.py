@@ -5,12 +5,16 @@ Two exact decisions and one numerical verification:
 * Lie closure: every commutator of generators stays in the span.
 * Matrix-algebra closure: every plain product of generators stays in the
   span (strictly stronger; algebra closure implies Lie closure).
-* Multiplicative closure: sampled products of substitution matrices
-  e^{Q1 t1} e^{Q2 t2} are pushed through the matrix logarithm and the
-  result is checked against the span numerically.
+* Multiplicative closure: sampled products P = e^{Q1 t1} e^{Q2 t2} of
+  substitution matrices are checked against the span numerically.  For
+  an algebra-closed span the check is P - I, with no logarithm: by the
+  product rule the span plus the identity is a matrix algebra holding P,
+  so P - I and log P both lie in the span.  Any other span has P pushed
+  through the principal matrix logarithm.
 
-The first two are exact.  They read one stack of generator products,
-``modelgen.SpanStack``, built for one span or for a block of spans: each
+The first two are exact, and the sampled check runs them first.  They
+read one stack of generator products, ``modelgen.SpanStack``, built for
+one span or for a block of spans: each
 span's generators and rref are scaled to integers once, the stack is
 ``int64`` when a magnitude bound shows that no product or membership
 residual can overflow and ``object`` (Python ints) otherwise, a product is
@@ -43,8 +47,8 @@ from the Bjorck-Hammarling recurrence (the Schur method, ibid. section
 Failure is per-matrix data: each log route returns its results with a
 boolean mask of the matrices it could serve, and a non-finite logarithm
 counts as none.  Only the public logm raises, once, if any matrix of its
-stack failed; the sampled verification reads the mask and redraws those
-trials.
+stack failed; the sampled verification's log check reads the mask and
+redraws those trials.
 """
 
 from __future__ import annotations
@@ -110,6 +114,7 @@ class ClosureReport:
     max_residual: float
     tolerance: float
     status: str  # "pass" | "fail" | "inconclusive"
+    check: str  # "product" | "log"
 
 
 def commutator(
@@ -469,27 +474,39 @@ def verify_multiplicative_closure(
     t_max: float = 1.0,
     retry_budget: int = 5,
 ) -> ClosureReport:
-    """Sampled numerical check that log(e^{Q1 t1} e^{Q2 t2}) stays in the span.
+    """Sampled numerical check that e^{Q1 t1} e^{Q2 t2} stays in the model.
 
     Each trial draws Q1, Q2 as random positive combinations of the
     generators (coefficients uniform in (0, 1]) and times in (0, t_max],
-    multiplies the two substitution matrices, takes the principal log,
-    and measures the max-abs residual against the orthogonal projection
-    onto the span.  Membership of a subspace is scale invariant, so the
-    unnormalized log is tested.
+    multiplies the two substitution matrices into P, and measures the
+    max-abs residual of one matrix v against the orthogonal projection
+    onto the span L.  The exact algebra check runs first and picks v.
 
-    Trials run in rounds of one stacked expm and one stacked logarithm,
-    which reports per product whether it found a finite principal log.
-    Round ``attempt`` draws a (trials, 2d + 2) block from
-    default_rng([seed, attempt]) and trial i takes row i, which is the
-    same whatever the block height: a trial's numbers depend only on
-    (seed, trial, attempt).  A trial without a log is discarded and
-    redrawn next round, up to ``retry_budget`` attempts; its round is
-    never re-run one product at a time.  If any trial exhausts the budget
-    the verdict is "inconclusive" rather than a pass or fail.  Raises
-    ValueError for a dimension-0 model, for ``trials`` or ``retry_budget``
-    below 1, for ``seed`` not a non-negative integer, and for ``t_max`` or
-    ``tol`` not finite positive.
+    * ``check == "product"``: L is algebra-closed, so by the product rule
+      A = RI + L is a matrix algebra that holds e^{Qt} and every product
+      of them, and a column-stochastic P in A has P - I in L; the
+      principal log of P is a polynomial in P, so it lies in L too.  v is
+      P - I, with no logarithm.  A product whose column sums miss 1 by
+      ``tol`` or more (NaN or inf entries included), such as the zero or
+      NaN matrix of an overflowed expm, is no substitution matrix and has
+      no result.
+    * ``check == "log"``: any other span, Lie-closed or not.  v is the
+      principal log of P; a product without a finite principal log has no
+      result.  Membership of a subspace is scale invariant, so the
+      unnormalized log is tested.
+
+    Trials run in rounds of one stacked expm and, on the log check, one
+    stacked logarithm, which reports per product whether it found a
+    finite principal log.  Round ``attempt`` draws a (trials, 2d + 2)
+    block from default_rng([seed, attempt]) and trial i takes row i,
+    which is the same whatever the block height: a trial's numbers depend
+    only on (seed, trial, attempt).  A trial without a result is
+    discarded and redrawn next round, up to ``retry_budget`` attempts;
+    its round is never re-run one product at a time.  If any trial
+    exhausts the budget the verdict is "inconclusive" rather than a pass
+    or fail.  Raises ValueError for a dimension-0 model, for ``trials`` or
+    ``retry_budget`` below 1, for ``seed`` not a non-negative integer, and
+    for ``t_max`` or ``tol`` not finite positive.
     """
     if m.dim < 1:
         raise ValueError("degenerate model: dimension 0")
@@ -502,6 +519,7 @@ def verify_multiplicative_closure(
     for name, value in (("t_max", t_max), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite positive number, got {value}")
+    ((algebra, lie),) = exact_checks(SpanStack([m]))
     gens = np.array(m.gen_rows, dtype=float).reshape(-1, m.order, m.order)
     d = len(gens)
     # orthonormal basis of the span, one column per rref row
@@ -517,15 +535,20 @@ def verify_multiplicative_closure(
         t = np.concatenate([u[:, 2 * d], u[:, 2 * d + 1]]) * t_max
         subst = expm(np.tensordot(c, gens, axes=1), t)
         prods = subst[:n] @ subst[n:]
-        logs, ok = _logm_stack(prods)
-        v = logs[ok].reshape(-1, m.order**2)
+        if algebra.closed:
+            # NaN compares false, so a non-finite product has no result too
+            ok = (np.abs(prods.sum(axis=-2) - 1.0) < tol).all(axis=-1)
+            v = prods[ok] - np.eye(m.order)
+        else:
+            logs, ok = _logm_stack(prods)
+            v = logs[ok]
+        v = v.reshape(-1, m.order**2)
         residual = np.abs(v - (v @ span) @ span.T).max(initial=0.0)
         max_residual = max(max_residual, float(residual))
         discarded += n - int(ok.sum())
         pending = pending[~ok]
         if not pending.size:
             break
-    ((algebra, lie),) = exact_checks(SpanStack([m]))
     if pending.size:
         status = "inconclusive"
     else:
@@ -540,4 +563,5 @@ def verify_multiplicative_closure(
         max_residual=max_residual,
         tolerance=tol,
         status=status,
+        check="product" if algebra.closed else "log",
     )

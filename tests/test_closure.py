@@ -550,11 +550,12 @@ def test_logm_eig_route_declines_eigenvalues_at_rounding_level():
     p = _draw_product(m, seed=5, trial=16, attempt=0, trials=20, t_max=8.0)
     assert np.abs(np.linalg.eigvals(p)).min() < 1e-19 * norm1(p)
     assert not eig_routed(p)
-    # through the eigen route that one product was off the span by 537; the
-    # verdict stays a fail on other products
+    # through the eigen route that one product's log was off the span by 537,
+    # and logs of other products still failed the span; it is algebra-closed,
+    # so the product check decides, and P - I stays in it to rounding
     report = verify_multiplicative_closure(m, trials=20, seed=5, t_max=8.0)
-    assert report.status == "fail"
-    assert report.max_residual < 1
+    assert (report.check, report.status) == ("product", "pass")
+    assert report.max_residual < 1e-12
 
 
 def test_logm_mixed_route_stack_matches_single_calls():
@@ -738,9 +739,9 @@ def test_verify_closure_inconclusive_when_log_never_converges(monkeypatch):
 
     monkeypatch.setattr(closure_mod, "_logm_stack", always_fails)
     report = verify_multiplicative_closure(
-        f81(), trials=3, tol=1e-6, seed=0, retry_budget=2
+        fixture("JJ3").subspace, trials=3, tol=1e-6, seed=0, retry_budget=2
     )
-    assert report.status == "inconclusive"
+    assert (report.check, report.status) == ("log", "inconclusive")
     assert report.discarded_trials == 6
     assert report.max_residual == 0.0
 
@@ -766,6 +767,26 @@ def _draw_product(m, seed, trial, attempt, trials, t_max=1.0):
     q1 = np.tensordot(c1, gens, axes=1)
     q2 = np.tensordot(c2, gens, axes=1)
     return expm(q1, t1) @ expm(q2, t2)
+
+
+def _log_rounds(m, trials, tol, seed, t_max=1.0, retry_budget=5):
+    """The log check's rounds on any span: each round's ``_draw_product``
+    products through one ``_logm_stack`` call, redrawing the trials without a
+    log, with the residual against the QR projection onto the span."""
+    span, _ = np.linalg.qr(np.array([[float(v) for v in row] for row in m.rref]).T)
+    max_residual = 0.0
+    discarded = 0
+    pending = np.arange(trials)
+    for attempt in range(retry_budget):
+        prods = np.array([_draw_product(m, seed, i, attempt, trials, t_max) for i in pending])
+        logs, ok = closure_mod._logm_stack(prods)
+        v = logs[ok].reshape(-1, m.order**2)
+        max_residual = max(max_residual, float(np.abs(v - (v @ span) @ span.T).max(initial=0.0)))
+        discarded += len(pending) - int(ok.sum())
+        pending = pending[~ok]
+        if not pending.size:
+            return ("pass" if max_residual < tol else "fail"), discarded, max_residual
+    return "inconclusive", discarded, max_residual
 
 
 def _reference_verify(m, trials, tol, seed, t_max=1.0, retry_budget=5):
@@ -802,6 +823,8 @@ def golden_spans(every=13):
 
 
 def test_verify_closure_matches_per_trial_reference():
+    # the log kernels' stacked rounds against one logm and one lstsq per
+    # trial, on the same products; verify itself takes logs only of SYM's
     known = known_subspaces()
     models = [known["F81"], known["K3ST"], fixture("SYM").subspace] + golden_spans()
     assert len(models) >= 13
@@ -810,18 +833,25 @@ def test_verify_closure_matches_per_trial_reference():
         discards[t_max] = 0
         for seed in (0, 7, 123):
             for idx, m in enumerate(models):
-                report = verify_multiplicative_closure(
-                    m, trials=10, tol=1e-6, seed=seed * 100 + idx, t_max=t_max
-                )
+                stacked = _log_rounds(m, trials=10, tol=1e-6, seed=seed * 100 + idx, t_max=t_max)
                 status, discarded, max_residual = _reference_verify(
                     m, trials=10, tol=1e-6, seed=seed * 100 + idx, t_max=t_max
                 )
-                assert (report.status, report.discarded_trials) == (status, discarded)
+                assert stacked[:2] == (status, discarded)
                 discards[t_max] += discarded
                 # far from the identity the QR and lstsq projections of a log
                 # outside the span differ well above rounding
                 if t_max == 2.0 or max_residual < 1e-6:
-                    assert abs(report.max_residual - max_residual) < 1e-12
+                    assert abs(stacked[2] - max_residual) < 1e-12
+                report = verify_multiplicative_closure(
+                    m, trials=10, tol=1e-6, seed=seed * 100 + idx, t_max=t_max
+                )
+                if report.check == "log":
+                    assert (report.status, report.discarded_trials) == stacked[:2]
+                    if t_max == 2.0 or max_residual < 1e-6:
+                        assert abs(report.max_residual - stacked[2]) < 1e-12
+                else:
+                    assert (report.status, report.discarded_trials) == ("pass", 0)
     # the longer times reach products without a principal logarithm; one
     # more (test_logm_triangular_route_serves_where_denman_beavers_fails)
     # has one, but only Schur-method square roots find it.  Three of the 13
@@ -888,10 +918,64 @@ def test_verify_closure_reports_both_exact_checks():
         )
 
 
+def test_verify_closure_golden_spans_pass_at_long_times():
+    # through logarithms these products gave 111 pass, 14 fail and 6
+    # inconclusive; every golden span is algebra-closed, and P1 P2 - I stays
+    # in it to rounding at any time
+    reports = [
+        verify_multiplicative_closure(m, trials=20, seed=1, t_max=8.0)
+        for m in golden_spans(every=1)
+    ]
+    assert len(reports) == 131
+    assert {(r.check, r.status) for r in reports} == {("product", "pass")}
+    assert max(r.max_residual for r in reports) < 1e-12
+
+
+def test_verify_closure_product_check_takes_no_logarithm(monkeypatch):
+    def no_logs(a):
+        raise AssertionError("the product check took a logarithm")
+
+    monkeypatch.setattr(closure_mod, "_logm_stack", no_logs)
+    report = verify_multiplicative_closure(f81(), trials=20, seed=1, t_max=8.0)
+    assert (report.check, report.status, report.discarded_trials) == ("product", "pass", 0)
+
+
+def test_verify_closure_jj3_takes_the_log_check():
+    # Lie-closed but not an algebra: the product check does not apply
+    report = verify_multiplicative_closure(fixture("JJ3").subspace, trials=50, seed=1)
+    assert report.lie_closed and not report.algebra_closed
+    assert (report.check, report.status) == ("log", "pass")
+    assert report.max_residual < 1e-9
+
+
+def test_verify_closure_route_follows_the_algebra_check_on_mutated_spans():
+    # mutation check: a golden span with its first generator dropped is
+    # still algebra-closed (50 of the 126 of dimension 2 or more), only
+    # Lie-closed (36) or neither (40); the last take the log check and fail
+    # with the log kernels' own residual
+    seen = {}
+    for g in golden_spans(every=1):
+        if g.dim < 2:
+            continue
+        m = subspace_from_generators(4, g.basis[1:])
+        report = verify_multiplicative_closure(m, trials=20, seed=1)
+        outcome = (report.algebra_closed, report.lie_closed, report.check, report.status)
+        seen[outcome] = seen.get(outcome, 0) + 1
+        if not report.lie_closed:
+            status, discarded, max_residual = _log_rounds(m, trials=20, tol=1e-6, seed=1)
+            assert (report.status, report.discarded_trials) == (status, discarded)
+            assert abs(report.max_residual - max_residual) <= 1e-9 * max_residual
+    assert seen == {
+        (True, True, "product", "pass"): 50,
+        (False, True, "log", "pass"): 36,
+        (False, False, "log", "fail"): 40,
+    }
+
+
 def test_verify_closure_eigen_route_changes_no_verdict(monkeypatch):
     models = golden_spans(every=1) + [fixture("SYM").subspace]
     assert len(models) == 132
-    fast = [verify_multiplicative_closure(m, trials=5, seed=31) for m in models]
+    fast = [_log_rounds(m, trials=5, tol=1e-6, seed=31) for m in models]
     declined = []
 
     def eig_route_declines_all(a):
@@ -901,9 +985,9 @@ def test_verify_closure_eigen_route_changes_no_verdict(monkeypatch):
     # every product now takes the roots route
     monkeypatch.setattr(closure_mod, "_logm_eig_route", eig_route_declines_all)
     for m, report in zip(models, fast):
-        ref = verify_multiplicative_closure(m, trials=5, seed=31)
-        assert (report.status, report.discarded_trials) == (ref.status, ref.discarded_trials)
-        assert abs(report.max_residual - ref.max_residual) < 1e-12
+        ref = _log_rounds(m, trials=5, tol=1e-6, seed=31)
+        assert report[:2] == ref[:2]
+        assert abs(report[2] - ref[2]) < 1e-12
     assert sum(declined) == 5 * 132
 
 
@@ -922,24 +1006,24 @@ def test_verify_closure_triangular_route_changes_no_verdict(monkeypatch):
         monkeypatch.setattr(closure_mod, "_schur_roots_order", counting_choice)
         fast = []
         for current, m in enumerate(models):
-            fast.append(verify_multiplicative_closure(m, trials=5, seed=31, t_max=t_max))
+            fast.append(_log_rounds(m, trials=5, tol=1e-6, seed=31, t_max=t_max))
         if t_max == 1.0:
             # the absorbing-state chains among the golden models, at least
             assert len(served) >= 18
         # every product the eigen route declines now takes Denman-Beavers roots
         monkeypatch.setattr(closure_mod, "_schur_roots_order", no_schur_roots)
         for m, report in zip(models, fast):
-            ref = verify_multiplicative_closure(m, trials=5, seed=31, t_max=t_max)
-            assert (report.status, report.discarded_trials) == (ref.status, ref.discarded_trials)
-            assert report.max_residual < ref.max_residual + 1e-12
+            ref = _log_rounds(m, trials=5, tol=1e-6, seed=31, t_max=t_max)
+            assert report[:2] == ref[:2]
+            assert report[2] < ref[2] + 1e-12
             # at t_max = 8 the Denman-Beavers logs of some chains are off the
             # span by up to about 7e-12, and the Schur-method ones are not
             if t_max == 1.0:
-                assert abs(report.max_residual - ref.max_residual) < 1e-12
+                assert abs(report[2] - ref[2]) < 1e-12
 
 
 def test_verify_closure_redraws_only_the_failing_trial(monkeypatch):
-    m, seed, bad = f81(), 3, 2
+    m, seed, bad = fixture("JJ3").subspace, 3, 2
     target = _draw_product(m, seed, bad, 0, trials=5)
     calls = []
 
@@ -950,16 +1034,16 @@ def test_verify_closure_redraws_only_the_failing_trial(monkeypatch):
 
     monkeypatch.setattr(closure_mod, "_logm_stack", fails_on_target)
     report = verify_multiplicative_closure(m, trials=5, tol=1e-6, seed=seed)
-    assert report.status == "pass"
+    assert (report.check, report.status) == ("log", "pass")
     assert report.discarded_trials == 1
     assert report.max_residual < 1e-9
     # one log-kernel call per round: the stacked round, then the redraw alone
-    assert [c.shape for c in calls] == [(5, 4, 4), (1, 4, 4)]
+    assert [c.shape for c in calls] == [(5, 3, 3), (1, 3, 3)]
     assert np.allclose(calls[-1][0], _draw_product(m, seed, bad, 1, trials=5), atol=1e-14)
 
 
 def test_verify_closure_draws_do_not_depend_on_trial_count(monkeypatch):
-    m, seed, bad = known_subspaces()["K3ST"], 17, 3
+    m, seed, bad = fixture("JJ3").subspace, 17, 3
     target = _draw_product(m, seed, bad, 0, trials=5)
 
     def logm_inputs(trials):
@@ -976,13 +1060,13 @@ def test_verify_closure_draws_do_not_depend_on_trial_count(monkeypatch):
         return calls
 
     few, many = logm_inputs(5), logm_inputs(100)
-    assert few[0].shape == (5, 4, 4) and many[0].shape == (100, 4, 4)
+    assert few[0].shape == (5, 3, 3) and many[0].shape == (100, 3, 3)
     # trials 0..4 draw the same products at either trial count
     assert np.array_equal(few[0], many[0][:5])
     for trial in range(5):
         assert np.array_equal(few[0][trial], _draw_product(m, seed, trial, 0, trials=100))
     # the redrawn trial, alone in the second round, takes its row of that round's block
-    assert few[-1].shape == many[-1].shape == (1, 4, 4)
+    assert few[-1].shape == many[-1].shape == (1, 3, 3)
     assert np.array_equal(few[-1], many[-1])
     for trials in (5, 100):
         assert np.array_equal(few[-1][0], _draw_product(m, seed, bad, 1, trials=trials))
@@ -1035,6 +1119,16 @@ def test_cli_verify_closure_passes(capsys):
     args = ["verify-closure", "--order", "2", "--model-id", "13f11cde8450671b"]
     assert cli.main(args + ["--trials", "5"]) == 0
     assert capsys.readouterr().out.startswith("PASS model 13f11cde8450671b")
+
+
+def test_cli_verify_closure_names_the_check(capsys):
+    # every catalog span is algebra-closed, so the product check decides
+    args = ["verify-closure", "--order", "4", "--model-id", "e592fb285f7e55a7", "--trials", "5"]
+    assert cli.main(args) == 0
+    verdict, _, detail = capsys.readouterr().out.partition("\n")
+    assert verdict.startswith("PASS model e592fb285f7e55a7 (order 4): max residual ")
+    assert verdict.endswith(" over 5 trials, product check")
+    assert json.loads(detail)["check"] == "product"
 
 
 # --- reference kernels ----------------------------------------------------------
