@@ -37,12 +37,8 @@ matrix, defective or nearly so, goes through inverse scaling and
 squaring: square roots until it is within 1-norm LOGM_SERIES_RADIUS of
 the identity, then a fixed number of terms of the Gregory series log A =
 2 atanh((A + I)^-1 (A - I)) (Higham, Functions of Matrices, section
-11.3).  Only the square-root kernel depends on the matrix.  One whose
-exact off-diagonal zero pattern has no cycle and whose diagonal is
-positive, such as a product of an absorbing-state chain, is triangular
-up to a relabeling of its states, and its roots come without iteration
-from the Bjorck-Hammarling recurrence (the Schur method, ibid. section
-6.2); any other matrix takes Denman-Beavers roots.
+11.3).  That route has one square-root kernel, the Denman-Beavers
+iteration (ibid. section 6.1), for every matrix it serves.
 
 Failure is per-matrix data: each log route returns its results with a
 boolean mask of the matrices it could serve, and a non-finite logarithm
@@ -215,8 +211,14 @@ def expm(q: np.ndarray | Sequence, t: float | np.ndarray = 1.0) -> np.ndarray:
     to 1-norm <= EXPM_THETA13, its [13/13] Pade approximant is taken from
     one batched solve, and it is squared back as often as it was scaled
     (Higham, SIMAX 2005, without the lower-degree approximants).  For a
-    rate matrix Q and t >= 0 the result is column-stochastic to high
-    accuracy.  Entry (i, j), i != j, is exactly 0 when the off-diagonal
+    rate matrix Q and moderate t >= 0 the result is column-stochastic to
+    high accuracy, but each of the about log2 |Qt|_1 squarings doubles the
+    rounding error.  For F81's generator sum the largest column-sum error
+    is 4e-10 at t = 1e6, 1.6e-6 at 1e10 and 0.41 at 1e15; at 1e20 the
+    result is inf, and from about 1e19 on it is non-finite or the all-zero
+    matrix, depending on t (all-zero at 1e50, for one).  Nothing here
+    warns of it; the sampled closure check gives such a product no
+    result.  Entry (i, j), i != j, is exactly 0 when the off-diagonal
     nonzero pattern of Qt has no path i -> j (``linalg.reach``), as it is
     in every term of the power series.
     """
@@ -325,66 +327,24 @@ def _logm_eig_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return logs, ok
 
 
-def _sqrtm_triangular(t: np.ndarray) -> np.ndarray:
-    """Principal square roots of upper triangular matrices with a positive diagonal.
-
-    R[i, i] = sqrt(T[i, i]), then one vectorized pass per superdiagonal of
-    the Bjorck-Hammarling recurrence R[i, j] = (T[i, j] - (R R)[i, j]) /
-    (R[i, i] + R[j, j]), where R R still holds only the inner terms
-    i < l < j because R is zero from that superdiagonal on (Higham,
-    Functions of Matrices, section 6.2).  No iteration, so every root is
-    served.
-    """
-    k = t.shape[-1]
-    r = np.zeros_like(t)
-    i = np.arange(k)
-    r[:, i, i] = np.sqrt(t[:, i, i])
-    for d in range(1, k):
-        i = np.arange(k - d)
-        j = i + d
-        r[:, i, j] = (t[:, i, j] - (r @ r)[:, i, j]) / (r[:, i, i] + r[:, j, j])
-    return r
-
-
-def _schur_roots_order(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Which matrices of a stack take Schur-method square roots, and each one's state order.
-
-    A matrix takes them when the exact zero pattern of its off-diagonal
-    entries has no cycle and its diagonal is positive.  Sorting its states
-    by their number of descendants in that pattern, most first, puts every
-    edge i -> j above the diagonal, since i has all of j's descendants and
-    j too; relabeled by that order, the matrix is upper triangular with
-    exact zeros below.  Every other matrix keeps the identity order.
-    """
-    reach = linalg.reach(a)
-    diag = np.arange(a.shape[-1])
-    schur = ~reach[:, diag, diag].any(axis=-1) & (a[:, diag, diag] > 0).all(axis=-1)
-    order = np.argsort(-reach.sum(axis=-1), axis=-1, kind="stable")
-    return schur, np.where(schur[:, None], order, diag)
-
-
 def _logm_roots_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal logarithms of a stack by inverse scaling and squaring.
 
-    Each matrix is relabeled once by ``_schur_roots_order``.  Then it takes
-    repeated principal square roots until it is within 1-norm
-    LOGM_SERIES_RADIUS = 0.5 of the identity: Schur-method roots
-    (``_sqrtm_triangular``) where that helper chose them, Denman-Beavers
-    roots (``_sqrtm_stack``) for the rest.  Depth is capped at 40, since
-    products of substitution matrices can sit far from the identity.  Then
-    Z = (A + I)^-1 (A - I) comes from one batched solve, and log A = 2 (Z
-    + Z^3/3 + Z^5/5 + ...) is summed to a fixed LOGM_SERIES_TERMS terms,
-    enough for 1e-18 at that radius; each sum is scaled back up by its own
-    depth and relabeled back.  Returns the logarithms and which of them to
-    trust: a matrix fails, alone, when one of its square roots fails or it
-    is still outside the radius after 40 roots.  The entries of failed
-    matrices are zero; only the others enter the solve and the series.
+    Each matrix takes repeated principal square roots from the one
+    square-root kernel, the Denman-Beavers iteration (``_sqrtm_stack``),
+    until it is within 1-norm LOGM_SERIES_RADIUS = 0.5 of the identity.
+    Depth is capped at 40, since products of substitution matrices can
+    sit far from the identity.  Then Z = (A + I)^-1 (A - I) comes from one
+    batched solve, and log A = 2 (Z + Z^3/3 + Z^5/5 + ...) is summed to a
+    fixed LOGM_SERIES_TERMS terms, enough for 1e-18 at that radius; each
+    sum is scaled back up by its own depth.  Returns the logarithms and
+    which of them to trust: a matrix fails, alone, when one of its square
+    roots fails or it is still outside the radius after 40 roots.  The
+    entries of failed matrices are zero; only the others enter the solve
+    and the series.
     """
     n_mats, k, _ = a.shape
-    schur, order = _schur_roots_order(a)
-    # simultaneous row and column relabeling: t[m, i, j] = a[m, order[m, i], order[m, j]]
-    at = (np.arange(n_mats)[:, None, None], order[:, :, None], order[:, None, :])
-    t = a[at]
+    t = a.copy()
     ident = np.eye(k)
     ok = np.ones(n_mats, dtype=bool)
     depth = np.zeros(n_mats, dtype=int)
@@ -392,13 +352,8 @@ def _logm_roots_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(LOGM_MAX_SQRT_DEPTH):
         if not todo.size:
             break
-        tri, rest = todo[schur[todo]], todo[~schur[todo]]
-        # most stacks need one kernel only, and an empty call is not free
-        if tri.size:
-            t[tri] = _sqrtm_triangular(t[tri])
-        if rest.size:
-            t[rest], rooted = _sqrtm_stack(t[rest])
-            ok[rest[~rooted]] = False
+        t[todo], rooted = _sqrtm_stack(t[todo])
+        ok[todo[~rooted]] = False
         depth[todo] += 1
         todo = todo[ok[todo] & (_norm1(t[todo] - ident) >= LOGM_SERIES_RADIUS)]
     ok[todo] = False
@@ -411,11 +366,9 @@ def _logm_roots_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for j in range(1, LOGM_SERIES_TERMS):
         power = power @ z2
         total += power / (2 * j + 1)
-    logs_t = np.zeros((n_mats, k, k))
+    logs = np.zeros((n_mats, k, k))
     # the series' factor 2 and each square root's factor 2, exactly
-    logs_t[ok] = np.ldexp(total, depth[:, None, None] + 1)
-    logs = np.zeros_like(logs_t)
-    logs[at] = logs_t
+    logs[ok] = np.ldexp(total, depth[:, None, None] + 1)
     return logs, ok
 
 
@@ -446,18 +399,17 @@ def logm(p: np.ndarray | Sequence) -> np.ndarray:
     eigendecomposition serves every matrix that is diagonalizable by a
     well-conditioned eigenvector matrix V with no eigenvalue on the closed
     negative real axis or at rounding level: its logarithm is V log(w)
-    V^-1, real part kept (see ``_logm_eig_route`` for the exact rule).  Every other matrix,
-    e.g. a defective one, goes through inverse scaling and squaring
-    (``_logm_roots_route``: square roots to within 1-norm 0.5 of the
-    identity, then a fixed-length atanh series).  Its square roots are
-    Schur-method ones when its off-diagonal zero pattern has no cycle and
-    its diagonal is positive, and Denman-Beavers ones otherwise.  The
-    route and the kernel depend only on the matrix itself, so a stack
-    gives the same results as single calls.  Raises LogmConvergenceError
-    if any matrix of the stack has no real principal logarithm that the
-    roots route can reach, e.g. one with
-    an eigenvalue on the closed negative real axis, or if its logarithm
-    is not finite, e.g. for a NaN input.
+    V^-1, real part kept (see ``_logm_eig_route`` for the exact rule).
+    Every other matrix, e.g. a defective one, goes through inverse
+    scaling and squaring (``_logm_roots_route``: square roots to within
+    1-norm 0.5 of the identity, then a fixed-length atanh series), whose
+    one square-root kernel is the Denman-Beavers iteration.  The route
+    depends only on the matrix itself, so a stack gives the same results
+    as single calls.  Raises LogmConvergenceError if any matrix of the
+    stack has no real principal logarithm that the roots route can
+    reach, e.g. one with an eigenvalue on the closed negative real axis
+    or a nearly singular one whose Denman-Beavers steps stall above their
+    stop test, or if its logarithm is not finite, e.g. for a NaN input.
     """
     a, single = _as_stack(p, "logm")
     logs, ok = _logm_stack(a)

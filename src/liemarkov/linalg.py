@@ -17,8 +17,8 @@ generator products and their membership are ``modelgen.SpanStack``'s.
 ``reach``, the transitive closure of a stack of off-diagonal nonzero
 patterns, is boolean and so exact too: it decides
 ``modelgen.is_reducible`` for a whole stack of spans, and which entries
-``closure.expm`` keeps at exactly 0 and which products the triangular
-``logm`` route serves.
+``closure.expm`` keeps at exactly 0.  ``closure.logm`` reads no zero
+pattern: its roots route has one square-root kernel for every matrix.
 Floating point enters the package only in :mod:`liemarkov.closure`.
 """
 

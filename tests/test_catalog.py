@@ -449,6 +449,8 @@ def test_pipeline_rejects_bad_arguments():
         run_pipeline(order=6)
     with pytest.raises(ValueError):
         run_pipeline(order=1)
+    with pytest.raises(ValueError, match="^no tables given$"):
+        run_pipeline(tables=[])
     with pytest.raises(ValueError, match="mixed orders"):
         run_pipeline(tables=[make_table([[0]]), make_table([[0, 0], [0, 0]])])
     with pytest.raises(ValueError, match="block 2"):
@@ -1003,6 +1005,21 @@ def test_cli_derive_bad_tables_file(tmp_path, capsys):
     path.write_text("1 1\n1 x\n")
     assert cli.main(["derive", "--tables", str(path)]) == 1
     assert "block 1, line 2" in capsys.readouterr().err
+
+
+def test_cli_derive_missing_tables_file(tmp_path, capsys):
+    path = tmp_path / "missing.txt"
+    assert cli.main(["derive", "--tables", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: tables file not found: {path}\n"
+
+
+def test_cli_construct_group_based_needs_one_table_block(tmp_path, capsys):
+    path = tmp_path / "two.txt"
+    path.write_text("1 2\n2 1\n\n1 2\n2 1\n")
+    assert cli.main(["construct", "group-based", "--table", str(path)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: group-based construction expects exactly one table block\n"
 
 
 def test_cli_classify(capsys):

@@ -68,6 +68,11 @@ def test_out_of_range_entry_rejected():
         make_table([[0, 0], [0]])
 
 
+def test_empty_table_rejected():
+    with pytest.raises(MalformedTableError, match="^order must be >= 1, got 0$"):
+        make_table([])
+
+
 def test_apply_perm_identity():
     assert apply_perm(C2, (0, 1)) == C2
 

@@ -20,7 +20,6 @@ from liemarkov.closure import (
     _logm_eig_route,
     _logm_roots_route,
     _logm_stack,
-    _schur_roots_order,
     _sqrtm_stack,
     check_algebra_closed,
     check_lie_closed,
@@ -407,29 +406,10 @@ def eig_routed(p):
     return bool(_logm_eig_route(np.asarray(p)[None])[1][0])
 
 
-def no_schur_roots(a):
-    """A kernel choice that gives every matrix Denman-Beavers roots, to be
-    patched in for ``_schur_roots_order``."""
-    return np.zeros(len(a), dtype=bool), np.broadcast_to(np.arange(a.shape[-1]), a.shape[:2])
-
-
 def db_route(p):
-    """The roots route's logarithm of one matrix through Denman-Beavers roots
-    alone, which must succeed."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(closure_mod, "_schur_roots_order", no_schur_roots)
-        logs, ok = _logm_roots_route(np.asarray(p, dtype=float)[None])
-    assert ok.tolist() == [True]
-    return logs[0]
-
-
-def schur_route(p):
-    """The roots route's logarithm of one matrix through Schur-method roots,
-    which must succeed, or None when the kernel choice declines the matrix."""
-    p = np.asarray(p, dtype=float)[None]
-    if not _schur_roots_order(p)[0][0]:
-        return None
-    logs, ok = _logm_roots_route(p)
+    """The roots route's logarithm of one matrix, through its one square-root
+    kernel (Denman-Beavers), which must succeed."""
+    logs, ok = _logm_roots_route(np.asarray(p, dtype=float)[None])
     assert ok.tolist() == [True]
     return logs[0]
 
@@ -455,7 +435,6 @@ def test_logm_defective_input_takes_square_root_route():
     for trial in range(4):
         p = golden_product(CYCLIC_DEFECTIVE_MODEL, trial)
         assert not eig_routed(p)
-        assert schur_route(p) is None
         assert np.array_equal(logm(p), db_route(p))
 
 
@@ -466,9 +445,8 @@ def test_logm_defective_chain_takes_triangular_route():
         assert not np.triu(p, 1).any()
         assert not eig_routed(p)
         x = logm(p)
-        assert np.array_equal(x, schur_route(p))
+        assert np.array_equal(x, db_route(p))
         assert np.abs(x - JORDAN_RATES * t).max() < 1e-8
-        assert np.abs(x - db_route(p)).max() < 1e-14
 
 
 def jordan_log(lam, n):
@@ -482,44 +460,14 @@ def test_logm_triangular_route_jordan_block_closed_form():
         p = lam * np.eye(3) + n
         want = jordan_log(lam, n)
         assert not eig_routed(p)
-        got = schur_route(p)
+        got = db_route(p)
         assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
         assert np.array_equal(logm(p), got)
         # the same block under every relabeling of its states
         for perm in itertools.permutations(range(3)):
             k = np.eye(3)[list(perm)]
-            got = schur_route(k @ p @ k.T)
+            got = db_route(k @ p @ k.T)
             assert np.abs(got - k @ want @ k.T).max() <= 2e-15 * np.abs(want).max()
-
-
-def test_logm_triangular_route_declines_cyclic_patterns():
-    for t in (0.3, 1.0, 2.5):
-        assert schur_route(expm(CYCLIC_RATES, t)) is None
-    # a 2 x 2 strongly connected block above an absorbing state
-    q = np.array([[-2.0, 1.0, 0.0], [1.0, -1.0, 0.0], [1.0, 0.0, 0.0]])
-    assert schur_route(expm(q, 0.5)) is None
-    assert schur_route(golden_product(CYCLIC_DEFECTIVE_MODEL)) is None
-    # a single cycle through all k states, which the transitive closure must
-    # follow to its full length
-    for k in (2, 3, 4, 5):
-        assert schur_route(np.eye(k) + 0.25 * np.roll(np.eye(k), 1, axis=0)) is None
-
-
-def test_logm_triangular_route_declines_nonpositive_diagonal():
-    cases = [
-        np.array([[0.0, 1.0], [0.0, 0.0]]),
-        np.array([[0.0, 1.0], [0.0, 1.0]]),
-        np.array([[-1.0, 1.0], [0.0, 2.0]]),
-        np.array([[1.0, 0.0, 0.0], [2.0, -0.5, 0.0], [0.0, 1.0, 3.0]]),
-    ]
-    with warnings.catch_warnings():
-        # the kernel choice declines them without taking a square root
-        warnings.simplefilter("error")
-        for p in cases:
-            assert schur_route(p) is None
-    for p in cases:
-        with pytest.raises(LogmConvergenceError):
-            logm(p)
 
 
 def test_logm_sqrt_route_accurate_at_series_radius():
@@ -586,8 +534,6 @@ def test_logm_stack_of_both_routes_and_kernels_matches_single_calls():
     )
     _, eig = _logm_eig_route(ps)
     assert eig.tolist() == [False] * 6 + [True] * 2
-    schur, _ = _schur_roots_order(ps[:6])
-    assert schur.tolist() == [True] * 3 + [False] * 3
     stacked = logm(ps)
     for p, x in zip(ps, stacked):
         assert np.array_equal(x, logm(p))
@@ -624,6 +570,15 @@ def test_logm_negative_real_eigenvalue_still_raises():
     assert ok.tolist() == [True, False]
     with pytest.raises(LogmConvergenceError):
         logm(np.array([np.eye(2), swap, expm([[-1.0, 1.0], [1.0, -1.0]], 0.5)]))
+    # triangular matrices with an eigenvalue 0 or below on the diagonal
+    for p in (
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.array([[0.0, 1.0], [0.0, 1.0]]),
+        np.array([[-1.0, 1.0], [0.0, 2.0]]),
+        np.array([[1.0, 0.0, 0.0], [2.0, -0.5, 0.0], [0.0, 1.0, 3.0]]),
+    ):
+        with pytest.raises(LogmConvergenceError):
+            logm(p)
 
 
 def test_logm_stack_reports_failures_per_matrix():
@@ -853,52 +808,36 @@ def test_verify_closure_matches_per_trial_reference():
                 else:
                     assert (report.status, report.discarded_trials) == ("pass", 0)
     # the longer times reach products without a principal logarithm; one
-    # more (test_logm_triangular_route_serves_where_denman_beavers_fails)
-    # has one, but only Schur-method square roots find it.  Three of the 13
+    # more has one that Denman-Beavers roots do not find
+    # (test_logm_raises_on_the_entry_52_chain_product).  Three of the 14
     # have an eigenvalue below eps times their 1-norm, which the eigen route
     # declines (test_logm_eig_route_declines_eigenvalues_at_rounding_level)
     # and the roots route cannot serve either
-    assert discards == {2.0: 0, 8.0: 13}
+    assert discards == {2.0: 0, 8.0: 14}
 
 
-def check_schur_roots_serve_entry_52():
+def test_logm_raises_on_the_entry_52_chain_product():
     # a chain product of golden entry 52 at t_max = 8 with diagonal entries
-    # down to 2e-15
-    p = _draw_product(golden_spans()[4], seed=7, trial=9, attempt=0, trials=10, t_max=8.0)
+    # down to 2e-15 has a real principal logarithm, but Denman-Beavers roots
+    # do not find it, so logm raises; no closure check takes its log, since
+    # the span is algebra-closed and takes the product check
+    m = golden_spans()[4]
+    p = _draw_product(m, seed=7, trial=9, attempt=0, trials=10, t_max=8.0)
     assert not np.tril(p, -1).any() and np.diag(p).min() < 1e-14
     assert not _logm_eig_route(p[None])[1][0]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(closure_mod, "_schur_roots_order", no_schur_roots)
-        assert not _logm_roots_route(p[None])[1][0]
-    x = logm(p)
-    assert np.array_equal(x, schur_route(p))
-    assert np.abs(x.sum(axis=0)).max() < 1e-13
-    assert np.abs(expm(x) - p).max() < 1e-13
-    assert (np.abs(np.diag(expm(x)) - np.diag(p)) <= 1e-13 * np.diag(p)).all()
-
-
-def test_logm_triangular_route_serves_where_denman_beavers_fails():
-    check_schur_roots_serve_entry_52()
-
-
-def test_schur_roots_serve_entry_52_only_through_the_kernel_choice(monkeypatch):
-    # mutation check: a kernel choice that declines every matrix leaves that
-    # product to Denman-Beavers, which finds no logarithm
-    monkeypatch.setattr(closure_mod, "_schur_roots_order", no_schur_roots)
-    with pytest.raises((AssertionError, LogmConvergenceError)):
-        check_schur_roots_serve_entry_52()
+    assert not _logm_roots_route(p[None])[1][0]
+    with pytest.raises(LogmConvergenceError):
+        logm(p)
+    report = verify_multiplicative_closure(m, trials=10, seed=7, t_max=8.0)
+    assert (report.check, report.status, report.discarded_trials) == ("product", "pass", 0)
 
 
 def test_logm_raises_where_schur_roots_stay_outside_the_series_radius():
-    # 40 Schur-method roots leave the off-diagonal entry at 1e15 / 2^40, about
-    # 909, and Denman-Beavers roots fail the same radius test, so no second
-    # kernel is tried
+    # exact principal roots leave the off-diagonal entry at 1e15 / 2^40,
+    # about 909, after 40 of them, far outside the series radius; the
+    # Denman-Beavers roots get no closer, and the route gives up
     p = np.array([[1.0, 1e15], [0.0, 1.0]])
-    assert _schur_roots_order(p[None])[0].tolist() == [True]
     assert not _logm_roots_route(p[None])[1][0]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(closure_mod, "_schur_roots_order", no_schur_roots)
-        assert not _logm_roots_route(p[None])[1][0]
     with pytest.raises(LogmConvergenceError):
         logm(p)
 
@@ -989,37 +928,6 @@ def test_verify_closure_eigen_route_changes_no_verdict(monkeypatch):
         assert report[:2] == ref[:2]
         assert abs(report[2] - ref[2]) < 1e-12
     assert sum(declined) == 5 * 132
-
-
-def test_verify_closure_triangular_route_changes_no_verdict(monkeypatch):
-    models = golden_spans(every=1) + [fixture("SYM").subspace]
-    assert len(models) == 132
-    served = set()
-
-    def counting_choice(a):
-        schur, order = _schur_roots_order(a)
-        if schur.any():
-            served.add(current)
-        return schur, order
-
-    for t_max in (1.0, 8.0):
-        monkeypatch.setattr(closure_mod, "_schur_roots_order", counting_choice)
-        fast = []
-        for current, m in enumerate(models):
-            fast.append(_log_rounds(m, trials=5, tol=1e-6, seed=31, t_max=t_max))
-        if t_max == 1.0:
-            # the absorbing-state chains among the golden models, at least
-            assert len(served) >= 18
-        # every product the eigen route declines now takes Denman-Beavers roots
-        monkeypatch.setattr(closure_mod, "_schur_roots_order", no_schur_roots)
-        for m, report in zip(models, fast):
-            ref = _log_rounds(m, trials=5, tol=1e-6, seed=31, t_max=t_max)
-            assert report[:2] == ref[:2]
-            assert report[2] < ref[2] + 1e-12
-            # at t_max = 8 the Denman-Beavers logs of some chains are off the
-            # span by up to about 7e-12, and the Schur-method ones are not
-            if t_max == 1.0:
-                assert abs(report[2] - ref[2]) < 1e-12
 
 
 def test_verify_closure_redraws_only_the_failing_trial(monkeypatch):
@@ -1225,45 +1133,56 @@ def closure_inputs(seed, trials=20):
 
 @pytest.mark.parametrize("seed", [3, 5])
 def test_kernels_match_references_on_closure_inputs(seed):
-    tri_routed = sqrt_routed = 0
+    sqrt_routed = 0
     for _, q, t in closure_inputs(seed):
         subst = expm(q, t)
         assert np.abs(subst - reference_expm(q, t)).max() < 1e-14
         prods = subst[:20] @ subst[20:]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(closure_mod, "_schur_roots_order", no_schur_roots)
-            logs, ok = _logm_roots_route(prods)
+        logs, ok = _logm_roots_route(prods)
         assert ok.all()
         assert np.abs(logs - reference_logm_sqrt_route(prods)).max() < 1e-12
         reference, ok = _logm_eig_route(prods)
         if (~ok).any():
             reference[~ok] = reference_logm_sqrt_route(prods[~ok])
-            tri, _ = _schur_roots_order(prods[~ok])
-            tri_routed += int(tri.sum())
-            sqrt_routed += int((~tri).sum())
+            sqrt_routed += int((~ok).sum())
         assert np.abs(logm(prods) - reference).max() < 1e-12
-    # the defective products that take Schur-method and Denman-Beavers
-    # roots are both included
-    assert tri_routed > 0 and sqrt_routed > 0
+    # the defective products, which take the roots route, are included
+    assert sqrt_routed > 0
+
+
+def logged_spans():
+    """Every span whose products verify takes logarithms of here: SYM, JJ3
+    and the log-check spans of the mutation test, the golden spans with
+    their first generator dropped that are not algebra-closed."""
+    dropped = [subspace_from_generators(4, g.basis[1:]) for g in golden_spans(every=1) if g.dim >= 2]
+    return [fixture("SYM").subspace, fixture("JJ3").subspace] + [
+        m for m in dropped if not check_algebra_closed(m).closed
+    ]
+
+
+def no_eig_route(a):
+    return np.zeros_like(a), np.zeros(len(a), dtype=bool)
 
 
 @pytest.mark.parametrize("seed", [3, 5])
 def test_verify_closure_same_verdicts_with_reference_kernels(seed, monkeypatch):
-    cases = closure_inputs(seed)
+    models = logged_spans()
+    assert len(models) == 78
     fast = [
         verify_multiplicative_closure(m, trials=20, seed=seed * 1000 + i)
-        for i, (m, _, _) in enumerate(cases)
+        for i, m in enumerate(models)
     ]
+    assert {r.check for r in fast} == {"log"}
     monkeypatch.setattr(closure_mod, "expm", reference_expm)
-    # the reference serves every product the eigen route declines
+    # the reference roots route serves every product the eigen route would
+    monkeypatch.setattr(closure_mod, "_logm_eig_route", no_eig_route)
     monkeypatch.setattr(closure_mod, "_logm_roots_route", reference_sqrt_route_stack)
-    statuses = []
-    for i, ((m, _, _), report) in enumerate(zip(cases, fast)):
+    for i, (m, report) in enumerate(zip(models, fast)):
         ref = verify_multiplicative_closure(m, trials=20, seed=seed * 1000 + i)
         assert (report.status, report.discarded_trials) == (ref.status, ref.discarded_trials)
         assert abs(report.max_residual - ref.max_residual) < 1e-12
-        statuses.append(report.status)
-    assert statuses == ["pass"] * 131 + ["fail"]
+    # SYM and the 40 mutated spans that are not Lie-closed fail
+    assert [r.status for r in fast].count("fail") == 41
 
 
 def test_expm_nilpotent_closed_form():

@@ -12,6 +12,7 @@ from liemarkov.closure import (
     commutator,
 )
 from liemarkov.constructors import (
+    GroupSpec,
     NotAGroupError,
     abelian_rate_pattern,
     cyclic_group,
@@ -78,6 +79,17 @@ def test_group_spec_rejects_nonassociative():
 def test_group_spec_rejects_non_latin_square():
     with pytest.raises(NotAGroupError, match="not a permutation"):
         group_spec([[0, 0], [1, 1]])
+    # right zero, x * y = y: associative, every row is a permutation, no column is
+    with pytest.raises(NotAGroupError, match="^column 1 is not a permutation of the elements$"):
+        group_spec([[0, 1], [0, 1]])
+
+
+def test_group_spec_methods_refuse_tables_that_are_no_group():
+    with pytest.raises(NotAGroupError, match="^no identity element$"):
+        GroupSpec(make_table([[0, 1], [0, 1]])).identity()
+    # 0 is the identity, and 1 * y is 1 for every y
+    with pytest.raises(NotAGroupError, match="^element 1 has no inverse$"):
+        GroupSpec(make_table([[0, 1], [1, 1]])).inverse(1)
 
 
 def test_group_spec_rejects_semigroup_without_identity():
@@ -218,6 +230,11 @@ def test_full_s4_equivariant_is_one_dimensional():
 def test_equivariant_rejects_non_closed_set():
     with pytest.raises(ValueError, match="not closed"):
         equivariant_model([(0, 1, 2, 3), parse_perm("(1 2 3 4)", 4)], 4)
+
+
+def test_equivariant_rejects_permutations_of_another_length():
+    with pytest.raises(ValueError, match="^permutations must act on 3 points$"):
+        equivariant_model([(0, 1)], 3)
 
 
 def test_equivariant_fixed_pointwise():

@@ -93,6 +93,11 @@ def test_symmetry_group_new_model_is_klein():
     assert set(g.elements) == V4_PERMS
 
 
+def test_is_closed_group_needs_the_identity():
+    # a transposition alone is closed under inverses but lacks the identity
+    assert not is_closed_group(((1, 0, 2),))
+
+
 def test_symmetry_group_is_a_group(catalog3):
     for entry in catalog3:
         assert is_closed_group(entry.report.symmetry.elements)
