@@ -166,10 +166,10 @@ def enumerate_semigroups(k: int) -> list[CayleyTable]:
     its source are placed.  On complete tables this is the full test
     against :func:`canonical_form`: one representative, the canonical
     form, per isomorphism class, with anti-isomorphic classes kept apart.
-    Order 4 takes about 14 ms, order 5 about 0.3 s and order 6 about
-    12 s (on a shared 2-vCPU machine, Python 3.11, where the forced
-    values took 14% off orders 4 and 5: 16.0 -> 13.7 ms and 346 -> 298 ms,
-    medians of interleaved runs).
+    Order 4 takes about 7 ms, order 5 about 0.15 s and order 6 about
+    6 s of CPU time (on a shared 2-vCPU machine, Python 3.11.7; medians
+    of interleaved in-process runs; wall time runs up to a third higher
+    under the machine's other load).
     """
     if not 1 <= k <= MAX_ENUM_ORDER:
         raise ValueError(
@@ -186,55 +186,22 @@ def enumerate_semigroups(k: int) -> list[CayleyTable]:
     rng = range(k)
     rows = [i * k for i in rng]
 
-    def consistent(i: int, j: int, v: int) -> bool:
-        ri, rj, rv = rows[i], rows[j], rows[v]
-        # (i, j, c): products t[i][j]=v and t[j][c]; outer t[v][c], t[i][t[j][c]]
-        for c in rng:
-            jc = m[rj + c]
-            if jc >= 0:
-                left = m[rv + c]
-                right = m[ri + jc]
-                if left >= 0 and right >= 0 and left != right:
-                    return False
-        # (a, i, j): products t[a][i], t[i][j]=v; outer t[t[a][i]][j], t[a][v]
-        for ra in rows:
-            ai = m[ra + i]
-            if ai >= 0:
-                left = m[rows[ai] + j]
-                right = m[ra + v]
-                if left >= 0 and right >= 0 and left != right:
-                    return False
-        return True
-
     # watch[w] holds the ties (p, src, c), equal on the cells before c, that
-    # resume when cell w = max(c, src[c]) is placed; a full tie is dropped
+    # resume when cell w = max(c, src[c]) is placed; a full tie is dropped.
+    # p carries one more entry, k, so p[m[s]] is k, equal to no cell, while
+    # cell s is undefined (-1)
     watch: list[list] = [[] for _ in range(n)]
     for p, src in relabel_gathers(k)[1:]:
-        watch[src[0]].append((p, src, 0))
-
-    def resume(pos: int) -> list | None:
-        moved = []  # the defined cells of m are 0..pos
-        for p, src, c in watch[pos]:
-            for c in range(c, n):
-                s = src[c]
-                if s > pos or c > pos:
-                    moved.append((max(s, c), (p, src, c)))
-                    break
-                y = p[m[s]]
-                x = m[c]
-                if y != x:
-                    if y < x:
-                        return None
-                    break
-        return moved
+        watch[src[0]].append((p + (k,), src, 0))
 
     def fill(pos: int):
         if pos == n:
             found.append(tuple(m))
             return
         i, j = divmod(pos, k)
+        ri, rj = rows[i], rows[j]
         # the value forced by the triples in which cell (i, j) is the outer
-        # product and every other product is defined, as in consistent()
+        # product and every other product is defined
         forced = -1
         for (a, b) in occ[i]:
             bj = m[rows[b] + j]
@@ -245,23 +212,57 @@ def enumerate_semigroups(k: int) -> list[CayleyTable]:
                         return
                     forced = x
         for (b, c) in occ[j]:
-            ib = m[rows[i] + b]
+            ib = m[ri + b]
             if ib >= 0:
                 x = m[rows[ib] + c]
                 if x >= 0:
                     if forced >= 0 and x != forced:
                         return
                     forced = x
+        # the defined cells (j, c) of row j and (a, i) of column i once (i, j)
+        # is placed: those up to (i, j) in row-major order, (i, j) included
+        cs = rng if j < i else range(j + 1) if j == i else ()
+        ras = rows[: i + 1] if i <= j else rows[:i]
+        ties = watch[pos]
         for v in rng if forced < 0 else (forced,):
             m[pos] = v
-            occ[v].append((i, j))
-            if consistent(i, j, v) and (moved := resume(pos)) is not None:
-                for w, t in moved:
-                    watch[w].append(t)
-                fill(pos + 1)
-                for w, _ in moved:
-                    watch[w].pop()
-            occ[v].pop()
+            rv = rows[v]
+            # (i, j, c): products t[i][j]=v and t[j][c]; outer t[v][c], t[i][t[j][c]]
+            for c in cs:
+                left = m[rv + c]
+                right = m[ri + m[rj + c]]
+                if left != right and left >= 0 and right >= 0:
+                    break
+            else:
+                # (a, i, j): products t[a][i], t[i][j]=v; outer t[t[a][i]][j], t[a][v]
+                for ra in ras:
+                    left = m[rows[m[ra + i]] + j]
+                    right = m[ra + v]
+                    if left != right and left >= 0 and right >= 0:
+                        break
+                else:
+                    # resume the ties watching this cell; the defined cells are 0..pos
+                    moved = []
+                    for p, src, c in ties:
+                        for c in range(c, n):
+                            y = p[m[src[c]]]
+                            x = m[c]
+                            if y != x:
+                                break
+                        else:
+                            continue  # a full tie is dropped
+                        if x < 0 or y == k:  # a cell is undefined: still tied
+                            moved.append((max(src[c], c), (p, src, c)))
+                        elif y < x:  # smaller under p: cut the subtree
+                            break
+                    else:
+                        for w, t in moved:
+                            watch[w].append(t)
+                        occ[v].append((i, j))
+                        fill(pos + 1)
+                        occ[v].pop()
+                        for w, _ in moved:
+                            watch[w].pop()
         m[pos] = -1
 
     fill(0)

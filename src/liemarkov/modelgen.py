@@ -155,26 +155,31 @@ at once would be about 190 MB.
 class SpanStack:
     """Exact generator products and supports of same-order spans, in one stack.
 
-    This is the one code that forms generator products.  Span s is one
-    row: its ``gen_rows``, then its rref rows, zero-padded to the stack's
-    largest counts n and d.  ``linalg.integral_rows`` scales each row to
-    integers once, by a positive factor c, so every scaled pivot is c;
-    scaling keeps signs and spans, so memberships, the brackets up to the
-    factor c^2, and supports are read off the integer stack.  Zero
-    generators have zero products, which lie in every span; a stack of
-    one span pads nothing.
+    This is the one code that forms generator products.  Span s is entry
+    s of one preallocated (S, n + d, k^2) array: its ``gen_rows``, then
+    its rref rows, zero-padded to the stack's largest counts n and d, and
+    filled from the row tuples, which numpy converts in C.  A span that
+    holds an entry other than ``int`` is first scaled to integers by one
+    ``linalg.integral_rows`` of its rows read as one row.  So each span
+    is scaled by a positive factor c (1 for a span of ``int`` rows), and
+    every scaled pivot is c; scaling keeps signs and spans, so
+    memberships, the brackets up to the factor c^2, and supports are
+    read off the integer stack.  Zero generators have zero products,
+    which lie in every span; a stack of one span pads nothing.
 
     Over an rref basis the coordinates of v are its entries at the pivot
     columns p_t, so v lies in the span iff c v - sum_t v[p_t] (c r_t) is
     zero: two matmuls for the whole stack, one with a one-hot matrix of
     the pivot columns and one with the scaled rref rows.  The stack is
-    ``int64`` when, with a the largest scaled entry (at least 1),
-    2 (d + 1) k a^3 < 2^63: a product entry is a sum of k terms of size
-    at most a^2, a bracket entry the difference of two such, and a
-    residual entry a sum of d + 1 terms of size at most k a^3; a bracket
-    is in the span iff the residuals of its two products are equal.
-    Otherwise it is ``object``, with the same numpy expressions on Python
-    ints.  Raises ValueError for no spans or spans of mixed orders.
+    filled as ``int64``, and stays so when, with a the largest filled
+    entry in absolute value (at least 1), 2 (d + 1) k a^3 < 2^63: a
+    product entry is a sum of k terms of size at most a^2, a bracket
+    entry the difference of two such, and a residual entry a sum of
+    d + 1 terms of size at most k a^3; a bracket is in the span iff the
+    residuals of its two products are equal.  Otherwise, or when an
+    entry does not fit ``int64``, it is filled again as ``object``, with
+    the same numpy expressions on Python ints.  Raises ValueError for no
+    spans or spans of mixed orders.
 
     ``scale`` (S,) holds each span's factor c, the scaled pivot of its
     rref row 0 (1 for a span of dimension 0); ``gens`` (S, n, k, k) and
@@ -197,26 +202,17 @@ class SpanStack:
         kk = k * k
         s = len(spans)
         self.spans = tuple(spans)
-        ints = linalg.integral_rows(
-            [
-                [
-                    *chain.from_iterable(m.gen_rows),
-                    *itertools.repeat(0, kk * (n - len(m.gen_rows))),
-                    *chain.from_iterable(m.rref),
-                    *itertools.repeat(0, kk * (d - len(m.rref))),
-                ]
-                for m in spans
-            ]
-        )
-        a = max(map(abs, chain.from_iterable(ints)), default=1)
-        dtype = np.int64 if 2 * (d + 1) * k * a**3 < 2**63 else object
-        self.gens = g = np.array([row[: n * kk] for row in ints], dtype=dtype).reshape(s, n, k, k)
-        self.rref = np.array([row[n * kk :] for row in ints], dtype=dtype).reshape(s, d, kk)
-        # c: the first nonzero rref entry, the pivot of row 0, which is 1 before scaling
-        self.scale = np.array(
-            [next(filter(None, itertools.islice(row, n * kk, None)), 1) for row in ints],
-            dtype=dtype,
-        )
+        try:
+            rows, scale = _filled(spans, n, d, np.int64)
+            a = max(1, int(rows.max(initial=0)), -int(rows.min(initial=0)))
+            fits = 2 * (d + 1) * k * a**3 < 2**63
+        except OverflowError:  # an entry outside int64 fails the bound too
+            fits = False
+        if not fits:
+            rows, scale = _filled(spans, n, d, object)
+        self.gens = g = rows[:, :n].reshape(s, n, k, k)
+        self.rref = rows[:, n:]
+        self.scale = scale
         self.products = (g[:, :, None] @ g[:, None]).reshape(s, n, n, kk)
         flat = self.products.reshape(s, n * n, kk)
         # onehot[s, j, t]: column j is the pivot of rref row t (a zero row's
@@ -250,6 +246,31 @@ class SpanStack:
         # False < True: some off-diagonal entry is not reached
         off = linalg.off_diagonal(self.gens.shape[-1])
         return (linalg.reach(self.support) < off).any(axis=(1, 2))
+
+
+def _filled(
+    spans: Sequence[ModelSubspace], n: int, d: int, dtype: type
+) -> tuple[np.ndarray, np.ndarray]:
+    """A stack's rows (S, n + d, k^2) and factors c (S,), as :class:`SpanStack` describes.
+
+    A span that holds only ``int`` (every order-4 span ``rate_basis``
+    makes, and all but one at order 5) goes in as it is, with c = 1, the
+    pivot of its rref row 0; for any other span c is the first nonzero
+    entry of its scaled rref rows.
+    """
+    kk = spans[0].order ** 2
+    out = np.zeros((len(spans), n + d, kk), dtype=dtype)
+    scale = [1] * len(spans)
+    for i, m in enumerate(spans):
+        ng, rows = len(m.gen_rows), m.gen_rows + m.rref
+        if linalg.integral_rows(rows) is not rows:  # not all int: returned scaled
+            (flat,) = linalg.integral_rows([list(chain.from_iterable(rows))])
+            rows = [flat[j : j + kk] for j in range(0, len(flat), kk)]
+            scale[i] = next(filter(None, flat[ng * kk :]), 1)
+        if rows:  # a span of dimension 0 has neither
+            out[i, :ng] = rows[:ng]
+            out[i, n : n + len(rows) - ng] = rows[ng:]
+    return out, np.array(scale, dtype=dtype)
 
 
 @functools.cache
@@ -400,10 +421,13 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
     ``linalg.integral_rows`` (a no-op for an integral span), and a
     relabeling only permutes the entries within each row, so every
     candidate's rows are integral and go to ``linalg.rref_integral`` with
-    no type check.  Bound: every candidate has its first pivot in the
-    same column, and the least rref found so far bounds the rest by its
-    row 0; the kernel cuts a candidate as soon as its row 0 compares
-    greater, which rules it out as the key.  A tie on row 0 is never cut.
+    no type check.  The identity relabeling comes first, and when it is a
+    candidate its rref is ``m.rref`` itself, taken with no elimination
+    (108 of the 131 golden order-4 spans, 1093 of the 1344 at order 5).
+    Bound: every candidate has its first pivot in the same column, and
+    the least rref found so far bounds the rest by its row 0; the kernel
+    cuts a candidate as soon as its row 0 compares greater, which rules
+    it out as the key.  A tie on row 0 is never cut.
 
     Cosets: relabeling is a left action, (p o h).L = p.(h.L), so p and q
     give the same rref exactly when q^-1 o p fixes the span.  Each tie
@@ -443,7 +467,8 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
     for i, ((_, g), first) in enumerate(zip(getters, firsts)):
         if first != last or decided[i]:
             continue
-        r = linalg.rref_integral([g(row) for row in rows], bound)
+        # the identity comes first, with no bound yet: its rref is the span's own
+        r = m.rref if i == 0 else linalg.rref_integral([g(row) for row in rows], bound)
         if r is None or (key is not None and r > key):
             beaten.append(i)
             if len(sym) > 1:  # with H trivial the coset is i alone, and i is done

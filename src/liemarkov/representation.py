@@ -66,7 +66,9 @@ def rate_rows(t: CayleyTable) -> list[tuple[int, ...]]:
 def regular_rep(t: CayleyTable) -> RegularRep:
     """The representation A_1..A_k of left multiplication in the semigroup.
 
-    This is the one associativity check of a table on its way to a model.
+    This is the one associativity check of a given table on its way to a
+    model; ``run_pipeline`` wraps enumerated tables, associative by
+    construction, in ``RegularRep`` directly.
     """
     if not is_associative(t):
         raise ValueError("table is not associative: not a semigroup")

@@ -477,6 +477,15 @@ def test_pipeline_checks_each_table_for_associativity_once(monkeypatch):
     ]
     run_pipeline(tables=tables)
     assert calls == tables
+    # enumerated tables are associative by construction and are not checked again
+    calls.clear()
+    assert len(run_pipeline(order=3)) == 15
+    assert calls == []
+    # a given table still is, and the first one that fails is named by its block
+    bad = make_table([[1, 0], [0, 0]])
+    with pytest.raises(ValueError, match="^table block 3 is not associative$"):
+        run_pipeline(tables=tables[:2] + [bad, tables[2]])
+    assert calls == tables[:2] + [bad]
 
 
 def test_pipeline_rejects_order6_before_enumerating(monkeypatch):

@@ -438,7 +438,7 @@ def test_logm_defective_input_takes_square_root_route():
         assert np.array_equal(logm(p), db_route(p))
 
 
-def test_logm_defective_chain_takes_triangular_route():
+def test_logm_defective_chain_takes_denman_beavers_roots():
     for t in (0.1, 0.7, 2.0, 5.0):
         p = expm(JORDAN_RATES, t)
         # the chain 0 -> 1 -> 2 keeps exact zeros above the diagonal
@@ -454,7 +454,7 @@ def jordan_log(lam, n):
     return np.log(lam) * np.eye(3) + n / lam - n @ n / (2 * lam**2)
 
 
-def test_logm_triangular_route_jordan_block_closed_form():
+def test_logm_denman_beavers_roots_jordan_block_closed_form():
     n = np.array([[0.0, 1.0, -2.0], [0.0, 0.0, 3.0], [0.0, 0.0, 0.0]])
     for lam in (0.05, 0.7, 1.0, 1.3, 9.0):
         p = lam * np.eye(3) + n
@@ -832,7 +832,7 @@ def test_logm_raises_on_the_entry_52_chain_product():
     assert (report.check, report.status, report.discarded_trials) == ("product", "pass", 0)
 
 
-def test_logm_raises_where_schur_roots_stay_outside_the_series_radius():
+def test_logm_raises_where_denman_beavers_roots_stay_outside_the_series_radius():
     # exact principal roots leave the off-diagonal entry at 1e15 / 2^40,
     # about 909, after 40 of them, far outside the series radius; the
     # Denman-Beavers roots get no closer, and the route gives up

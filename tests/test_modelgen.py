@@ -573,8 +573,9 @@ def test_model_orbit_eliminations_on_golden_spans(orbit_models, monkeypatch):
     golden = [m for m, _ in orbit_models[:131]]
     counted = count_eliminations(monkeypatch, golden)
     assert [orbit for orbit, _ in counted] == [orbit for _, orbit in orbit_models[:131]]
-    # one elimination per candidate row-reduces 1612
-    assert sum(calls for _, calls in counted) <= 1171
+    # one elimination per candidate row-reduces 1612; the identity, when it is a
+    # candidate, takes the span's own rref and is not row-reduced
+    assert sum(calls for _, calls in counted) <= 1063
 
 
 def test_model_orbit_mirror_cosets_give_wrong_orbits(orbit_models, monkeypatch):

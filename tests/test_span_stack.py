@@ -236,3 +236,17 @@ def test_span_stack_rejects_empty_and_mixed_orders():
         SpanStack([])
     with pytest.raises(ValueError, match="one order"):
         SpanStack([fixture("GM2").subspace, fixture("JJ3").subspace])
+
+
+def test_span_stack_entries_beyond_int64_take_object():
+    # an entry that int64 cannot hold fails the dtype bound as surely as one it can:
+    # here an int generator entry, and one that the span's scaling to integers makes
+    sym = fixture("SYM").subspace
+    new41 = rate_basis(regular_rep(new_model_table()))
+    huge = [scaled(sym, [2**64] * 6), scaled(new41, [Fraction(1, 2**64 + 1), 1, 1, 1])]
+    for m in huge:
+        stack = SpanStack([m])
+        assert stack.gens.dtype == object
+        assert algebra_checks(stack) == [ref_algebra(m)]
+        assert lie_checks(stack) == [ref_lie(m)]
+    assert repr(commutator_table(huge[1])) == repr(ref_commutator_table(huge[1]))
