@@ -24,18 +24,22 @@ package only here, in expm/logm and the sampled verification.
 
 expm is scaling and squaring with the [13/13] Pade approximant (Higham,
 "The scaling and squaring method for the matrix exponential revisited",
-SIMAX 2005).  Entry (i, j), i != j, of e^{Qt} is a sum over paths
-i -> j of the off-diagonal nonzero pattern of Qt, in every term of the
-power series, so expm sets it to exactly 0 where ``linalg.reach`` finds
-no such path; a triangular Q gives a triangular e^{Qt}, whatever the
-rounding of the Pade solve.  logm takes one of two routes for each
-matrix.  A matrix whose eigenvalues avoid the closed negative real axis
-and the disc of radius eps times its 1-norm, and whose eigenvector matrix
-is well conditioned (1-norm condition number at most LOGM_EIG_MAX_COND),
-gets V log(w) V^-1 from one batched eigendecomposition.  Every other
-matrix, defective or nearly so, goes through inverse scaling and
-squaring: square roots until it is within 1-norm LOGM_SERIES_RADIUS of
-the identity, then a fixed number of terms of the Gregory series log A =
+SIMAX 2005).  One stacked kernel, ``_expm_stack``, takes a float stack
+of Qt and validates nothing; the public expm checks its input, forms
+that stack and calls it, and the sampled verification calls it on the
+stack it has built, as ``_logm_stack`` serves logm and the log check.
+Entry (i, j), i != j, of e^{Qt} is a sum over paths i -> j of the
+off-diagonal nonzero pattern of Qt, in every term of the power series,
+so expm sets it to exactly 0 where ``linalg.reach`` finds no such path;
+a triangular Q gives a triangular e^{Qt}, whatever the rounding of the
+Pade solve.  logm takes one of two routes for each matrix.  A matrix
+whose eigenvalues avoid the closed negative real axis and the disc of
+radius eps times its 1-norm, and whose eigenvector matrix is well
+conditioned (1-norm condition number at most LOGM_EIG_MAX_COND), gets
+V log(w) V^-1 from one batched eigendecomposition.  Every other matrix,
+defective or nearly so, goes through inverse scaling and squaring:
+square roots until it is within 1-norm LOGM_SERIES_RADIUS of the
+identity, then a fixed number of terms of the Gregory series log A =
 2 atanh((A + I)^-1 (A - I)) (Higham, Functions of Matrices, section
 11.3).  That route has one square-root kernel, the Denman-Beavers
 iteration (ibid. section 6.1), for every matrix it serves.
@@ -203,35 +207,26 @@ def _as_stack(a: np.ndarray | Sequence, name: str) -> tuple[np.ndarray, bool]:
     return (a[None] if a.ndim == 2 else a), a.ndim == 2
 
 
-def expm(q: np.ndarray | Sequence, t: float | np.ndarray = 1.0) -> np.ndarray:
-    """Matrix exponential e^{Qt} by scaling and squaring.
+def _expm_stack(a: np.ndarray) -> np.ndarray:
+    """e^A of each matrix of a float (n, k, k) stack, with no validation.
 
-    ``q`` is one (k, k) matrix or a stack (n, k, k); ``t`` is a scalar or
-    one time per matrix.  Each matrix is scaled by its own power of two
-    to 1-norm <= EXPM_THETA13, its [13/13] Pade approximant is taken from
+    The one exponential kernel, behind :func:`expm` and the sampled
+    closure check.  Each matrix is scaled by its own power of two to
+    1-norm <= EXPM_THETA13, its [13/13] Pade approximant is taken from
     one batched solve, and it is squared back as often as it was scaled
-    (Higham, SIMAX 2005, without the lower-degree approximants).  For a
-    rate matrix Q and moderate t >= 0 the result is column-stochastic to
-    high accuracy, but each of the about log2 |Qt|_1 squarings doubles the
-    rounding error.  For F81's generator sum the largest column-sum error
-    is 4e-10 at t = 1e6, 1.6e-6 at 1e10 and 0.41 at 1e15; at 1e20 the
-    result is inf, and from about 1e19 on it is non-finite or the all-zero
-    matrix, depending on t (all-zero at 1e50, for one).  Nothing here
-    warns of it; the sampled closure check gives such a product no
-    result.  Entry (i, j), i != j, is exactly 0 when the off-diagonal
-    nonzero pattern of Qt has no path i -> j (``linalg.reach``), as it is
-    in every term of the power series.
+    (Higham, SIMAX 2005, without the lower-degree approximants).  Entry
+    (i, j), i != j, is exactly 0 when the off-diagonal nonzero pattern of
+    A has no path i -> j (``linalg.reach``), as it is in every term of
+    the power series.
     """
-    q, single = _as_stack(q, "expm")
-    t = np.broadcast_to(np.asarray(t, dtype=float), q.shape[:1])
-    a = q * t[:, None, None]
     # norm / theta = m * 2**e with 0.5 <= m < 1, so the least s >= 0 with
     # norm / 2**s <= theta is e, or e - 1 when norm / theta is a power of 2
     m, e = np.frexp(_norm1(a) / EXPM_THETA13)
     s = np.maximum(e - (m == 0.5), 0)
     x = np.ldexp(a, -s[:, None, None])
     b = EXPM_PADE13
-    ident = np.eye(q.shape[-1])
+    k = a.shape[-1]
+    ident = np.eye(k)
     x2 = x @ x
     x4 = x2 @ x2
     x6 = x4 @ x2
@@ -247,7 +242,30 @@ def expm(q: np.ndarray | Sequence, t: float | np.ndarray = 1.0) -> np.ndarray:
     for j in range(s.max(initial=0)):
         result = np.where((s > j)[:, None, None], result @ result, result)
     # the solve leaves rounding-level values where no path reaches
-    result[~linalg.reach(a) & ~np.eye(q.shape[-1], dtype=bool)] = 0.0
+    result[linalg.off_diagonal(k) > linalg.reach(a)] = 0.0
+    return result
+
+
+def expm(q: np.ndarray | Sequence, t: float | np.ndarray = 1.0) -> np.ndarray:
+    """Matrix exponential e^{Qt} by scaling and squaring.
+
+    ``q`` is one (k, k) matrix or a stack (n, k, k); ``t`` is a scalar or
+    one time per matrix.  Validates both, forms the stack Qt and passes
+    it to the one kernel, ``_expm_stack``: [13/13] Pade scaling and
+    squaring, each matrix with its own squaring count, and exact zeros
+    where the off-diagonal pattern of Qt has no path.  For a rate matrix
+    Q and moderate t >= 0 the result is column-stochastic to high
+    accuracy, but each of the about log2 |Qt|_1 squarings doubles the
+    rounding error.  For F81's generator sum the largest column-sum error
+    is 4e-10 at t = 1e6, 1.6e-6 at 1e10 and 0.41 at 1e15; at 1e20 the
+    result is inf, and from about 1e19 on it is non-finite or the
+    all-zero matrix, depending on t (all-zero at 1e50, for one).  Nothing
+    here warns of it; the sampled closure check gives such a product no
+    result.
+    """
+    q, single = _as_stack(q, "expm")
+    t = np.broadcast_to(np.asarray(t, dtype=float), q.shape[:1])
+    result = _expm_stack(q * t[:, None, None])
     return result[0] if single else result
 
 
@@ -447,56 +465,63 @@ def verify_multiplicative_closure(
       result.  Membership of a subspace is scale invariant, so the
       unnormalized log is tested.
 
-    Trials run in rounds of one stacked expm and, on the log check, one
-    stacked logarithm, which reports per product whether it found a
-    finite principal log.  Round ``attempt`` draws a (trials, 2d + 2)
-    block from default_rng([seed, attempt]) and trial i takes row i,
-    which is the same whatever the block height: a trial's numbers depend
-    only on (seed, trial, attempt).  A trial without a result is
-    discarded and redrawn next round, up to ``retry_budget`` attempts;
-    its round is never re-run one product at a time.  If any trial
-    exhausts the budget the verdict is "inconclusive" rather than a pass
-    or fail.  Raises ValueError for a dimension-0 model, for ``trials`` or
-    ``retry_budget`` below 1, for ``seed`` not a non-negative integer, and
-    for ``t_max`` or ``tol`` not finite positive.
+    Trials run in rounds of one call of the exponential kernel that
+    :func:`expm` wraps, ``_expm_stack``, on the round's stack of Q t
+    (each Q one matrix product of the coefficients with the flat
+    generator rows) and, on the log check, one ``_logm_stack`` call,
+    which reports per product whether it found a finite principal log.
+    Round ``attempt`` draws a (trials, 2d + 2) block from
+    default_rng([seed, attempt]) and trial i takes row i, which is the
+    same whatever the block height: a trial's numbers depend only on
+    (seed, trial, attempt).  A trial without a result is discarded and
+    redrawn next round, up to ``retry_budget`` attempts; its round is
+    never re-run one product at a time.  If any trial exhausts the budget
+    the verdict is "inconclusive" rather than a pass or fail.  Raises
+    ValueError, before any check runs, for a dimension-0 model, for
+    ``trials`` or ``retry_budget`` not an integer of at least 1, for
+    ``seed`` not an integer of at least 0 (an integer is an ``int`` or
+    numpy integer, not a ``bool``), and for ``t_max`` or ``tol`` not
+    finite positive.
     """
     if m.dim < 1:
         raise ValueError("degenerate model: dimension 0")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-    if retry_budget < 1:
-        raise ValueError(f"retry_budget must be at least 1, got {retry_budget}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    integers = (("trials", trials, 1), ("retry_budget", retry_budget, 1), ("seed", seed, 0))
+    for name, value, least in integers:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     for name, value in (("t_max", t_max), ("tol", tol)):
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be a finite positive number, got {value}")
     ((algebra, lie),) = exact_checks(SpanStack([m]))
-    gens = np.array(m.gen_rows, dtype=float).reshape(-1, m.order, m.order)
+    k = m.order
+    gens = np.array(m.gen_rows, dtype=float)
     d = len(gens)
     # orthonormal basis of the span, one column per rref row
     span, _ = np.linalg.qr(np.array(m.rref, dtype=float).T)
+    ident = np.eye(k)
     max_residual = 0.0
     discarded = 0
     pending = np.arange(trials)
     for attempt in range(retry_budget):
-        n = len(pending)
         # row i of the round's block is trial i's c1, c2, t1 and t2
-        u = 1.0 - np.random.default_rng([seed, attempt]).random((trials, 2 * d + 2))[pending]
+        u = 1.0 - np.random.default_rng([seed, attempt]).random((trials, 2 * d + 2))
+        if attempt:  # a retry takes only the pending trials' rows
+            u = u[pending]
+        n = len(pending)
         c = np.concatenate([u[:, :d], u[:, d : 2 * d]])
         t = np.concatenate([u[:, 2 * d], u[:, 2 * d + 1]]) * t_max
-        subst = expm(np.tensordot(c, gens, axes=1), t)
+        subst = _expm_stack((c @ gens).reshape(-1, k, k) * t[:, None, None])
         prods = subst[:n] @ subst[n:]
         if algebra.closed:
             # NaN compares false, so a non-finite product has no result too
             ok = (np.abs(prods.sum(axis=-2) - 1.0) < tol).all(axis=-1)
-            v = prods[ok] - np.eye(m.order)
+            v = prods - ident
         else:
-            logs, ok = _logm_stack(prods)
-            v = logs[ok]
-        v = v.reshape(-1, m.order**2)
-        residual = np.abs(v - (v @ span) @ span.T).max(initial=0.0)
-        max_residual = max(max_residual, float(residual))
+            v, ok = _logm_stack(prods)
+        if not ok.all():
+            v = v[ok]
+        v = v.reshape(-1, k * k)
+        max_residual = max(max_residual, float(np.abs(v - (v @ span) @ span.T).max(initial=0.0)))
         discarded += n - int(ok.sum())
         pending = pending[~ok]
         if not pending.size:

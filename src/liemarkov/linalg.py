@@ -59,18 +59,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def is_zero(a: Matrix) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-def column_sums(a: Matrix) -> Vector:
-    return tuple(sum(col) for col in zip(*a))
-
-
-def has_zero_column_sums(a: Matrix) -> bool:
-    return all(s == 0 for s in column_sums(a))
-
-
 def has_nonneg_offdiag(a: Matrix) -> bool:
     """True iff the matrix lies in the stochastic cone (given zero column sums)."""
     return all(
@@ -94,22 +82,6 @@ def relabel_gather(perm: tuple[int, ...]) -> tuple[int, ...]:
     for i, x in enumerate(perm):
         q[x] = i
     return tuple(q[i] * k + q[j] for i in range(k) for j in range(k))
-
-
-def conjugate(a: Matrix, perm: Sequence[int]) -> Matrix:
-    """Simultaneous row/column permutation K A K^T.
-
-    ``perm`` is an image array: the result r satisfies
-    r[perm[i]][perm[j]] = a[i][j], one :func:`relabel_gather` of the
-    flattened matrix.  Raises ValueError unless ``perm`` is a
-    permutation of range(len(a)).
-    """
-    if len(perm) != len(a):
-        raise ValueError(
-            f"permutation on {len(perm)} points applied to a {len(a)} x {len(a)} matrix"
-        )
-    flat = vectorize(a)
-    return unvectorize([flat[s] for s in relabel_gather(tuple(perm))], len(a))
 
 
 def vectorize(a: Matrix) -> Vector:

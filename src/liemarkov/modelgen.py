@@ -156,16 +156,16 @@ class SpanStack:
     """Exact generator products and supports of same-order spans, in one stack.
 
     This is the one code that forms generator products.  Span s is entry
-    s of one preallocated (S, n + d, k^2) array: its ``gen_rows``, then
-    its rref rows, zero-padded to the stack's largest counts n and d, and
-    filled from the row tuples, which numpy converts in C.  A span that
-    holds an entry other than ``int`` is first scaled to integers by one
-    ``linalg.integral_rows`` of its rows read as one row.  So each span
-    is scaled by a positive factor c (1 for a span of ``int`` rows), and
-    every scaled pivot is c; scaling keeps signs and spans, so
-    memberships, the brackets up to the factor c^2, and supports are
-    read off the integer stack.  Zero generators have zero products,
-    which lie in every span; a stack of one span pads nothing.
+    s of one (S, n + d, k^2) array: its ``gen_rows``, then its rref rows,
+    each part zero-padded to the stack's largest counts n and d, and the
+    entries of all spans' rows read into the array by one ``np.fromiter``.
+    A span that holds an entry other than ``int`` is first scaled to
+    integers by one ``linalg.integral_rows`` of its rows read as one
+    row.  So each span is scaled by a positive factor c (1 for a span of
+    ``int`` rows), and every scaled pivot is c; scaling keeps signs and
+    spans, so memberships, the brackets up to the factor c^2, and
+    supports are read off the integer stack.  Zero generators have zero
+    products, which lie in every span; a stack of one span pads nothing.
 
     Over an rref basis the coordinates of v are its entries at the pivot
     columns p_t, so v lies in the span iff c v - sum_t v[p_t] (c r_t) is
@@ -259,7 +259,8 @@ def _filled(
     entry of its scaled rref rows.
     """
     kk = spans[0].order ** 2
-    out = np.zeros((len(spans), n + d, kk), dtype=dtype)
+    pad = [(0,) * kk] * max(n, d)
+    blocks = []
     scale = [1] * len(spans)
     for i, m in enumerate(spans):
         ng, rows = len(m.gen_rows), m.gen_rows + m.rref
@@ -267,10 +268,11 @@ def _filled(
             (flat,) = linalg.integral_rows([list(chain.from_iterable(rows))])
             rows = [flat[j : j + kk] for j in range(0, len(flat), kk)]
             scale[i] = next(filter(None, flat[ng * kk :]), 1)
-        if rows:  # a span of dimension 0 has neither
-            out[i, :ng] = rows[:ng]
-            out[i, n : n + len(rows) - ng] = rows[ng:]
-    return out, np.array(scale, dtype=dtype)
+        # its generator rows, then its rref rows, each padded with zero rows
+        blocks += rows[:ng], pad[ng:n], rows[ng:], pad[len(rows) - ng : d]
+    entries = chain.from_iterable(chain.from_iterable(blocks))
+    out = np.fromiter(entries, dtype, len(spans) * (n + d) * kk)
+    return out.reshape(len(spans), n + d, kk), np.array(scale, dtype=dtype)
 
 
 @functools.cache

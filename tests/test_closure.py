@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from matrix_helpers import has_zero_column_sums, is_zero
 
 import liemarkov.closure as closure_mod
 from liemarkov import cli, linalg
@@ -17,6 +18,7 @@ from liemarkov.closure import (
     ClosureCheck,
     ClosureWitness,
     LogmConvergenceError,
+    _expm_stack,
     _logm_eig_route,
     _logm_roots_route,
     _logm_stack,
@@ -75,7 +77,7 @@ def test_commutator_equal_input_pairs():
 
 def test_commutator_self_is_zero():
     a = f81().basis[2]
-    assert linalg.is_zero(commutator(a, a))
+    assert is_zero(commutator(a, a))
 
 
 def test_commutator_dimension_mismatch():
@@ -92,7 +94,7 @@ def test_commutator_preserves_zero_column_sums():
         for g in gens:
             a = mat_add(a, mat_scale(rng.randint(-3, 3), g))
             b = mat_add(b, mat_scale(rng.randint(-3, 3), g))
-        assert linalg.has_zero_column_sums(commutator(a, b))
+        assert has_zero_column_sums(commutator(a, b))
 
 
 def test_commutator_blind_to_identity_shift():
@@ -131,7 +133,7 @@ def test_sym_fixture_fails_lie_with_antisymmetric_witness():
     check = check_lie_closed(sym)
     assert not check.closed
     w = check.witness.matrix
-    assert not linalg.is_zero(w)
+    assert not is_zero(w)
     assert transpose(w) == mat_scale(-1, w)
 
 
@@ -767,6 +769,46 @@ def _reference_verify(m, trials, tol, seed, t_max=1.0, retry_budget=5):
     return ("pass" if max_residual < tol else "fail"), discarded, max_residual
 
 
+def _reference_report(m, trials, seed, t_max=1.0, tol=1e-6, retry_budget=5):
+    """verify's outcome rebuilt per call from the public expm and np.tensordot,
+    on ``_draw_product``'s draws: each round takes its pending trials' rows
+    of the round's block, forms the rate matrices of both factors with one
+    tensordot against the (d, k, k) generators and their exponentials with
+    one expm call, then takes the product or log check of the exact algebra
+    check.  Returns (status, discarded, max_residual, check)."""
+    gens = np.array([[[float(v) for v in row] for row in g] for g in m.basis])
+    d = len(gens)
+    span, _ = np.linalg.qr(np.array([[float(v) for v in row] for row in m.rref]).T)
+    algebra = check_algebra_closed(m).closed
+    max_residual = 0.0
+    discarded = 0
+    pending = np.arange(trials)
+    for attempt in range(retry_budget):
+        n = len(pending)
+        u = 1.0 - np.random.default_rng([seed, attempt]).random((trials, 2 * d + 2))[pending]
+        q = np.tensordot(np.concatenate([u[:, :d], u[:, d : 2 * d]]), gens, axes=1)
+        subst = expm(q, np.concatenate([u[:, 2 * d], u[:, 2 * d + 1]]) * t_max)
+        prods = subst[:n] @ subst[n:]
+        if algebra:
+            ok = (np.abs(prods.sum(axis=-2) - 1.0) < tol).all(axis=-1)
+            v = prods[ok] - np.eye(m.order)
+        else:
+            logs, ok = closure_mod._logm_stack(prods)
+            v = logs[ok]
+        v = v.reshape(-1, m.order**2)
+        max_residual = max(max_residual, float(np.abs(v - (v @ span) @ span.T).max(initial=0.0)))
+        discarded += n - int(ok.sum())
+        pending = pending[~ok]
+        if not pending.size:
+            status = "pass" if max_residual < tol else "fail"
+            return status, discarded, max_residual, "product" if algebra else "log"
+    return "inconclusive", discarded, max_residual, "product" if algebra else "log"
+
+
+def _outcome(report):
+    return report.status, report.discarded_trials, report.max_residual, report.check
+
+
 def golden_spans(every=13):
     doc = json.loads((ROOT / "tests" / "golden" / "catalog_k4.json").read_text())
     return [
@@ -840,6 +882,44 @@ def test_logm_raises_where_denman_beavers_roots_stay_outside_the_series_radius()
     assert not _logm_roots_route(p[None])[1][0]
     with pytest.raises(LogmConvergenceError):
         logm(p)
+
+
+def test_verify_closure_reproduces_the_per_call_reference_exactly():
+    # verify forms each round's rate matrices with one matmul of flat
+    # generator rows and calls the exponential kernel directly; neither may
+    # move a bit of the report
+    cases = [(m, 20, i) for i, m in enumerate(golden_spans())]
+    # JJ3 takes the log check, and at t_max = 8, seed 1 one of its
+    # products has no logarithm and is redrawn
+    cases.append((fixture("JJ3").subspace, 100, 1))
+    discarded = 0
+    for t_max in (1.0, 8.0):
+        for m, trials, seed in cases:
+            report = verify_multiplicative_closure(m, trials=trials, seed=seed, t_max=t_max)
+            assert _outcome(report) == _reference_report(m, trials, seed, t_max)
+            discarded += report.discarded_trials
+    assert discarded > 0
+
+
+def test_verify_closure_redraws_a_poisoned_product_check_trial(monkeypatch):
+    m, seed, bad = golden_spans()[3], 4, 2
+    gens = np.array([[[float(v) for v in row] for row in g] for g in m.basis])
+    d = len(gens)
+    u = 1.0 - np.random.default_rng([seed, 0]).random((5, 2 * d + 2))
+    # trial 2's first factor in round 0, as verify's stack holds it
+    target = np.tensordot(u[:, :d], gens, axes=1)[bad] * u[bad, 2 * d]
+    kernel = closure_mod._expm_stack
+
+    def poisons_target(a):
+        result = kernel(a)
+        result[(a == target).all(axis=(-2, -1))] = np.nan
+        return result
+
+    # the public expm reaches the same kernel, so the reference sees the poison too
+    monkeypatch.setattr(closure_mod, "_expm_stack", poisons_target)
+    report = verify_multiplicative_closure(m, trials=5, seed=seed)
+    assert (report.check, report.status, report.discarded_trials) == ("product", "pass", 1)
+    assert _outcome(report) == _reference_report(m, 5, seed)
 
 
 def test_verify_closure_reports_both_exact_checks():
@@ -995,18 +1075,31 @@ def test_verify_closure_draws_do_not_depend_on_trial_count(monkeypatch):
         {"tol": math.inf},
         {"seed": -1},
         {"seed": 1.5},
+        {"trials": 2.5},
+        {"trials": 20.0},
+        {"trials": True},
+        {"retry_budget": 2.5},
+        {"retry_budget": True},
+        {"seed": True},
+        {"seed": np.bool_(False)},
     ],
 )
-def test_verify_closure_rejects_vacuous_settings(kwargs):
+def test_verify_closure_rejects_vacuous_settings(kwargs, monkeypatch):
     # SYM fails Lie closure, so no setting may turn it into a pass
     (name,) = kwargs
+
+    def no_exact_checks(stack):
+        raise AssertionError("the exact checks ran before the settings were checked")
+
+    monkeypatch.setattr(closure_mod, "exact_checks", no_exact_checks)
     with pytest.raises(ValueError, match=f"^{name} must be"):
         verify_multiplicative_closure(fixture("SYM").subspace, **kwargs)
 
 
 def test_verify_closure_takes_numpy_integer_seed():
     m = fixture("SYM").subspace
-    assert verify_multiplicative_closure(m, trials=5, seed=np.int64(3)) == (
+    numpy_ints = {"trials": np.int64(5), "seed": np.int64(3), "retry_budget": np.int32(5)}
+    assert verify_multiplicative_closure(m, **numpy_ints) == (
         verify_multiplicative_closure(m, trials=5, seed=3)
     )
 
@@ -1173,7 +1266,8 @@ def test_verify_closure_same_verdicts_with_reference_kernels(seed, monkeypatch):
         for i, m in enumerate(models)
     ]
     assert {r.check for r in fast} == {"log"}
-    monkeypatch.setattr(closure_mod, "expm", reference_expm)
+    # verify reaches the exponential through the kernel, which takes a stack of Q t
+    monkeypatch.setattr(closure_mod, "_expm_stack", reference_expm)
     # the reference roots route serves every product the eigen route would
     monkeypatch.setattr(closure_mod, "_logm_eig_route", no_eig_route)
     monkeypatch.setattr(closure_mod, "_logm_roots_route", reference_sqrt_route_stack)
@@ -1206,6 +1300,8 @@ def test_expm_stack_with_different_squaring_counts_matches_single_calls():
     squarings = [max(0, math.ceil(math.log2(x / 5.371920351148152))) if x else 0 for x in norms]
     assert len(set(squarings)) >= 4
     stacked = expm(qs, ts)
+    # the public expm is a validating wrapper of the one kernel
+    assert np.array_equal(stacked, _expm_stack(qs * ts[:, None, None]))
     for q, t, m in zip(qs, ts, stacked):
         assert np.array_equal(m, expm(q, t))
         # the reference scales to 0.5, not 5.37, so it squares about three

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from matrix_helpers import conjugate, has_zero_column_sums, is_zero
 
 from liemarkov import linalg
 from liemarkov.cayley import make_table
@@ -179,7 +180,7 @@ def test_z3_rate_pattern_matches_displayed_form():
 
 def test_zero_rates_give_zero_matrix():
     q = abelian_rate_pattern(klein_group(), lambda g: 0)
-    assert linalg.is_zero(q)
+    assert is_zero(q)
 
 
 def test_z2_rate_pattern_is_binary_symmetric():
@@ -242,7 +243,7 @@ def test_equivariant_fixed_pointwise():
     sub = equivariant_model(d4, 4)
     for g in sub.basis:
         for p in d4:
-            assert linalg.conjugate(g, p) == g
+            assert conjugate(g, p) == g
 
 
 def test_equivariant_models_are_matrix_algebras():
@@ -273,7 +274,7 @@ def test_jj3_fixture_bracket_identity():
     assert fix.subspace.dim == 2
     assert commutator(l1, l2) == linalg.mat_sub(l1, l2)
     for g in fix.subspace.basis:
-        assert linalg.has_zero_column_sums(g)
+        assert has_zero_column_sums(g)
 
 
 def test_gm2_and_jj3_share_bracket_relation():

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from matrix_helpers import conjugate, has_zero_column_sums, is_zero
 from test_linalg import assert_int_exactly_when_integral, is_integral, random_matrix, reference_rref
 
 from liemarkov import linalg, modelgen
@@ -66,7 +67,7 @@ def test_equal_input_basis():
         (0, 0, 0, -1),
     )
     for g in sub.basis:
-        assert linalg.has_zero_column_sums(g)
+        assert has_zero_column_sums(g)
         assert linalg.has_nonneg_offdiag(g)
 
 
@@ -319,7 +320,7 @@ def test_conjugate_subspace_matches_conjugated_matrices():
     half = Fraction(1, 2)
     sub = subspace_from_generators(3, [((-1, half, 0), (1, -half, 0), (0, 0, 0)), zeros(3)])
     for p in itertools.permutations(range(3)):
-        expected = subspace_from_generators(3, [linalg.conjugate(g, p) for g in sub.basis])
+        expected = subspace_from_generators(3, [conjugate(g, p) for g in sub.basis])
         assert conjugate_subspace(sub, p) == expected
     for p in ((1, 0), (0, 1, 2, 3)):
         with pytest.raises(ValueError, match="permutation on"):
@@ -351,7 +352,7 @@ def brute_force_conjugate_rrefs(m):
     """Rref of every relabeled generator set, in exact Fraction arithmetic."""
     return {
         p: linalg.rref(
-            [[Fraction(x) for x in linalg.vectorize(linalg.conjugate(g, p))] for g in m.basis]
+            [[Fraction(x) for x in linalg.vectorize(conjugate(g, p))] for g in m.basis]
         )
         for p in itertools.permutations(range(m.order))
     }
@@ -363,7 +364,7 @@ def membership_group(m):
         p
         for p in itertools.permutations(range(m.order))
         if all(
-            contains(m, linalg.conjugate(linalg.unvectorize(row, m.order), p)) is not None
+            contains(m, conjugate(linalg.unvectorize(row, m.order), p)) is not None
             for row in m.rref
         )
     )
@@ -504,7 +505,7 @@ def random_rational_span(rng, k, involution=None):
             g[j][j] = -sum(g[i][j] for i in range(k))
         gens.append(linalg.mat(g))
         if involution is not None:
-            gens.append(linalg.conjugate(gens[-1], involution))
+            gens.append(conjugate(gens[-1], involution))
     return subspace_from_generators(k, gens)
 
 
@@ -671,7 +672,7 @@ def reference_rate_basis(t):
     gens = []
     for a in reference_matrices(t):
         g = linalg.mat_sub(a, ident)
-        if not linalg.is_zero(g) and g not in gens:
+        if not is_zero(g) and g not in gens:
             gens.append(g)
     rref = reference_rref([linalg.vectorize(g) for g in gens]) if gens else ()
     return tuple(gens), rref
