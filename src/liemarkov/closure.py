@@ -32,19 +32,15 @@ Entry (i, j), i != j, of e^{Qt} is a sum over paths i -> j of the
 off-diagonal nonzero pattern of Qt, in every term of the power series,
 so expm sets it to exactly 0 where ``linalg.reach`` finds no such path;
 a triangular Q gives a triangular e^{Qt}, whatever the rounding of the
-Pade solve.  logm takes one of two routes for each matrix.  A matrix
-whose eigenvalues avoid the closed negative real axis and the disc of
-radius eps times its 1-norm, and whose eigenvector matrix is well
-conditioned (1-norm condition number at most LOGM_EIG_MAX_COND), gets
-V log(w) V^-1 from one batched eigendecomposition.  Every other matrix,
-defective or nearly so, goes through inverse scaling and squaring:
-square roots until it is within 1-norm LOGM_SERIES_RADIUS of the
+Pade solve.  logm has one route, inverse scaling and squaring: square
+roots until a matrix is within 1-norm LOGM_SERIES_RADIUS of the
 identity, then a fixed number of terms of the Gregory series log A =
 2 atanh((A + I)^-1 (A - I)) (Higham, Functions of Matrices, section
-11.3).  That route has one square-root kernel, the Denman-Beavers
-iteration (ibid. section 6.1), for every matrix it serves.
+11.3).  Its one square-root kernel is the Denman-Beavers iteration
+(ibid. section 6.1), which stops a matrix once its step is small or has
+stagnated at rounding level.
 
-Failure is per-matrix data: each log route returns its results with a
+Failure is per-matrix data: the log kernel returns its results with a
 boolean mask of the matrices it could serve, and a non-finite logarithm
 counts as none.  Only the public logm raises, once, if any matrix of its
 stack failed; the sampled verification's log check reads the mask and
@@ -78,10 +74,6 @@ LOGM_SERIES_RADIUS = 0.5
 # 2 rho^(2N+1) / ((2N + 1)(1 - rho^2)): 1.3e-19 for N = 18 (1.3e-18 for 17)
 LOGM_SERIES_TERMS = 18
 LOGM_MAX_SQRT_DEPTH = 40
-# The eigen route's error grows with this bound.  The 1-norm eigenvector
-# condition numbers of sampled closure products are either below about 250
-# or above about 1e7, so any bound in between routes them alike.
-LOGM_EIG_MAX_COND = 1e3
 
 
 class LogmConvergenceError(ArithmeticError):
@@ -274,13 +266,19 @@ def _sqrtm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Y <- (Y + Z^-1) / 2 and Z <- (Z + Y^-1) / 2 from Y = A, Z = I, with
     each (Y, Z) pair stored side by side so that one batched inverse
-    serves both updates.  Each matrix stops once its own step is small.
-    Returns the roots and which of them to trust: a matrix fails, alone,
-    when one of its iterates is exactly singular or its root is still
-    moving after 64 steps.  The roots of failed matrices are unspecified.
+    serves both updates.  Each matrix stops once its own step is at most
+    1e-15 * max(1, |Y|_1), or once it has stagnated at rounding level: a
+    step of at most 1e-8 * |Y|_1 that is more than half the one before.
+    The iteration converges quadratically, so a step that does not halve
+    is rounding noise, which grows with the condition of an iterate and
+    can stay above the first bound.  Returns the roots and which of them
+    to trust: a matrix fails, alone, when one of its iterates is exactly
+    singular or its root is still moving after 64 steps.  The roots of
+    failed matrices are unspecified.
     """
     yz = np.stack([a, np.broadcast_to(np.eye(a.shape[-1]), a.shape)], axis=1)
     ok = np.ones(len(a), dtype=bool)
+    prev = np.full(len(a), np.inf)
     todo = np.arange(len(a))
     for _ in range(64):
         cur = yz[todo]
@@ -296,57 +294,21 @@ def _sqrtm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nxt = 0.5 * (cur + inv[:, ::-1])
         yz[todo] = nxt
         y = nxt[:, 0]
-        # written as not-converged so that a NaN step never counts as converged
-        todo = todo[~(_norm1(y - cur[:, 0]) <= 1e-15 * np.maximum(1.0, _norm1(y)))]
+        step, size = _norm1(y - cur[:, 0]), _norm1(y)
+        # NaN compares false, so a NaN step never counts as converged
+        done = (step <= 1e-15 * np.maximum(1.0, size)) | (
+            (step <= 1e-8 * size) & (step > 0.5 * prev[todo])
+        )
+        prev[todo] = step
+        todo = todo[~done]
         if not todo.size:
             break
     ok[todo] = False
     return yz[:, 0], ok
 
 
-def _logm_eig_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Logarithms of a stack as V log(w) V^-1, and which of them to trust.
-
-    A matrix P is served when its eigenvalues and eigenvectors are finite,
-    no eigenvalue is real and <= 0, none is below eps * |P|_1 in modulus
-    (the computed log of such an eigenvalue is rounding noise), the 1-norm
-    condition number of its eigenvector matrix V is at most
-    LOGM_EIG_MAX_COND, and the imaginary part of its result is at rounding
-    level, i.e. at most k * cond(V) * eps * max|log w| in the 1-norm.  Its
-    error is then of order cond(V) * eps * |log w| (Higham, Functions of
-    Matrices, section 4.5).  The entries of the other matrices are
-    unspecified.
-    """
-    try:
-        w, v = np.linalg.eig(a)
-        v_inv = np.linalg.inv(v)
-    except np.linalg.LinAlgError:
-        # LAPACK refuses the whole batch for one bad matrix; decide one by one
-        if len(a) == 1:
-            return np.zeros_like(a), np.zeros(1, dtype=bool)
-        parts = [_logm_eig_route(x[None]) for x in a]
-        return np.concatenate([x for x, _ in parts]), np.concatenate([ok for _, ok in parts])
-    with np.errstate(invalid="ignore", over="ignore"):
-        cond = _norm1(v) * _norm1(v_inv)
-    ok = (
-        np.isfinite(w).all(axis=-1)
-        & ~((w.imag == 0) & (w.real <= 0)).any(axis=-1)
-        & (np.abs(w).min(axis=-1) >= np.finfo(float).eps * _norm1(a))
-        & (cond <= LOGM_EIG_MAX_COND)
-    )
-    logs = np.zeros_like(a)
-    idx = np.flatnonzero(ok)
-    log_w = np.log(w[idx])
-    x = (v[idx] * log_w[:, None, :]) @ v_inv[idx]
-    scale = np.abs(log_w).max(axis=-1, initial=0.0)
-    real = _norm1(x.imag) <= a.shape[-1] * cond[idx] * np.finfo(float).eps * scale
-    logs[idx[real]] = x.real[real]
-    ok[idx[~real]] = False
-    return logs, ok
-
-
-def _logm_roots_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Principal logarithms of a stack by inverse scaling and squaring.
+def _logm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal logarithms of an (n, k, k) stack by inverse scaling and squaring.
 
     Each matrix takes repeated principal square roots from the one
     square-root kernel, the Denman-Beavers iteration (``_sqrtm_stack``),
@@ -356,17 +318,19 @@ def _logm_roots_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     batched solve, and log A = 2 (Z + Z^3/3 + Z^5/5 + ...) is summed to a
     fixed LOGM_SERIES_TERMS terms, enough for 1e-18 at that radius; each
     sum is scaled back up by its own depth.  Returns the logarithms and
-    which of them to trust: a matrix fails, alone, when one of its square
-    roots fails or it is still outside the radius after 40 roots.  The
-    entries of failed matrices are zero; only the others enter the solve
-    and the series.
+    which of them to trust: a matrix fails, alone, when it has a
+    non-finite entry, one of its square roots fails, it is still outside
+    the radius after 40 roots, or its logarithm is not finite (so an input
+    that overflows fails rather than yielding a NaN log).  The entries of
+    failed matrices are zero; only the others enter the solve and the
+    series.
     """
     n_mats, k, _ = a.shape
     t = a.copy()
     ident = np.eye(k)
-    ok = np.ones(n_mats, dtype=bool)
+    ok = np.isfinite(a).all(axis=(-2, -1))
     depth = np.zeros(n_mats, dtype=int)
-    todo = np.flatnonzero(_norm1(t - ident) >= LOGM_SERIES_RADIUS)
+    todo = np.flatnonzero(ok & (_norm1(t - ident) >= LOGM_SERIES_RADIUS))
     for _ in range(LOGM_MAX_SQRT_DEPTH):
         if not todo.size:
             break
@@ -387,47 +351,20 @@ def _logm_roots_route(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     logs = np.zeros((n_mats, k, k))
     # the series' factor 2 and each square root's factor 2, exactly
     logs[ok] = np.ldexp(total, depth[:, None, None] + 1)
-    return logs, ok
-
-
-def _logm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Principal logarithms of an (n, k, k) stack, and which of them to trust.
-
-    A matrix with a non-finite entry fails before any route sees it.  The
-    eigen route serves what it can of the rest, and the roots route takes
-    what is left.  A logarithm with a non-finite entry counts as none, so
-    an input that overflows fails rather than yielding a NaN log.  The
-    entries of failed matrices are unspecified.
-    """
-    logs = np.zeros_like(a)
-    ok = np.zeros(len(a), dtype=bool)
-    todo = np.flatnonzero(np.isfinite(a).all(axis=(-2, -1)))
-    for route in (_logm_eig_route, _logm_roots_route):
-        if not todo.size:
-            break
-        logs[todo], ok[todo] = route(a[todo])
-        todo = todo[~ok[todo]]
     return logs, ok & np.isfinite(logs).all(axis=(-2, -1))
 
 
 def logm(p: np.ndarray | Sequence) -> np.ndarray:
-    """Principal matrix logarithm, routed per matrix.
+    """Principal matrix logarithm by inverse scaling and squaring.
 
-    ``p`` is one (k, k) matrix or a stack (n, k, k).  One batched
-    eigendecomposition serves every matrix that is diagonalizable by a
-    well-conditioned eigenvector matrix V with no eigenvalue on the closed
-    negative real axis or at rounding level: its logarithm is V log(w)
-    V^-1, real part kept (see ``_logm_eig_route`` for the exact rule).
-    Every other matrix, e.g. a defective one, goes through inverse
-    scaling and squaring (``_logm_roots_route``: square roots to within
-    1-norm 0.5 of the identity, then a fixed-length atanh series), whose
-    one square-root kernel is the Denman-Beavers iteration.  The route
-    depends only on the matrix itself, so a stack gives the same results
-    as single calls.  Raises LogmConvergenceError if any matrix of the
-    stack has no real principal logarithm that the roots route can
-    reach, e.g. one with an eigenvalue on the closed negative real axis
-    or a nearly singular one whose Denman-Beavers steps stall above their
-    stop test, or if its logarithm is not finite, e.g. for a NaN input.
+    ``p`` is one (k, k) matrix or a stack (n, k, k).  Each matrix takes
+    Denman-Beavers square roots to within 1-norm 0.5 of the identity, then
+    a fixed-length atanh series (``_logm_stack``), defective matrices
+    included.  Every step is per matrix, so a stack gives the same
+    results as single calls.  Raises LogmConvergenceError if any
+    matrix of the stack has no real principal logarithm that the square
+    roots reach, e.g. one with an eigenvalue on the closed negative real
+    axis, or if its logarithm is not finite, e.g. for a NaN input.
     """
     a, single = _as_stack(p, "logm")
     logs, ok = _logm_stack(a)

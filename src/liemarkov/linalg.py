@@ -18,7 +18,7 @@ generator products and their membership are ``modelgen.SpanStack``'s.
 patterns, is boolean and so exact too: it decides
 ``modelgen.is_reducible`` for a whole stack of spans, and which entries
 ``closure.expm`` keeps at exactly 0.  ``closure.logm`` reads no zero
-pattern: its roots route has one square-root kernel for every matrix.
+pattern: it has one route, Denman-Beavers square roots and a series.
 Floating point enters the package only in :mod:`liemarkov.closure`.
 """
 
@@ -106,6 +106,8 @@ def exact(x: object) -> Scalar:
     if type(x) is not Fraction:
         if isinstance(x, (str, bytes)):
             raise TypeError(f"not a number: {x!r}")
+        if isinstance(x, np.bool_):
+            return int(x)
         try:
             # Fraction takes no numpy float but float64, a float subclass
             x = Fraction(*x.as_integer_ratio()) if isinstance(x, np.floating) else Fraction(x)

@@ -19,8 +19,6 @@ from liemarkov.closure import (
     ClosureWitness,
     LogmConvergenceError,
     _expm_stack,
-    _logm_eig_route,
-    _logm_roots_route,
     _logm_stack,
     _sqrtm_stack,
     check_algebra_closed,
@@ -395,7 +393,7 @@ def test_logm_of_inf_raises_without_warning():
                 logm(p)
 
 
-# --- logm routes ---------------------------------------------------------------
+# --- logm by inverse scaling and squaring ---------------------------------------
 
 # 3-state chain 0 -> 1 -> 2 with equal rates: the eigenvalue -1 has a
 # Jordan block, so e^{Qt} is defective
@@ -404,14 +402,10 @@ JORDAN_RATES = np.array([[-1.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, 1.0, 0.0]])
 CYCLIC_RATES = np.array([[-1.0, 0.0, 1.0], [1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
 
 
-def eig_routed(p):
-    return bool(_logm_eig_route(np.asarray(p)[None])[1][0])
-
-
 def db_route(p):
-    """The roots route's logarithm of one matrix, through its one square-root
+    """The log kernel's logarithm of one matrix, through its one square-root
     kernel (Denman-Beavers), which must succeed."""
-    logs, ok = _logm_roots_route(np.asarray(p, dtype=float)[None])
+    logs, ok = _logm_stack(np.asarray(p, dtype=float)[None])
     assert ok.tolist() == [True]
     return logs[0]
 
@@ -436,8 +430,9 @@ CHAIN_MODEL, CYCLIC_DEFECTIVE_MODEL = "e592fb285f7e55a7", "e58b17a84e8d2af5"
 def test_logm_defective_input_takes_square_root_route():
     for trial in range(4):
         p = golden_product(CYCLIC_DEFECTIVE_MODEL, trial)
-        assert not eig_routed(p)
-        assert np.array_equal(logm(p), db_route(p))
+        x = logm(p)
+        assert np.array_equal(x, db_route(p))
+        assert np.abs(x - reference_logm_sqrt_route(p)).max() < 1e-12
 
 
 def test_logm_defective_chain_takes_denman_beavers_roots():
@@ -445,7 +440,6 @@ def test_logm_defective_chain_takes_denman_beavers_roots():
         p = expm(JORDAN_RATES, t)
         # the chain 0 -> 1 -> 2 keeps exact zeros above the diagonal
         assert not np.triu(p, 1).any()
-        assert not eig_routed(p)
         x = logm(p)
         assert np.array_equal(x, db_route(p))
         assert np.abs(x - JORDAN_RATES * t).max() < 1e-8
@@ -461,7 +455,6 @@ def test_logm_denman_beavers_roots_jordan_block_closed_form():
     for lam in (0.05, 0.7, 1.0, 1.3, 9.0):
         p = lam * np.eye(3) + n
         want = jordan_log(lam, n)
-        assert not eig_routed(p)
         got = db_route(p)
         assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
         assert np.array_equal(logm(p), got)
@@ -481,94 +474,19 @@ def test_logm_sqrt_route_accurate_at_series_radius():
         assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all()
 
 
-def test_logm_complex_eigenvalues_take_eigen_route():
+def test_logm_complex_eigenvalues_round_trip():
     for t in (0.3, 1.0, 2.5):
         p = expm(CYCLIC_RATES, t)
         assert np.iscomplexobj(np.linalg.eigvals(p))
-        assert eig_routed(p)
         x = logm(p)
         assert x.dtype == np.float64
-        assert np.abs(x - db_route(p)).max() < 1e-12
         assert np.abs(x - CYCLIC_RATES * t).max() < 1e-12
-
-
-def test_logm_eig_route_declines_eigenvalues_at_rounding_level():
-    # golden af79b0480850efbf at t_max = 8: trial 16 of seed 5 draws a product
-    # with eigenvalues 1, 2.1e-11, 2.2e-9 and 3.1e-20 and a well-conditioned
-    # eigenvector matrix, whose computed log of 3.1e-20 is rounding noise
-    m = golden_span("af79b0480850efbf")
-    p = _draw_product(m, seed=5, trial=16, attempt=0, trials=20, t_max=8.0)
-    assert np.abs(np.linalg.eigvals(p)).min() < 1e-19 * norm1(p)
-    assert not eig_routed(p)
-    # through the eigen route that one product's log was off the span by 537,
-    # and logs of other products still failed the span; it is algebra-closed,
-    # so the product check decides, and P - I stays in it to rounding
-    report = verify_multiplicative_closure(m, trials=20, seed=5, t_max=8.0)
-    assert (report.check, report.status) == ("product", "pass")
-    assert report.max_residual < 1e-12
-
-
-def test_logm_mixed_route_stack_matches_single_calls():
-    rng = np.random.default_rng(12)
-    q1, q2 = (random_rate_matrix(rng, 3) for _ in range(2))
-    ps = np.array([
-        np.eye(3),
-        expm(JORDAN_RATES, 0.4),
-        expm(CYCLIC_RATES, 1.2),
-        expm(q1, 0.8) @ expm(q2, 1.5),
-        expm(JORDAN_RATES, 3.0) @ expm(JORDAN_RATES, 0.5),
-        expm(CYCLIC_RATES, 0.05),
-    ])
-    _, routed = _logm_eig_route(ps)
-    assert routed.tolist() == [True, False, True, True, False, True]
-    stacked = logm(ps)
-    for p, x in zip(ps, stacked):
-        assert np.abs(x - logm(p)).max() < 1e-12
-        assert np.abs(x - db_route(p)).max() < 1e-12
-
-
-def test_logm_stack_of_both_routes_and_kernels_matches_single_calls():
-    rng = np.random.default_rng(40)
-    ps = np.array(
-        [golden_product(CHAIN_MODEL, trial) for trial in range(3)]
-        + [golden_product(CYCLIC_DEFECTIVE_MODEL, trial) for trial in range(3)]
-        + [np.eye(4), expm(random_rate_matrix(rng, 4), 0.9)]
-    )
-    _, eig = _logm_eig_route(ps)
-    assert eig.tolist() == [False] * 6 + [True] * 2
-    stacked = logm(ps)
-    for p, x in zip(ps, stacked):
-        assert np.array_equal(x, logm(p))
-    assert np.abs(stacked[:6] - reference_logm_sqrt_route(ps[:6])).max() < 1e-12
-
-
-def test_logm_eig_failure_falls_back_per_matrix(monkeypatch):
-    bad = expm(CYCLIC_RATES, 0.9)
-    ps = np.array([expm(CYCLIC_RATES, 0.4), bad, expm(CYCLIC_RATES, 2.0)])
-    real_eig = np.linalg.eig
-
-    def eig_refuses_bad(a):
-        if any(np.array_equal(x, bad) for x in a.reshape(-1, 3, 3)):
-            raise np.linalg.LinAlgError("forced")
-        return real_eig(a)
-
-    monkeypatch.setattr(np.linalg, "eig", eig_refuses_bad)
-    _, routed = _logm_eig_route(ps)
-    assert routed.tolist() == [True, False, True]
-    stacked = logm(ps)
-    assert np.array_equal(stacked[1], db_route(bad))
-    for p, x in zip(ps, stacked):
-        assert np.abs(x - logm(p)).max() < 1e-12
 
 
 def test_logm_negative_real_eigenvalue_still_raises():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with warnings.catch_warnings():
-        # declined before its logarithm is taken, so np.log never sees -1
-        warnings.simplefilter("error")
-        assert not eig_routed(swap)
-    # the route marks the swap alone as failed instead of raising
-    _, ok = _logm_roots_route(np.array([np.eye(2), swap]))
+    # the kernel marks the swap alone as failed instead of raising
+    _, ok = _logm_stack(np.array([np.eye(2), swap]))
     assert ok.tolist() == [True, False]
     with pytest.raises(LogmConvergenceError):
         logm(np.array([np.eye(2), swap, expm([[-1.0, 1.0], [1.0, -1.0]], 0.5)]))
@@ -583,11 +501,25 @@ def test_logm_negative_real_eigenvalue_still_raises():
             logm(p)
 
 
-def test_logm_stack_reports_failures_per_matrix():
+def test_logm_stack_reports_failures_per_matrix(monkeypatch):
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     q = np.array([[-1.0, 1.0], [1.0, -1.0]])
     ps = np.array([np.eye(2), swap, expm(q, 0.5), expm(q, 3.0)])
+    refused = []
+    inv = np.linalg.inv
+
+    def recording_inv(a):
+        try:
+            return inv(a)
+        except np.linalg.LinAlgError:
+            refused.append(len(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
     logs, ok = _logm_stack(ps)
+    # the swap's singular square-root iterate makes LAPACK refuse the batch
+    # it shares with the last two matrices, and only the swap fails
+    assert refused == [3]
     assert ok.tolist() == [True, False, True, True]
     for p, x in zip(ps[ok], logs[ok]):
         assert np.array_equal(x, logm(p))
@@ -606,6 +538,40 @@ def test_sqrtm_stack_reports_failures_per_matrix():
     roots, ok = _sqrtm_stack(np.array([np.diag([4.0, 9.0]), np.diag([-4.0, 1.0])]))
     assert ok.tolist() == [True, False]
     assert np.abs(roots[0] - np.diag([2.0, 3.0])).max() <= 1e-15
+
+
+def lower_triangular_sqrt(a):
+    """The principal square root of a lower-triangular matrix with a positive
+    diagonal, entry by entry: y_ij = (a_ij - sum_{j<l<i} y_il y_lj) / (y_ii + y_jj)."""
+    k = len(a)
+    y = np.diag(np.sqrt(np.diag(a)))
+    for gap in range(1, k):
+        for j in range(k - gap):
+            i = j + gap
+            y[i, j] = (a[i, j] - y[i, j + 1 : i] @ y[j + 1 : i, j]) / (y[i, i] + y[j, j])
+    return y
+
+
+def test_sqrtm_stack_accepts_a_root_stagnated_at_rounding_level():
+    # a chain 0 -> 1 -> 2 that keeps almost nothing in states 0 and 1, as
+    # long-time products do: the root has 1-norm 2e4, and the Denman-Beavers
+    # step stalls at 2e-15 to 6e-13 of it, above 1e-15 * |Y|_1, for the
+    # remaining steps; a step that no longer halves stops the iteration
+    a = np.array([[2e-15, 0.0, 0.0], [1.0 - 2e-15, 1e-8, 0.0], [0.0, 1.0 - 1e-8, 1.0]])
+    roots, ok = _sqrtm_stack(a[None])
+    assert ok.tolist() == [True]
+    want = lower_triangular_sqrt(a)
+    assert norm1(want) > 1e4
+    assert np.abs(roots[0] - want).max() <= 1e-11 * np.abs(want).max()
+
+
+def test_sqrtm_stack_does_not_stop_while_the_step_halves():
+    # on the eigenvalue 1e-20 the iterate halves for about 30 steps on its
+    # way down to 1e-10, each step a little under half the one before; by
+    # size alone (1e-8 of |Y|_1 = 1) it would stop near 2e-8
+    roots, ok = _sqrtm_stack(np.array([np.diag([1e-20, 1.0]), np.diag([1.0, 1e-20])]))
+    assert ok.tolist() == [True, True]
+    assert np.abs(roots - [np.diag([1e-10, 1.0]), np.diag([1.0, 1e-10])]).max() <= 1e-20
 
 
 # --- stacked kernels -----------------------------------------------------------
@@ -641,8 +607,29 @@ def test_logm_stack_matches_single_calls():
     stacked = logm(ps)
     assert stacked.shape == ps.shape
     for p, x in zip(ps, stacked):
-        assert np.abs(x - logm(p)).max() < 1e-12
+        assert np.array_equal(x, logm(p))
     assert np.abs(stacked[-1] - 4.0 * q3).max() < 1e-8
+    # defective, cyclic and sampled closure products in one stack
+    q = random_rate_matrix(rng, 3)
+    for ps in (
+        np.array([
+            np.eye(3),
+            expm(JORDAN_RATES, 0.4),
+            expm(CYCLIC_RATES, 1.2),
+            expm(q, 0.8) @ expm(CYCLIC_RATES, 1.5),
+            expm(JORDAN_RATES, 3.0) @ expm(JORDAN_RATES, 0.5),
+            expm(CYCLIC_RATES, 0.05),
+        ]),
+        np.array(
+            [golden_product(CHAIN_MODEL, trial) for trial in range(3)]
+            + [golden_product(CYCLIC_DEFECTIVE_MODEL, trial) for trial in range(3)]
+            + [np.eye(4), expm(q1, 0.9)]
+        ),
+    ):
+        stacked = logm(ps)
+        for p, x in zip(ps, stacked):
+            assert np.array_equal(x, logm(p))
+        assert np.abs(stacked - reference_logm_sqrt_route(ps)).max() < 1e-12
 
 
 def test_logm_stack_raises_if_any_matrix_fails():
@@ -849,27 +836,22 @@ def test_verify_closure_matches_per_trial_reference():
                         assert abs(report.max_residual - stacked[2]) < 1e-12
                 else:
                     assert (report.status, report.discarded_trials) == ("pass", 0)
-    # the longer times reach products without a principal logarithm; one
-    # more has one that Denman-Beavers roots do not find
-    # (test_logm_raises_on_the_entry_52_chain_product).  Three of the 14
-    # have an eigenvalue below eps times their 1-norm, which the eigen route
-    # declines (test_logm_eig_route_declines_eigenvalues_at_rounding_level)
-    # and the roots route cannot serve either
-    assert discards == {2.0: 0, 8.0: 14}
+    # every product here has a real principal logarithm that Denman-Beavers
+    # roots reach once a root whose step stagnates at rounding level counts
+    # as converged (test_logm_round_trips_the_entry_52_chain_product)
+    assert discards == {2.0: 0, 8.0: 0}
 
 
-def test_logm_raises_on_the_entry_52_chain_product():
+def test_logm_round_trips_the_entry_52_chain_product():
     # a chain product of golden entry 52 at t_max = 8 with diagonal entries
-    # down to 2e-15 has a real principal logarithm, but Denman-Beavers roots
-    # do not find it, so logm raises; no closure check takes its log, since
-    # the span is algebra-closed and takes the product check
+    # down to 2e-15: its first root's Denman-Beavers step stalls at 1.6e-15
+    # to 2.9e-15, above 1e-15 * |Y|_1, and stops there as stagnated; no
+    # closure check takes this log, since the span is algebra-closed and
+    # takes the product check
     m = golden_spans()[4]
     p = _draw_product(m, seed=7, trial=9, attempt=0, trials=10, t_max=8.0)
     assert not np.tril(p, -1).any() and np.diag(p).min() < 1e-14
-    assert not _logm_eig_route(p[None])[1][0]
-    assert not _logm_roots_route(p[None])[1][0]
-    with pytest.raises(LogmConvergenceError):
-        logm(p)
+    assert np.abs(expm(logm(p)) - p).max() <= 1e-12
     report = verify_multiplicative_closure(m, trials=10, seed=7, t_max=8.0)
     assert (report.check, report.status, report.discarded_trials) == ("product", "pass", 0)
 
@@ -877,9 +859,9 @@ def test_logm_raises_on_the_entry_52_chain_product():
 def test_logm_raises_where_denman_beavers_roots_stay_outside_the_series_radius():
     # exact principal roots leave the off-diagonal entry at 1e15 / 2^40,
     # about 909, after 40 of them, far outside the series radius; the
-    # Denman-Beavers roots get no closer, and the route gives up
+    # Denman-Beavers roots get no closer, and the kernel gives up
     p = np.array([[1.0, 1e15], [0.0, 1.0]])
-    assert not _logm_roots_route(p[None])[1][0]
+    assert not _logm_stack(p[None])[1][0]
     with pytest.raises(LogmConvergenceError):
         logm(p)
 
@@ -888,17 +870,18 @@ def test_verify_closure_reproduces_the_per_call_reference_exactly():
     # verify forms each round's rate matrices with one matmul of flat
     # generator rows and calls the exponential kernel directly; neither may
     # move a bit of the report
-    cases = [(m, 20, i) for i, m in enumerate(golden_spans())]
-    # JJ3 takes the log check, and at t_max = 8, seed 1 one of its
-    # products has no logarithm and is redrawn
-    cases.append((fixture("JJ3").subspace, 100, 1))
-    discarded = 0
-    for t_max in (1.0, 8.0):
-        for m, trials, seed in cases:
-            report = verify_multiplicative_closure(m, trials=trials, seed=seed, t_max=t_max)
-            assert _outcome(report) == _reference_report(m, trials, seed, t_max)
-            discarded += report.discarded_trials
-    assert discarded > 0
+    jj3 = fixture("JJ3").subspace
+    cases = [(m, 20, i, t_max) for i, m in enumerate(golden_spans()) for t_max in (1.0, 8.0)]
+    # JJ3 takes the log check; at t_max = 20, seed 1 one of its products is
+    # singular to rounding (a computed eigenvalue of -8e-17), its first
+    # square root does not converge, and it is redrawn
+    cases += [(jj3, 100, 1, 1.0), (jj3, 100, 1, 8.0), (jj3, 20, 1, 20.0)]
+    discarded = []
+    for m, trials, seed, t_max in cases:
+        report = verify_multiplicative_closure(m, trials=trials, seed=seed, t_max=t_max)
+        assert _outcome(report) == _reference_report(m, trials, seed, t_max)
+        discarded.append(report.discarded_trials)
+    assert discarded == [0] * (len(cases) - 1) + [1]
 
 
 def test_verify_closure_redraws_a_poisoned_product_check_trial(monkeypatch):
@@ -991,23 +974,23 @@ def test_verify_closure_route_follows_the_algebra_check_on_mutated_spans():
     }
 
 
-def test_verify_closure_eigen_route_changes_no_verdict(monkeypatch):
-    models = golden_spans(every=1) + [fixture("SYM").subspace]
-    assert len(models) == 132
-    fast = [_log_rounds(m, trials=5, tol=1e-6, seed=31) for m in models]
-    declined = []
-
-    def eig_route_declines_all(a):
-        declined.append(len(a))
-        return np.zeros_like(a), np.zeros(len(a), dtype=bool)
-
-    # every product now takes the roots route
-    monkeypatch.setattr(closure_mod, "_logm_eig_route", eig_route_declines_all)
-    for m, report in zip(models, fast):
-        ref = _log_rounds(m, trials=5, tol=1e-6, seed=31)
-        assert report[:2] == ref[:2]
-        assert abs(report[2] - ref[2]) < 1e-12
-    assert sum(declined) == 5 * 132
+def test_verify_closure_discards_no_trial_of_sym_or_jj3():
+    # at t_max = 8 their products reach eigenvalues down to about 1e-15, whose
+    # Denman-Beavers steps stagnate above 1e-15 * |Y|_1 and stop as
+    # stagnated; JJ3's fails at t_max = 8 come from the logarithm's
+    # conditioning, not from a span that is left, so only t_max = 1 pins
+    # its verdict
+    verdicts = {}
+    for name in ("SYM", "JJ3"):
+        for t_max in (1.0, 8.0):
+            for seed in (0, 1):
+                report = verify_multiplicative_closure(
+                    fixture(name).subspace, trials=100, seed=seed, t_max=t_max
+                )
+                assert (report.check, report.discarded_trials) == ("log", 0)
+                verdicts[name, t_max, seed] = report.status
+    assert {verdicts["SYM", t, s] for t in (1.0, 8.0) for s in (0, 1)} == {"fail"}
+    assert verdicts["JJ3", 1.0, 0] == verdicts["JJ3", 1.0, 1] == "pass"
 
 
 def test_verify_closure_redraws_only_the_failing_trial(monkeypatch):
@@ -1202,9 +1185,9 @@ def reference_logm_sqrt_route(p):
     return total[0] if single else total
 
 
-def reference_sqrt_route_stack(a):
-    """``reference_logm_sqrt_route`` in the route's (logs, ok) form; it raises
-    instead of reporting a failure, so a failing input errors the test."""
+def reference_logm_stack(a):
+    """``reference_logm_sqrt_route`` in the log kernel's (logs, ok) form; it
+    raises instead of reporting a failure, so a failing input errors the test."""
     return reference_logm_sqrt_route(a), np.ones(len(a), dtype=bool)
 
 
@@ -1226,21 +1209,14 @@ def closure_inputs(seed, trials=20):
 
 @pytest.mark.parametrize("seed", [3, 5])
 def test_kernels_match_references_on_closure_inputs(seed):
-    sqrt_routed = 0
     for _, q, t in closure_inputs(seed):
         subst = expm(q, t)
         assert np.abs(subst - reference_expm(q, t)).max() < 1e-14
         prods = subst[:20] @ subst[20:]
-        logs, ok = _logm_roots_route(prods)
+        logs, ok = _logm_stack(prods)
         assert ok.all()
         assert np.abs(logs - reference_logm_sqrt_route(prods)).max() < 1e-12
-        reference, ok = _logm_eig_route(prods)
-        if (~ok).any():
-            reference[~ok] = reference_logm_sqrt_route(prods[~ok])
-            sqrt_routed += int((~ok).sum())
-        assert np.abs(logm(prods) - reference).max() < 1e-12
-    # the defective products, which take the roots route, are included
-    assert sqrt_routed > 0
+        assert np.array_equal(logm(prods), logs)
 
 
 def logged_spans():
@@ -1251,10 +1227,6 @@ def logged_spans():
     return [fixture("SYM").subspace, fixture("JJ3").subspace] + [
         m for m in dropped if not check_algebra_closed(m).closed
     ]
-
-
-def no_eig_route(a):
-    return np.zeros_like(a), np.zeros(len(a), dtype=bool)
 
 
 @pytest.mark.parametrize("seed", [3, 5])
@@ -1268,9 +1240,7 @@ def test_verify_closure_same_verdicts_with_reference_kernels(seed, monkeypatch):
     assert {r.check for r in fast} == {"log"}
     # verify reaches the exponential through the kernel, which takes a stack of Q t
     monkeypatch.setattr(closure_mod, "_expm_stack", reference_expm)
-    # the reference roots route serves every product the eigen route would
-    monkeypatch.setattr(closure_mod, "_logm_eig_route", no_eig_route)
-    monkeypatch.setattr(closure_mod, "_logm_roots_route", reference_sqrt_route_stack)
+    monkeypatch.setattr(closure_mod, "_logm_stack", reference_logm_stack)
     for i, (m, report) in enumerate(zip(models, fast)):
         ref = verify_multiplicative_closure(m, trials=20, seed=seed * 1000 + i)
         assert (report.status, report.discarded_trials) == (ref.status, ref.discarded_trials)

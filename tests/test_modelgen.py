@@ -159,6 +159,9 @@ def test_contains_zero_matrix():
     assert coeffs == (Fraction(0),) * sub.dim
     trivial = rate_basis(regular_rep(RIGHT_CONST_4))
     assert contains(trivial, zeros(4)) == ()
+    # numpy booleans convert as bool does
+    sym = fixture("SYM").subspace
+    assert contains(sym, np.zeros((4, 4), bool)) == (0,) * sym.dim
 
 
 def test_contains_rejects_outside_matrix():
@@ -727,6 +730,10 @@ def test_subspace_from_generators_entry_contract():
     assert got == subspace_from_generators(4, [exact])
     assert repr(got) == repr(subspace_from_generators(4, [exact]))
     assert entry_types(got.basis[0]) == entry_types(exact)
+    # a numpy boolean array: zero, so dropped, as a bool zero generator is
+    assert subspace_from_generators(2, [np.zeros((2, 2), bool)]) == subspace_from_generators(
+        2, [((False, False), (False, False))]
+    )
 
     # a float generator equal to an earlier int one is a repeat
     g = ((-1, 1), (1, -1))
