@@ -483,6 +483,40 @@ def test_logm_complex_eigenvalues_round_trip():
         assert np.abs(x - CYCLIC_RATES * t).max() < 1e-12
 
 
+def test_logm_mixed_route_stack_matches_single_calls():
+    # identity, defective, cyclic and generic products in one stack
+    rng = np.random.default_rng(12)
+    q1, q2 = (random_rate_matrix(rng, 3) for _ in range(2))
+    ps = np.array([
+        np.eye(3),
+        expm(JORDAN_RATES, 0.4),
+        expm(CYCLIC_RATES, 1.2),
+        expm(q1, 0.8) @ expm(q2, 1.5),
+        expm(JORDAN_RATES, 3.0) @ expm(JORDAN_RATES, 0.5),
+        expm(CYCLIC_RATES, 0.05),
+    ])
+    stacked = logm(ps)
+    for p, x in zip(ps, stacked):
+        assert np.array_equal(x, logm(p))
+        assert np.abs(x - db_route(p)).max() < 1e-12
+    assert np.abs(stacked - reference_logm_sqrt_route(ps)).max() < 1e-12
+
+
+def test_logm_stack_of_both_routes_and_kernels_matches_single_calls():
+    # sampled closure products of a chain and a cyclic defective span, with
+    # the identity and a generic product, in one stack
+    rng = np.random.default_rng(40)
+    ps = np.array(
+        [golden_product(CHAIN_MODEL, trial) for trial in range(3)]
+        + [golden_product(CYCLIC_DEFECTIVE_MODEL, trial) for trial in range(3)]
+        + [np.eye(4), expm(random_rate_matrix(rng, 4), 0.9)]
+    )
+    stacked = logm(ps)
+    for p, x in zip(ps, stacked):
+        assert np.array_equal(x, logm(p))
+    assert np.abs(stacked - reference_logm_sqrt_route(ps)).max() < 1e-12
+
+
 def test_logm_negative_real_eigenvalue_still_raises():
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     # the kernel marks the swap alone as failed instead of raising
@@ -609,27 +643,6 @@ def test_logm_stack_matches_single_calls():
     for p, x in zip(ps, stacked):
         assert np.array_equal(x, logm(p))
     assert np.abs(stacked[-1] - 4.0 * q3).max() < 1e-8
-    # defective, cyclic and sampled closure products in one stack
-    q = random_rate_matrix(rng, 3)
-    for ps in (
-        np.array([
-            np.eye(3),
-            expm(JORDAN_RATES, 0.4),
-            expm(CYCLIC_RATES, 1.2),
-            expm(q, 0.8) @ expm(CYCLIC_RATES, 1.5),
-            expm(JORDAN_RATES, 3.0) @ expm(JORDAN_RATES, 0.5),
-            expm(CYCLIC_RATES, 0.05),
-        ]),
-        np.array(
-            [golden_product(CHAIN_MODEL, trial) for trial in range(3)]
-            + [golden_product(CYCLIC_DEFECTIVE_MODEL, trial) for trial in range(3)]
-            + [np.eye(4), expm(q1, 0.9)]
-        ),
-    ):
-        stacked = logm(ps)
-        for p, x in zip(ps, stacked):
-            assert np.array_equal(x, logm(p))
-        assert np.abs(stacked - reference_logm_sqrt_route(ps)).max() < 1e-12
 
 
 def test_logm_stack_raises_if_any_matrix_fails():
