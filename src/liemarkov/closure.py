@@ -412,10 +412,11 @@ def verify_multiplicative_closure(
     same whatever the block height: a trial's numbers depend only on
     (seed, trial, attempt).  A trial without a result is discarded and
     redrawn next round, up to ``retry_budget`` attempts; its round is
-    never re-run one product at a time.  If any trial exhausts the budget
-    the verdict is "inconclusive" rather than a pass or fail.  Raises
-    ValueError, before any check runs, for a dimension-0 model, for
-    ``trials`` or ``retry_budget`` not an integer of at least 1, for
+    never re-run one product at a time.  A residual of ``tol`` or more is
+    a "fail" whatever the other trials did; otherwise, if any trial
+    exhausts the budget the verdict is "inconclusive" rather than a pass.
+    Raises ValueError, before any check runs, for a dimension-0 model,
+    for ``trials`` or ``retry_budget`` not an integer of at least 1, for
     ``seed`` not an integer of at least 0 (an integer is an ``int`` or
     numpy integer, not a ``bool``), and for ``t_max`` or ``tol`` not
     finite positive.
@@ -463,10 +464,10 @@ def verify_multiplicative_closure(
         pending = pending[~ok]
         if not pending.size:
             break
-    if pending.size:
-        status = "inconclusive"
+    if max_residual >= tol:
+        status = "fail"
     else:
-        status = "pass" if max_residual < tol else "fail"
+        status = "inconclusive" if pending.size else "pass"
     return ClosureReport(
         lie_closed=lie.closed,
         lie_witness=lie.witness,

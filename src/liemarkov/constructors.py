@@ -1,10 +1,12 @@
 """Models built independently of the semigroup enumeration pipeline.
 
 Group-based models are the semigroup construction applied to a finite
-group (abelian or not); equivariant models are the rate matrices fixed
-by conjugation under a chosen permutation group; the named fixtures are
-small hand-entered models used as counterexamples in tests.  All of
-these cross-validate the main pipeline.
+group (abelian or not): cyclic groups, the Klein group, S3 (the
+multiplication table ``cayley.symmetric_group_table(3)``) or any table
+that ``group_spec`` validates.  Equivariant models are the rate
+matrices fixed by conjugation under a chosen permutation group; the
+named fixtures are small hand-entered models used as counterexamples in
+tests.  All of these cross-validate the main pipeline.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import linalg
-from .cayley import CayleyTable, Perm, is_associative, make_table
+from .cayley import CayleyTable, Perm, is_associative, make_table, symmetric_group_table
 from .linalg import Matrix, Scalar
 from .modelgen import ModelSubspace, rate_basis, subspace_from_generators
 from .representation import regular_rep
@@ -87,20 +89,12 @@ def klein_group() -> GroupSpec:
 
 
 def symmetric_group_3() -> GroupSpec:
-    """S3 on three points; composition (pq)(x) = p(q(x))."""
-    elems: list[Perm] = [
-        (0, 1, 2),  # e
-        (1, 0, 2),  # (12)
-        (1, 2, 0),  # (123): 1->2->3->1
-        (2, 0, 1),  # (132)
-        (0, 2, 1),  # (23)
-        (2, 1, 0),  # (13)
-    ]
-    index = {p: i for i, p in enumerate(elems)}
-    table = [
-        [index[tuple(p[q[x]] for x in range(3))] for q in elems] for p in elems
-    ]
-    return group_spec(table)
+    """S3 on three points; composition (pq)(x) = p(q(x)).
+
+    The elements come in ``cayley.relabel_gathers(3)`` order, the
+    identity first; the table is ``cayley.symmetric_group_table(3)``.
+    """
+    return group_spec(symmetric_group_table(3).table)
 
 
 def group_based_model(g: GroupSpec) -> ModelSubspace:

@@ -163,9 +163,9 @@ def _eliminate(
     ``work[0][j] * b[c0]`` and ``b[j] * work[0][c0]``, flipped when
     ``work[0][c0] < 0``.  At the first column where they differ the run
     returns None if row 0 is the greater (it is cut), and stops comparing
-    if it is the smaller.  Once every row has a pivot, no later step adds
-    to row 0, so while it still ties b its remaining columns are compared
-    in one pass, and the run stops there.  A tie is never cut.
+    if it is the smaller.  Once every row has a pivot the run stops, unless
+    row 0 still ties b: then the loop goes on comparing column by column,
+    with nothing left to eliminate.  A tie is never cut.
     """
     n = len(work)
     pivots: list[int] = []  # the pivot column of each rank row
@@ -200,17 +200,7 @@ def _eliminate(
                 if (x > y) == (s > 0):
                     return None
                 bound = None
-        if len(pivots) == n:
-            if bound is not None:
-                # every row is a pivot row, so row 0 is final: compare the rest of it in one pass
-                b, c0 = bound
-                s, bc = work[0][c0], b[c0]
-                for x, y in zip(work[0][col + 1 :], b[col + 1 :]):
-                    x, y = x * bc, y * s
-                    if x != y:
-                        if (x > y) == (s > 0):
-                            return None
-                        break
+        if len(pivots) == n and bound is None:
             break
     for i, col in enumerate(pivots):
         p = work[i][col]

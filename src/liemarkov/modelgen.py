@@ -7,7 +7,10 @@ real span of a finite set of rate matrices, stored as the exact
 row-major rows of its generators and in canonical form: the reduced
 row-echelon form of those rows.  The rref is unique for the span, so
 subspace equality, membership, and cross-run canonical keys are all
-exact decisions.
+exact decisions.  The orbit of a span under relabeling, which gives its
+canonical key, symmetry group and variant count, indexes S_k by
+``cayley.relabel_gathers`` and multiplies it by
+``cayley.symmetric_group_table``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import linalg
-from .cayley import Perm, relabel_gathers
+from .cayley import Perm, relabel_gathers, symmetric_group_table
 from .linalg import Matrix, Scalar
 from .representation import RegularRep, rate_rows
 
@@ -362,25 +365,6 @@ def _orbit_getters(k: int) -> tuple[tuple[Perm, operator.itemgetter], ...]:
     return tuple((p, operator.itemgetter(*src)) for p, src in relabel_gathers(k))
 
 
-@functools.cache
-def _perm_products(k: int) -> tuple[tuple[int, ...], ...]:
-    """The product table of S_k on the indices of ``cayley.relabel_gathers(k)``.
-
-    Entry [a][b] is the index of p_a o p_b; index 0 is the identity.  Each
-    composite is ranked by a lookup of its digits read as a base-k number,
-    whatever order the permutations come in.  Built on the first orbit of
-    order k that needs it; at k = 6 the 720 x 720 table holds about 4 MB.
-    """
-    perms = np.array([p for p, _ in relabel_gathers(k)], dtype=np.int8)
-    comp = perms[:, perms]  # comp[a, b, x] = p_a[p_b[x]]
-    weights = k ** np.arange(k - 1, -1, -1)
-    rank = np.empty(k**k, dtype=np.intp)
-    rank[perms @ weights] = np.arange(len(perms))
-    index = rank[comp @ weights]
-    ints = list(range(len(perms)))  # one int object per index, shared by every row
-    return tuple(tuple(map(ints.__getitem__, row.tolist())) for row in index)
-
-
 def _right_coset(products: Sequence[Sequence[int]], p: int, group: Iterable[int]) -> list[int]:
     """The indices of p o h for h in ``group``: relabelings whose conjugate equals p's.
 
@@ -451,7 +435,7 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
         perms = tuple(p for p, _ in relabel_gathers(m.order))
         return ModelOrbit(key=m.rref, group=perms, variants=1)
     getters = _orbit_getters(m.order)
-    products = _perm_products(m.order)
+    products = symmetric_group_table(m.order).table
     support = tuple(any(col) for col in zip(*m.rref))
     firsts = [g(support).index(True) for _, g in getters]
     last = max(firsts)

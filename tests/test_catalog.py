@@ -70,6 +70,17 @@ def test_registry_is_built_once_and_read_only():
         registry[(4, ())] = "zero"
 
 
+def test_registry_rejects_two_names_for_one_span(monkeypatch):
+    k3st = known_subspaces()["K3ST"]
+    monkeypatch.setattr(catalog, "known_subspaces", lambda: {"K3ST": k3st, "Kimura-3ST": k3st})
+    build_registry.cache_clear()
+    try:
+        with pytest.raises(PipelineInvariantError, match="registry collision: Kimura-3ST and K3ST"):
+            build_registry()
+    finally:
+        build_registry.cache_clear()  # later tests rebuild the real registry
+
+
 def test_classify_model_checks_orbit_stabilizer(monkeypatch):
     sub = known_subspaces()["K3ST"]
     orbit = catalog.model_orbit(sub)

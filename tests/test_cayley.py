@@ -4,7 +4,7 @@ import random
 import pytest
 from matrix_helpers import conjugate
 
-from liemarkov import linalg
+from liemarkov import cayley, linalg
 from liemarkov.cayley import (
     CayleyFormatError,
     CayleyTable,
@@ -12,6 +12,7 @@ from liemarkov.cayley import (
     anti_iso_census,
     apply_perm,
     canonical_form,
+    compose,
     enumerate_semigroups,
     format_tables,
     is_associative,
@@ -19,6 +20,7 @@ from liemarkov.cayley import (
     parse_tables,
     relabel_gathers,
     reverse,
+    symmetric_group_table,
 )
 
 LEFT_ZERO_2 = make_table([[0, 0], [0, 0]])  # a*b = a_1 always
@@ -136,6 +138,25 @@ def test_relabel_gathers_match_conjugate_and_apply_perm(k):
         )
         assert conjugate(t.table, p) == reference_conjugate(t.table, p)
         assert apply_perm(t, p) == reference_apply_perm(t, p)
+
+
+def test_symmetric_group_table_composes_gather_indices(monkeypatch):
+    for k in (1, 2, 3, 4):
+        perms = [p for p, _ in relabel_gathers(k)]
+        products = symmetric_group_table(k)
+        assert products.order == len(perms) and perms[0] == tuple(range(k))
+        assert [[perms[x] for x in row] for row in products.table] == [
+            [compose(a, b) for b in perms] for a in perms
+        ]
+    # the indices are relabel_gathers' whatever its order, not sorted ranks
+    gathers = relabel_gathers(4)
+    shuffled = gathers[:1] + tuple(random.Random(4).sample(gathers[1:], len(gathers) - 1))
+    monkeypatch.setattr(cayley, "relabel_gathers", lambda k: shuffled)
+    perms = [p for p, _ in shuffled]
+    products = symmetric_group_table.__wrapped__(4)
+    assert [[perms[x] for x in row] for row in products.table] == [
+        [compose(a, b) for b in perms] for a in perms
+    ]
 
 
 def test_conjugate_accepts_list_perm():

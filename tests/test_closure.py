@@ -714,6 +714,37 @@ def test_verify_closure_inconclusive_when_products_overflow(name):
     assert report.max_residual == 0.0
 
 
+def test_verify_closure_fails_on_a_computed_residual_when_a_trial_runs_out():
+    # at t_max = 20 some of SYM's products have no principal log in any of
+    # their 5 rounds (with a tol no residual reaches, the verdict is
+    # inconclusive), while the logs that were computed leave the span by far
+    # more than tol: a computed fail is a fail
+    sym = fixture("SYM").subspace
+    seen = []
+    for seed in (0, 1, 2):
+        report = verify_multiplicative_closure(sym, trials=20, seed=seed, t_max=20.0)
+        assert (report.check, report.status) == ("log", "fail")
+        assert _outcome(report) == _reference_report(sym, 20, seed, 20.0)
+        lenient = verify_multiplicative_closure(sym, trials=20, seed=seed, t_max=20.0, tol=1e3)
+        assert lenient.status == "inconclusive"
+        assert (lenient.max_residual, lenient.discarded_trials) == (
+            report.max_residual,
+            report.discarded_trials,
+        )
+        seen.append((round(report.max_residual, 1), report.discarded_trials))
+    assert seen == [(11.3, 28), (11.7, 24), (30.7, 28)]
+
+
+def test_verify_closure_stays_inconclusive_when_computed_residuals_pass():
+    # at t_max = 1e12 most of F81's products lose stochasticity and are
+    # redrawn until some trial runs out of retries; the residuals that were
+    # computed stay below tol, so nothing proves a fail
+    report = verify_multiplicative_closure(known_subspaces()["F81"], trials=20, seed=0, t_max=1e12)
+    assert (report.check, report.status) == ("product", "inconclusive")
+    assert 0.0 < report.max_residual < report.tolerance
+    assert report.discarded_trials >= 5
+
+
 def _draw_product(m, seed, trial, attempt, trials, t_max=1.0):
     """The product e^{Q1 t1} e^{Q2 t2} that a trial's row of its round's block draws."""
     gens = np.array([[[float(v) for v in row] for row in g] for g in m.basis])
@@ -724,6 +755,14 @@ def _draw_product(m, seed, trial, attempt, trials, t_max=1.0):
     q1 = np.tensordot(c1, gens, axes=1)
     q2 = np.tensordot(c2, gens, axes=1)
     return expm(q1, t1) @ expm(q2, t2)
+
+
+def _status(max_residual, tol, exhausted):
+    """A computed residual of ``tol`` or more fails; otherwise a trial that
+    used up its retries leaves the verdict inconclusive."""
+    if max_residual >= tol:
+        return "fail"
+    return "inconclusive" if exhausted else "pass"
 
 
 def _log_rounds(m, trials, tol, seed, t_max=1.0, retry_budget=5):
@@ -742,8 +781,8 @@ def _log_rounds(m, trials, tol, seed, t_max=1.0, retry_budget=5):
         discarded += len(pending) - int(ok.sum())
         pending = pending[~ok]
         if not pending.size:
-            return ("pass" if max_residual < tol else "fail"), discarded, max_residual
-    return "inconclusive", discarded, max_residual
+            break
+    return _status(max_residual, tol, pending.size), discarded, max_residual
 
 
 def _reference_verify(m, trials, tol, seed, t_max=1.0, retry_budget=5):
@@ -764,9 +803,7 @@ def _reference_verify(m, trials, tol, seed, t_max=1.0, retry_budget=5):
             break
         else:
             exhausted = True
-    if exhausted:
-        return "inconclusive", discarded, max_residual
-    return ("pass" if max_residual < tol else "fail"), discarded, max_residual
+    return _status(max_residual, tol, exhausted), discarded, max_residual
 
 
 def _reference_report(m, trials, seed, t_max=1.0, tol=1e-6, retry_budget=5):
@@ -800,9 +837,9 @@ def _reference_report(m, trials, seed, t_max=1.0, tol=1e-6, retry_budget=5):
         discarded += n - int(ok.sum())
         pending = pending[~ok]
         if not pending.size:
-            status = "pass" if max_residual < tol else "fail"
-            return status, discarded, max_residual, "product" if algebra else "log"
-    return "inconclusive", discarded, max_residual, "product" if algebra else "log"
+            break
+    status = _status(max_residual, tol, pending.size)
+    return status, discarded, max_residual, "product" if algebra else "log"
 
 
 def _outcome(report):

@@ -12,7 +12,7 @@ from test_linalg import assert_int_exactly_when_integral, is_integral, random_ma
 
 from liemarkov import linalg, modelgen
 from liemarkov.catalog import known_subspaces
-from liemarkov.cayley import compose, make_table, relabel_gathers
+from liemarkov.cayley import make_table, relabel_gathers
 from liemarkov.closure import commutator
 from liemarkov.constructors import cyclic_group, fixture, group_based_model, symmetric_group_3
 from liemarkov.modelgen import (
@@ -525,24 +525,6 @@ def test_model_orbit_matches_full_pass_on_rational_spans():
         assert orbit == full
         assert entry_types(orbit.key) == entry_types(full.key)
     assert len({len(model_orbit(m).group) for m in spans}) > 1
-
-
-def test_perm_products_compose_getter_indices(monkeypatch):
-    for k in (2, 3, 4):
-        perms = [p for p, _ in modelgen._orbit_getters(k)]
-        products = modelgen._perm_products(k)
-        assert [[perms[x] for x in row] for row in products] == [
-            [compose(a, b) for b in perms] for a in perms
-        ]
-    # the indices are relabel_gathers' whatever its order, not sorted ranks
-    gathers = relabel_gathers(4)
-    shuffled = gathers[:1] + tuple(random.Random(4).sample(gathers[1:], len(gathers) - 1))
-    monkeypatch.setattr(modelgen, "relabel_gathers", lambda k: shuffled)
-    perms = [p for p, _ in shuffled]
-    products = modelgen._perm_products.__wrapped__(4)
-    assert [[perms[x] for x in row] for row in products] == [
-        [compose(a, b) for b in perms] for a in perms
-    ]
 
 
 def count_eliminations(monkeypatch, models):
