@@ -13,17 +13,21 @@ from fractions import Fraction
 
 from liemarkov import (
     abelian_rate_pattern,
+    canonical_form,
+    canonical_subspace,
     contains,
     cyclic_group,
     equivariant_model,
     group_based_model,
     klein_group,
+    model_id,
     parse_perm,
-    rate_basis,
-    regular_rep,
+    run_pipeline,
     symmetric_group_3,
 )
 
+# the constructor's model id against the id that the enumeration pipeline
+# gives the catalog entry whose sources hold the group's table (orders 2-5)
 for g, name in (
     (cyclic_group(2), "C2 (binary symmetric)"),
     (cyclic_group(3), "C3"),
@@ -32,9 +36,14 @@ for g, name in (
     (symmetric_group_3(), "S3, six states"),
 ):
     sub = group_based_model(g)
-    pipeline = rate_basis(regular_rep(g.table))
-    print(f"{name}: dimension {sub.dim}, "
-          f"matches semigroup pipeline: {sub.rref == pipeline.rref}")
+    k = g.table.order
+    line = f"{name}: dimension {sub.dim}"
+    if k <= 5:
+        table = canonical_form(g.table)
+        (entry,) = [e for e in run_pipeline(order=k) if table in e.report.provenance]
+        same = entry.model_id == model_id(k, canonical_subspace(sub))
+        line += f", model {entry.model_id}, matches the order-{k} catalog: {same}"
+    print(line)
 
 print()
 q = abelian_rate_pattern(cyclic_group(3), {1: Fraction(2), 2: Fraction(5)})

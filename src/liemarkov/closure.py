@@ -44,12 +44,13 @@ Failure is per-matrix data: the log kernel returns its results with a
 boolean mask of the matrices it could serve, and a non-finite logarithm
 counts as none.  Only the public logm raises, once, if any matrix of its
 stack failed; the sampled verification's log check reads the mask and
-redraws those trials.
+counts those trials as discarded.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -379,7 +380,6 @@ def verify_multiplicative_closure(
     tol: float = 1e-6,
     seed: int = 0,
     t_max: float = 1.0,
-    retry_budget: int = 5,
 ) -> ClosureReport:
     """Sampled numerical check that e^{Q1 t1} e^{Q2 t2} stays in the model.
 
@@ -402,72 +402,57 @@ def verify_multiplicative_closure(
       result.  Membership of a subspace is scale invariant, so the
       unnormalized log is tested.
 
-    Trials run in rounds of one call of the exponential kernel that
-    :func:`expm` wraps, ``_expm_stack``, on the round's stack of Q t
-    (each Q one matrix product of the coefficients with the flat
-    generator rows) and, on the log check, one ``_logm_stack`` call,
-    which reports per product whether it found a finite principal log.
-    Round ``attempt`` draws a (trials, 2d + 2) block from
-    default_rng([seed, attempt]) and trial i takes row i, which is the
-    same whatever the block height: a trial's numbers depend only on
-    (seed, trial, attempt).  A trial without a result is discarded and
-    redrawn next round, up to ``retry_budget`` attempts; its round is
-    never re-run one product at a time.  A residual of ``tol`` or more is
-    a "fail" whatever the other trials did; otherwise, if any trial
-    exhausts the budget the verdict is "inconclusive" rather than a pass.
-    Raises ValueError, before any check runs, for a dimension-0 model,
-    for ``trials`` or ``retry_budget`` not an integer of at least 1, for
-    ``seed`` not an integer of at least 0 (an integer is an ``int`` or
-    numpy integer, not a ``bool``), and for ``t_max`` or ``tol`` not
-    finite positive.
+    The trials draw one (trials, 2d + 2) block from
+    default_rng([seed, 0]) and trial i takes row i, which is the same
+    whatever the block height: a trial's numbers depend only on (seed,
+    trial).  All trials go through one call of the exponential kernel
+    that :func:`expm` wraps, ``_expm_stack``, on the stack of Q t (each Q
+    one matrix product of the coefficients with the flat generator rows)
+    and, on the log check, one ``_logm_stack`` call, which reports per
+    product whether it found a finite principal log.  A trial without a
+    result is counted in ``discarded_trials`` and is not redrawn.  A
+    residual of ``tol`` or more is a "fail" whatever the other trials
+    did; otherwise, if any trial has no result the verdict is
+    "inconclusive" rather than a pass.  Raises ValueError, before any
+    check runs, for a dimension-0 model, for ``trials`` not an integer of
+    at least 1 or ``seed`` not an integer of at least 0 (an integer is an
+    ``int`` or numpy integer, not a ``bool``), and for ``t_max`` or
+    ``tol`` not a finite positive real number (a ``bool`` is none).
     """
     if m.dim < 1:
         raise ValueError("degenerate model: dimension 0")
-    integers = (("trials", trials, 1), ("retry_budget", retry_budget, 1), ("seed", seed, 0))
-    for name, value, least in integers:
+    for name, value, least in (("trials", trials, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     for name, value in (("t_max", t_max), ("tol", tol)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be a finite positive number, got {value}")
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be a finite positive number, got {value!r}")
     ((algebra, lie),) = exact_checks(SpanStack([m]))
     k = m.order
     gens = np.array(m.gen_rows, dtype=float)
     d = len(gens)
     # orthonormal basis of the span, one column per rref row
     span, _ = np.linalg.qr(np.array(m.rref, dtype=float).T)
-    ident = np.eye(k)
-    max_residual = 0.0
-    discarded = 0
-    pending = np.arange(trials)
-    for attempt in range(retry_budget):
-        # row i of the round's block is trial i's c1, c2, t1 and t2
-        u = 1.0 - np.random.default_rng([seed, attempt]).random((trials, 2 * d + 2))
-        if attempt:  # a retry takes only the pending trials' rows
-            u = u[pending]
-        n = len(pending)
-        c = np.concatenate([u[:, :d], u[:, d : 2 * d]])
-        t = np.concatenate([u[:, 2 * d], u[:, 2 * d + 1]]) * t_max
-        subst = _expm_stack((c @ gens).reshape(-1, k, k) * t[:, None, None])
-        prods = subst[:n] @ subst[n:]
-        if algebra.closed:
-            # NaN compares false, so a non-finite product has no result too
-            ok = (np.abs(prods.sum(axis=-2) - 1.0) < tol).all(axis=-1)
-            v = prods - ident
-        else:
-            v, ok = _logm_stack(prods)
-        if not ok.all():
-            v = v[ok]
-        v = v.reshape(-1, k * k)
-        max_residual = max(max_residual, float(np.abs(v - (v @ span) @ span.T).max(initial=0.0)))
-        discarded += n - int(ok.sum())
-        pending = pending[~ok]
-        if not pending.size:
-            break
+    # row i of the block is trial i's c1, c2, t1 and t2
+    u = 1.0 - np.random.default_rng([seed, 0]).random((trials, 2 * d + 2))
+    c = np.concatenate([u[:, :d], u[:, d : 2 * d]])
+    t = np.concatenate([u[:, 2 * d], u[:, 2 * d + 1]]) * t_max
+    subst = _expm_stack((c @ gens).reshape(-1, k, k) * t[:, None, None])
+    prods = subst[:trials] @ subst[trials:]
+    if algebra.closed:
+        # NaN compares false, so a non-finite product has no result too
+        ok = (np.abs(prods.sum(axis=-2) - 1.0) < tol).all(axis=-1)
+        v = prods - np.eye(k)
+    else:
+        v, ok = _logm_stack(prods)
+    v = v[ok].reshape(-1, k * k)
+    max_residual = float(np.abs(v - (v @ span) @ span.T).max(initial=0.0))
+    discarded = trials - int(ok.sum())
     if max_residual >= tol:
         status = "fail"
     else:
-        status = "inconclusive" if pending.size else "pass"
+        status = "inconclusive" if discarded else "pass"
     return ClosureReport(
         lie_closed=lie.closed,
         lie_witness=lie.witness,

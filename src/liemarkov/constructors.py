@@ -174,11 +174,10 @@ def equivariant_model(group: Sequence[Perm], k: int) -> ModelSubspace:
 
 @dataclass(frozen=True)
 class FixtureModel:
-    """A named hand-entered model; in_cone flags stochastic generators."""
+    """A named hand-entered model."""
 
     name: str
     subspace: ModelSubspace
-    in_cone: bool
 
 
 _GM2_GENERATORS = (
@@ -225,5 +224,4 @@ def fixture(name: str) -> FixtureModel:
         k = 3
     else:
         raise ValueError(f"unknown fixture {name!r}; expected SYM, GM2, or JJ3")
-    sub = subspace_from_generators(k, gens)
-    return FixtureModel(key, sub, all(linalg.has_nonneg_offdiag(g) for g in sub.basis))
+    return FixtureModel(key, subspace_from_generators(k, gens))

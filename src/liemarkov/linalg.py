@@ -59,13 +59,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def has_nonneg_offdiag(a: Matrix) -> bool:
-    """True iff the matrix lies in the stochastic cone (given zero column sums)."""
-    return all(
-        x >= 0 for i, row in enumerate(a) for j, x in enumerate(row) if i != j
-    )
-
-
 @functools.cache
 def relabel_gather(perm: tuple[int, ...]) -> tuple[int, ...]:
     """The gather that relabels a flattened k x k array by ``perm``.

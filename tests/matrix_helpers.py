@@ -23,6 +23,11 @@ def has_zero_column_sums(a: Matrix) -> bool:
     return all(s == 0 for s in column_sums(a))
 
 
+def has_nonneg_offdiag(a: Matrix) -> bool:
+    """True iff the matrix lies in the stochastic cone (given zero column sums)."""
+    return all(x >= 0 for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
+
+
 def conjugate(a: Matrix, perm: Sequence[int]) -> Matrix:
     """Simultaneous row/column permutation K A K^T.
 

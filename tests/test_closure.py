@@ -419,7 +419,7 @@ def golden_span(model_id):
 
 def golden_product(model_id, trial=0, seed=0):
     """A sampled closure product of the first golden order-4 entry with ``model_id``."""
-    return _draw_product(golden_span(model_id), seed, trial, 0, trials=trial + 1)
+    return _draw_product(golden_span(model_id), seed, trial, trials=trial + 1)
 
 
 # an absorbing-state chain whose sampled products have an acyclic zero pattern,
@@ -695,11 +695,9 @@ def test_verify_closure_inconclusive_when_log_never_converges(monkeypatch):
         return np.zeros_like(a), np.zeros(len(a), dtype=bool)
 
     monkeypatch.setattr(closure_mod, "_logm_stack", always_fails)
-    report = verify_multiplicative_closure(
-        fixture("JJ3").subspace, trials=3, tol=1e-6, seed=0, retry_budget=2
-    )
+    report = verify_multiplicative_closure(fixture("JJ3").subspace, trials=3, tol=1e-6, seed=0)
     assert (report.check, report.status) == ("log", "inconclusive")
-    assert report.discarded_trials == 6
+    assert report.discarded_trials == 3
     assert report.max_residual == 0.0
 
 
@@ -715,10 +713,10 @@ def test_verify_closure_inconclusive_when_products_overflow(name):
 
 
 def test_verify_closure_fails_on_a_computed_residual_when_a_trial_runs_out():
-    # at t_max = 20 some of SYM's products have no principal log in any of
-    # their 5 rounds (with a tol no residual reaches, the verdict is
-    # inconclusive), while the logs that were computed leave the span by far
-    # more than tol: a computed fail is a fail
+    # at t_max = 20 some of SYM's products have no principal log (with a tol
+    # no residual reaches, the verdict is inconclusive), while the logs that
+    # were computed leave the span by far more than tol: a computed fail is a
+    # fail
     sym = fixture("SYM").subspace
     seen = []
     for seed in (0, 1, 2):
@@ -732,24 +730,24 @@ def test_verify_closure_fails_on_a_computed_residual_when_a_trial_runs_out():
             report.discarded_trials,
         )
         seen.append((round(report.max_residual, 1), report.discarded_trials))
-    assert seen == [(11.3, 28), (11.7, 24), (30.7, 28)]
+    assert seen == [(6.2, 12), (11.7, 11), (30.7, 10)]
 
 
 def test_verify_closure_stays_inconclusive_when_computed_residuals_pass():
-    # at t_max = 1e12 most of F81's products lose stochasticity and are
-    # redrawn until some trial runs out of retries; the residuals that were
-    # computed stay below tol, so nothing proves a fail
-    report = verify_multiplicative_closure(known_subspaces()["F81"], trials=20, seed=0, t_max=1e12)
+    # at t_max = 1e10 some of F81's products lose stochasticity and have no
+    # result; the residuals that were computed stay below tol, so nothing
+    # proves a fail
+    report = verify_multiplicative_closure(known_subspaces()["F81"], trials=20, seed=0, t_max=1e10)
     assert (report.check, report.status) == ("product", "inconclusive")
     assert 0.0 < report.max_residual < report.tolerance
     assert report.discarded_trials >= 5
 
 
-def _draw_product(m, seed, trial, attempt, trials, t_max=1.0):
-    """The product e^{Q1 t1} e^{Q2 t2} that a trial's row of its round's block draws."""
+def _draw_product(m, seed, trial, trials, t_max=1.0):
+    """The product e^{Q1 t1} e^{Q2 t2} that a trial's row of the block draws."""
     gens = np.array([[[float(v) for v in row] for row in g] for g in m.basis])
     d = len(gens)
-    u = 1.0 - np.random.default_rng([seed, attempt]).random((trials, 2 * d + 2))[trial]
+    u = 1.0 - np.random.default_rng([seed, 0]).random((trials, 2 * d + 2))[trial]
     c1, c2 = u[:d], u[d : 2 * d]
     t1, t2 = u[2 * d] * t_max, u[2 * d + 1] * t_max
     q1 = np.tensordot(c1, gens, axes=1)
@@ -757,88 +755,68 @@ def _draw_product(m, seed, trial, attempt, trials, t_max=1.0):
     return expm(q1, t1) @ expm(q2, t2)
 
 
-def _status(max_residual, tol, exhausted):
-    """A computed residual of ``tol`` or more fails; otherwise a trial that
-    used up its retries leaves the verdict inconclusive."""
+def _status(max_residual, tol, discarded):
+    """A computed residual of ``tol`` or more fails; otherwise a trial without
+    a result leaves the verdict inconclusive."""
     if max_residual >= tol:
         return "fail"
-    return "inconclusive" if exhausted else "pass"
+    return "inconclusive" if discarded else "pass"
 
 
-def _log_rounds(m, trials, tol, seed, t_max=1.0, retry_budget=5):
-    """The log check's rounds on any span: each round's ``_draw_product``
-    products through one ``_logm_stack`` call, redrawing the trials without a
-    log, with the residual against the QR projection onto the span."""
+def _log_check(m, trials, tol, seed, t_max=1.0):
+    """The log check on any span: the ``_draw_product`` products through one
+    ``_logm_stack`` call, with the residual against the QR projection onto
+    the span."""
     span, _ = np.linalg.qr(np.array([[float(v) for v in row] for row in m.rref]).T)
-    max_residual = 0.0
-    discarded = 0
-    pending = np.arange(trials)
-    for attempt in range(retry_budget):
-        prods = np.array([_draw_product(m, seed, i, attempt, trials, t_max) for i in pending])
-        logs, ok = closure_mod._logm_stack(prods)
-        v = logs[ok].reshape(-1, m.order**2)
-        max_residual = max(max_residual, float(np.abs(v - (v @ span) @ span.T).max(initial=0.0)))
-        discarded += len(pending) - int(ok.sum())
-        pending = pending[~ok]
-        if not pending.size:
-            break
-    return _status(max_residual, tol, pending.size), discarded, max_residual
+    prods = np.array([_draw_product(m, seed, i, trials, t_max) for i in range(trials)])
+    logs, ok = closure_mod._logm_stack(prods)
+    v = logs[ok].reshape(-1, m.order**2)
+    max_residual = float(np.abs(v - (v @ span) @ span.T).max(initial=0.0))
+    discarded = trials - int(ok.sum())
+    return _status(max_residual, tol, discarded), discarded, max_residual
 
 
-def _reference_verify(m, trials, tol, seed, t_max=1.0, retry_budget=5):
+def _reference_verify(m, trials, tol, seed, t_max=1.0):
     """The per-trial loop: one expm pair, one logm and one lstsq per trial."""
     basis = np.array([[float(v) for v in row] for row in m.rref]).T
     max_residual = 0.0
     discarded = 0
-    exhausted = False
     for trial in range(trials):
-        for attempt in range(retry_budget):
-            try:
-                x = logm(_draw_product(m, seed, trial, attempt, trials, t_max)).reshape(-1)
-            except LogmConvergenceError:
-                discarded += 1
-                continue
-            coeffs, *_ = np.linalg.lstsq(basis, x, rcond=None)
-            max_residual = max(max_residual, float(np.abs(x - basis @ coeffs).max()))
-            break
-        else:
-            exhausted = True
-    return _status(max_residual, tol, exhausted), discarded, max_residual
+        try:
+            x = logm(_draw_product(m, seed, trial, trials, t_max)).reshape(-1)
+        except LogmConvergenceError:
+            discarded += 1
+            continue
+        coeffs, *_ = np.linalg.lstsq(basis, x, rcond=None)
+        max_residual = max(max_residual, float(np.abs(x - basis @ coeffs).max()))
+    return _status(max_residual, tol, discarded), discarded, max_residual
 
 
-def _reference_report(m, trials, seed, t_max=1.0, tol=1e-6, retry_budget=5):
+def _reference_report(m, trials, seed, t_max=1.0, tol=1e-6):
     """verify's outcome rebuilt per call from the public expm and np.tensordot,
-    on ``_draw_product``'s draws: each round takes its pending trials' rows
-    of the round's block, forms the rate matrices of both factors with one
-    tensordot against the (d, k, k) generators and their exponentials with
-    one expm call, then takes the product or log check of the exact algebra
-    check.  Returns (status, discarded, max_residual, check)."""
+    on ``_draw_product``'s draws: the block's rows give the rate matrices of
+    both factors with one tensordot against the (d, k, k) generators and
+    their exponentials with one expm call, then the product or log check of
+    the exact algebra check.  Returns (status, discarded, max_residual,
+    check)."""
     gens = np.array([[[float(v) for v in row] for row in g] for g in m.basis])
     d = len(gens)
     span, _ = np.linalg.qr(np.array([[float(v) for v in row] for row in m.rref]).T)
     algebra = check_algebra_closed(m).closed
-    max_residual = 0.0
-    discarded = 0
-    pending = np.arange(trials)
-    for attempt in range(retry_budget):
-        n = len(pending)
-        u = 1.0 - np.random.default_rng([seed, attempt]).random((trials, 2 * d + 2))[pending]
-        q = np.tensordot(np.concatenate([u[:, :d], u[:, d : 2 * d]]), gens, axes=1)
-        subst = expm(q, np.concatenate([u[:, 2 * d], u[:, 2 * d + 1]]) * t_max)
-        prods = subst[:n] @ subst[n:]
-        if algebra:
-            ok = (np.abs(prods.sum(axis=-2) - 1.0) < tol).all(axis=-1)
-            v = prods[ok] - np.eye(m.order)
-        else:
-            logs, ok = closure_mod._logm_stack(prods)
-            v = logs[ok]
-        v = v.reshape(-1, m.order**2)
-        max_residual = max(max_residual, float(np.abs(v - (v @ span) @ span.T).max(initial=0.0)))
-        discarded += n - int(ok.sum())
-        pending = pending[~ok]
-        if not pending.size:
-            break
-    status = _status(max_residual, tol, pending.size)
+    u = 1.0 - np.random.default_rng([seed, 0]).random((trials, 2 * d + 2))
+    q = np.tensordot(np.concatenate([u[:, :d], u[:, d : 2 * d]]), gens, axes=1)
+    subst = expm(q, np.concatenate([u[:, 2 * d], u[:, 2 * d + 1]]) * t_max)
+    prods = subst[:trials] @ subst[trials:]
+    if algebra:
+        ok = (np.abs(prods.sum(axis=-2) - 1.0) < tol).all(axis=-1)
+        v = prods[ok] - np.eye(m.order)
+    else:
+        logs, ok = closure_mod._logm_stack(prods)
+        v = logs[ok]
+    v = v.reshape(-1, m.order**2)
+    max_residual = float(np.abs(v - (v @ span) @ span.T).max(initial=0.0))
+    discarded = trials - int(ok.sum())
+    status = _status(max_residual, tol, discarded)
     return status, discarded, max_residual, "product" if algebra else "log"
 
 
@@ -857,7 +835,7 @@ def golden_spans(every=13):
 
 
 def test_verify_closure_matches_per_trial_reference():
-    # the log kernels' stacked rounds against one logm and one lstsq per
+    # the log kernel's stacked call against one logm and one lstsq per
     # trial, on the same products; verify itself takes logs only of SYM's
     known = known_subspaces()
     models = [known["F81"], known["K3ST"], fixture("SYM").subspace] + golden_spans()
@@ -867,7 +845,7 @@ def test_verify_closure_matches_per_trial_reference():
         discards[t_max] = 0
         for seed in (0, 7, 123):
             for idx, m in enumerate(models):
-                stacked = _log_rounds(m, trials=10, tol=1e-6, seed=seed * 100 + idx, t_max=t_max)
+                stacked = _log_check(m, trials=10, tol=1e-6, seed=seed * 100 + idx, t_max=t_max)
                 status, discarded, max_residual = _reference_verify(
                     m, trials=10, tol=1e-6, seed=seed * 100 + idx, t_max=t_max
                 )
@@ -899,7 +877,7 @@ def test_logm_round_trips_the_entry_52_chain_product():
     # closure check takes this log, since the span is algebra-closed and
     # takes the product check
     m = golden_spans()[4]
-    p = _draw_product(m, seed=7, trial=9, attempt=0, trials=10, t_max=8.0)
+    p = _draw_product(m, seed=7, trial=9, trials=10, t_max=8.0)
     assert not np.tril(p, -1).any() and np.diag(p).min() < 1e-14
     assert np.abs(expm(logm(p)) - p).max() <= 1e-12
     report = verify_multiplicative_closure(m, trials=10, seed=7, t_max=8.0)
@@ -917,14 +895,14 @@ def test_logm_raises_where_denman_beavers_roots_stay_outside_the_series_radius()
 
 
 def test_verify_closure_reproduces_the_per_call_reference_exactly():
-    # verify forms each round's rate matrices with one matmul of flat
+    # verify forms the rate matrices with one matmul of flat
     # generator rows and calls the exponential kernel directly; neither may
     # move a bit of the report
     jj3 = fixture("JJ3").subspace
     cases = [(m, 20, i, t_max) for i, m in enumerate(golden_spans()) for t_max in (1.0, 8.0)]
     # JJ3 takes the log check; at t_max = 20, seed 1 one of its products is
     # singular to rounding (a computed eigenvalue of -8e-17), its first
-    # square root does not converge, and it is redrawn
+    # square root does not converge, and it is discarded
     cases += [(jj3, 100, 1, 1.0), (jj3, 100, 1, 8.0), (jj3, 20, 1, 20.0)]
     discarded = []
     for m, trials, seed, t_max in cases:
@@ -934,12 +912,12 @@ def test_verify_closure_reproduces_the_per_call_reference_exactly():
     assert discarded == [0] * (len(cases) - 1) + [1]
 
 
-def test_verify_closure_redraws_a_poisoned_product_check_trial(monkeypatch):
+def test_verify_closure_discards_a_poisoned_product_check_trial(monkeypatch):
     m, seed, bad = golden_spans()[3], 4, 2
     gens = np.array([[[float(v) for v in row] for row in g] for g in m.basis])
     d = len(gens)
     u = 1.0 - np.random.default_rng([seed, 0]).random((5, 2 * d + 2))
-    # trial 2's first factor in round 0, as verify's stack holds it
+    # trial 2's first factor, as verify's stack holds it
     target = np.tensordot(u[:, :d], gens, axes=1)[bad] * u[bad, 2 * d]
     kernel = closure_mod._expm_stack
 
@@ -951,7 +929,8 @@ def test_verify_closure_redraws_a_poisoned_product_check_trial(monkeypatch):
     # the public expm reaches the same kernel, so the reference sees the poison too
     monkeypatch.setattr(closure_mod, "_expm_stack", poisons_target)
     report = verify_multiplicative_closure(m, trials=5, seed=seed)
-    assert (report.check, report.status, report.discarded_trials) == ("product", "pass", 1)
+    assert (report.check, report.status, report.discarded_trials) == ("product", "inconclusive", 1)
+    assert 0.0 < report.max_residual < 1e-12
     assert _outcome(report) == _reference_report(m, 5, seed)
 
 
@@ -1014,7 +993,7 @@ def test_verify_closure_route_follows_the_algebra_check_on_mutated_spans():
         outcome = (report.algebra_closed, report.lie_closed, report.check, report.status)
         seen[outcome] = seen.get(outcome, 0) + 1
         if not report.lie_closed:
-            status, discarded, max_residual = _log_rounds(m, trials=20, tol=1e-6, seed=1)
+            status, discarded, max_residual = _log_check(m, trials=20, tol=1e-6, seed=1)
             assert (report.status, report.discarded_trials) == (status, discarded)
             assert abs(report.max_residual - max_residual) <= 1e-9 * max_residual
     assert seen == {
@@ -1043,9 +1022,9 @@ def test_verify_closure_discards_no_trial_of_sym_or_jj3():
     assert verdicts["JJ3", 1.0, 0] == verdicts["JJ3", 1.0, 1] == "pass"
 
 
-def test_verify_closure_redraws_only_the_failing_trial(monkeypatch):
+def test_verify_closure_discards_only_the_failing_trial(monkeypatch):
     m, seed, bad = fixture("JJ3").subspace, 3, 2
-    target = _draw_product(m, seed, bad, 0, trials=5)
+    target = _draw_product(m, seed, bad, trials=5)
     calls = []
 
     def fails_on_target(a):
@@ -1055,17 +1034,18 @@ def test_verify_closure_redraws_only_the_failing_trial(monkeypatch):
 
     monkeypatch.setattr(closure_mod, "_logm_stack", fails_on_target)
     report = verify_multiplicative_closure(m, trials=5, tol=1e-6, seed=seed)
-    assert (report.check, report.status) == ("log", "pass")
+    assert (report.check, report.status) == ("log", "inconclusive")
     assert report.discarded_trials == 1
-    assert report.max_residual < 1e-9
-    # one log-kernel call per round: the stacked round, then the redraw alone
-    assert [c.shape for c in calls] == [(5, 3, 3), (1, 3, 3)]
-    assert np.allclose(calls[-1][0], _draw_product(m, seed, bad, 1, trials=5), atol=1e-14)
+    # the other four trials have their logs, and those stay in the span
+    assert 0.0 < report.max_residual < 1e-9
+    # one log-kernel call on every trial's product, and no redraw
+    assert [c.shape for c in calls] == [(5, 3, 3)]
+    assert _outcome(report) == _reference_report(m, 5, seed)
 
 
 def test_verify_closure_draws_do_not_depend_on_trial_count(monkeypatch):
     m, seed, bad = fixture("JJ3").subspace, 17, 3
-    target = _draw_product(m, seed, bad, 0, trials=5)
+    target = _draw_product(m, seed, bad, trials=5)
 
     def logm_inputs(trials):
         calls = []
@@ -1077,20 +1057,15 @@ def test_verify_closure_draws_do_not_depend_on_trial_count(monkeypatch):
 
         monkeypatch.setattr(closure_mod, "_logm_stack", fails_on_target)
         report = verify_multiplicative_closure(m, trials=trials, seed=seed)
-        assert (report.status, report.discarded_trials) == ("pass", 1)
+        assert (report.status, report.discarded_trials) == ("inconclusive", 1)
         return calls
 
     few, many = logm_inputs(5), logm_inputs(100)
-    assert few[0].shape == (5, 3, 3) and many[0].shape == (100, 3, 3)
+    assert [c.shape for c in few] == [(5, 3, 3)] and [c.shape for c in many] == [(100, 3, 3)]
     # trials 0..4 draw the same products at either trial count
     assert np.array_equal(few[0], many[0][:5])
     for trial in range(5):
-        assert np.array_equal(few[0][trial], _draw_product(m, seed, trial, 0, trials=100))
-    # the redrawn trial, alone in the second round, takes its row of that round's block
-    assert few[-1].shape == many[-1].shape == (1, 3, 3)
-    assert np.array_equal(few[-1], many[-1])
-    for trials in (5, 100):
-        assert np.array_equal(few[-1][0], _draw_product(m, seed, bad, 1, trials=trials))
+        assert np.array_equal(few[0][trial], _draw_product(m, seed, trial, trials=100))
 
 
 @pytest.mark.parametrize(
@@ -1098,7 +1073,7 @@ def test_verify_closure_draws_do_not_depend_on_trial_count(monkeypatch):
     [
         {"trials": 0},
         {"trials": -5},
-        {"retry_budget": 0},
+        {"tol": "1e-6"},
         {"t_max": -1.0},
         {"t_max": 0.0},
         {"t_max": math.inf},
@@ -1111,10 +1086,13 @@ def test_verify_closure_draws_do_not_depend_on_trial_count(monkeypatch):
         {"trials": 2.5},
         {"trials": 20.0},
         {"trials": True},
-        {"retry_budget": 2.5},
-        {"retry_budget": True},
+        {"t_max": None},
+        {"t_max": 1j},
         {"seed": True},
         {"seed": np.bool_(False)},
+        {"tol": True},
+        {"t_max": True},
+        {"tol": np.bool_(True)},
     ],
 )
 def test_verify_closure_rejects_vacuous_settings(kwargs, monkeypatch):
@@ -1131,8 +1109,8 @@ def test_verify_closure_rejects_vacuous_settings(kwargs, monkeypatch):
 
 def test_verify_closure_takes_numpy_integer_seed():
     m = fixture("SYM").subspace
-    numpy_ints = {"trials": np.int64(5), "seed": np.int64(3), "retry_budget": np.int32(5)}
-    assert verify_multiplicative_closure(m, **numpy_ints) == (
+    numpy_numbers = {"trials": np.int64(5), "seed": np.int64(3), "t_max": np.float64(1.0)}
+    assert verify_multiplicative_closure(m, **numpy_numbers) == (
         verify_multiplicative_closure(m, trials=5, seed=3)
     )
 
@@ -1242,8 +1220,8 @@ def reference_logm_stack(a):
 
 
 def closure_inputs(seed, trials=20):
-    """Per model of the 131 golden spans plus SYM: its first round's rate
-    matrices and times, seeded per model as the closure benchmark does."""
+    """Per model of the 131 golden spans plus SYM: its rate matrices and
+    times, seeded per model as the closure benchmark does."""
     models = golden_spans(every=1) + [fixture("SYM").subspace]
     assert len(models) == 132
     out = []

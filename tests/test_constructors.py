@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from matrix_helpers import conjugate, has_zero_column_sums, is_zero
+from matrix_helpers import conjugate, has_nonneg_offdiag, has_zero_column_sums, is_zero
 
 from liemarkov import linalg
 from liemarkov.cayley import make_table
@@ -265,7 +265,7 @@ def test_gm2_fixture():
     fix = fixture("GM2")
     assert fix.subspace.dim == 2
     assert fix.subspace.basis == (((-1, 0), (1, 0)), ((0, 1), (0, -1)))
-    assert fix.in_cone
+    assert all(has_nonneg_offdiag(g) for g in fix.subspace.basis)
 
 
 def test_jj3_fixture_bracket_identity():
@@ -287,7 +287,7 @@ def test_gm2_and_jj3_share_bracket_relation():
 def test_sym_fixture():
     fix = fixture("SYM")
     assert fix.subspace.dim == 6
-    assert fix.in_cone
+    assert all(has_nonneg_offdiag(g) for g in fix.subspace.basis)
     for g in fix.subspace.basis:
         assert transpose(g) == g
 

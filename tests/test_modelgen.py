@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from matrix_helpers import conjugate, has_zero_column_sums, is_zero
+from matrix_helpers import conjugate, has_nonneg_offdiag, has_zero_column_sums, is_zero
 from test_linalg import assert_int_exactly_when_integral, is_integral, random_matrix, reference_rref
 
 from liemarkov import linalg, modelgen
@@ -68,7 +68,7 @@ def test_equal_input_basis():
     )
     for g in sub.basis:
         assert has_zero_column_sums(g)
-        assert linalg.has_nonneg_offdiag(g)
+        assert has_nonneg_offdiag(g)
 
 
 def test_right_const_model_is_trivial():
