@@ -49,6 +49,7 @@ counts those trials as discarded.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -200,6 +201,15 @@ def _as_stack(a: np.ndarray | Sequence, name: str) -> tuple[np.ndarray, bool]:
     return (a[None] if a.ndim == 2 else a), a.ndim == 2
 
 
+@functools.cache
+def _identities(k: int) -> np.ndarray:
+    """The read-only (3, k, k) stack I, b_1 I, b_0 I for the [13/13] Pade coefficients b."""
+    ident = np.eye(k)
+    out = np.stack([ident, EXPM_PADE13[1] * ident, EXPM_PADE13[0] * ident])
+    out.flags.writeable = False
+    return out
+
+
 def _expm_stack(a: np.ndarray) -> np.ndarray:
     """e^A of each matrix of a float (n, k, k) stack, with no validation.
 
@@ -207,32 +217,41 @@ def _expm_stack(a: np.ndarray) -> np.ndarray:
     closure check.  Each matrix is scaled by its own power of two to
     1-norm <= EXPM_THETA13, its [13/13] Pade approximant is taken from
     one batched solve, and it is squared back as often as it was scaled
-    (Higham, SIMAX 2005, without the lower-degree approximants).  Entry
-    (i, j), i != j, is exactly 0 when the off-diagonal nonzero pattern of
-    A has no path i -> j (``linalg.reach``), as it is in every term of
-    the power series.
+    (Higham, SIMAX 2005, without the lower-degree approximants).  A stack
+    whose largest 1-norm is at most EXPM_THETA13 needs no scaling for any
+    matrix and takes no scaling step: no scaling count, no scaled copy and
+    no squaring, with the same result, since each of its matrices would
+    get the count 0.  The constant terms b_1 I and b_0 I come from one
+    cached array per order.  Entry (i, j), i != j, is exactly 0 when the
+    off-diagonal nonzero pattern of A has no path i -> j
+    (``linalg.reach``), as it is in every term of the power series.
     """
-    # norm / theta = m * 2**e with 0.5 <= m < 1, so the least s >= 0 with
-    # norm / 2**s <= theta is e, or e - 1 when norm / theta is a power of 2
-    m, e = np.frexp(_norm1(a) / EXPM_THETA13)
-    s = np.maximum(e - (m == 0.5), 0)
-    x = np.ldexp(a, -s[:, None, None])
+    x, squarings = a, 0
+    norm = _norm1(a)
+    # NaN compares false, so a stack with a NaN norm takes the scaling step
+    if not norm.max(initial=0.0) <= EXPM_THETA13:
+        # norm / theta = m * 2**e with 0.5 <= m < 1, so the least s >= 0 with
+        # norm / 2**s <= theta is e, or e - 1 when norm / theta is a power of 2
+        m, e = np.frexp(norm / EXPM_THETA13)
+        s = np.maximum(e - (m == 0.5), 0)
+        x = np.ldexp(a, -s[:, None, None])
+        squarings = s.max()
     b = EXPM_PADE13
     k = a.shape[-1]
-    ident = np.eye(k)
+    _, b1_ident, b0_ident = _identities(k)
     x2 = x @ x
     x4 = x2 @ x2
     x6 = x4 @ x2
     u = x @ (
         x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
-        + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident
+        + b[7] * x6 + b[5] * x4 + b[3] * x2 + b1_ident
     )
     v = (
         x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
-        + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
+        + b[6] * x6 + b[4] * x4 + b[2] * x2 + b0_ident
     )
     result = np.linalg.solve(v - u, v + u)
-    for j in range(s.max(initial=0)):
+    for j in range(squarings):
         result = np.where((s > j)[:, None, None], result @ result, result)
     # the solve leaves rounding-level values where no path reaches
     result[linalg.off_diagonal(k) > linalg.reach(a)] = 0.0
@@ -277,7 +296,7 @@ def _sqrtm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     singular or its root is still moving after 64 steps.  The roots of
     failed matrices are unspecified.
     """
-    yz = np.stack([a, np.broadcast_to(np.eye(a.shape[-1]), a.shape)], axis=1)
+    yz = np.stack([a, np.broadcast_to(_identities(a.shape[-1])[0], a.shape)], axis=1)
     ok = np.ones(len(a), dtype=bool)
     prev = np.full(len(a), np.inf)
     todo = np.arange(len(a))
@@ -328,7 +347,7 @@ def _logm_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n_mats, k, _ = a.shape
     t = a.copy()
-    ident = np.eye(k)
+    ident = _identities(k)[0]
     ok = np.isfinite(a).all(axis=(-2, -1))
     depth = np.zeros(n_mats, dtype=int)
     todo = np.flatnonzero(ok & (_norm1(t - ident) >= LOGM_SERIES_RADIUS))
@@ -407,9 +426,12 @@ def verify_multiplicative_closure(
     whatever the block height: a trial's numbers depend only on (seed,
     trial).  All trials go through one call of the exponential kernel
     that :func:`expm` wraps, ``_expm_stack``, on the stack of Q t (each Q
-    one matrix product of the coefficients with the flat generator rows)
-    and, on the log check, one ``_logm_stack`` call, which reports per
-    product whether it found a finite principal log.  A trial without a
+    one matrix product of the coefficients with the flat generator rows;
+    a stack whose 1-norms are all at most EXPM_THETA13, as at ``t_max=1``
+    for most spans, takes no scaling step) and, on the log check, one
+    ``_logm_stack`` call, which reports per product whether it found a
+    finite principal log.  The exact checks' stack reads the span's rows
+    with no type pass when its ``integral`` fact is known.  A trial without a
     result is counted in ``discarded_trials`` and is not redrawn.  A
     residual of ``tol`` or more is a "fail" whatever the other trials
     did; otherwise, if any trial has no result the verdict is
@@ -443,7 +465,7 @@ def verify_multiplicative_closure(
     if algebra.closed:
         # NaN compares false, so a non-finite product has no result too
         ok = (np.abs(prods.sum(axis=-2) - 1.0) < tol).all(axis=-1)
-        v = prods - np.eye(k)
+        v = prods - _identities(k)[0]
     else:
         v, ok = _logm_stack(prods)
     v = v[ok].reshape(-1, k * k)

@@ -110,21 +110,28 @@ def exact(x: object) -> Scalar:
     return int(x.numerator) if x.denominator == 1 else x
 
 
+def all_int(rows: Sequence[Sequence[object]]) -> bool:
+    """True when every entry of ``rows`` is an ``int``: one C-level pass over the entry types.
+
+    ``bool`` and ``Fraction`` are not ``int``.  This is the one
+    integrality decision of the row reductions.
+    """
+    return set(map(type, chain.from_iterable(rows))) <= {int}
+
+
 def integral_rows(rows: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[int]]:
     """Each row scaled by the lcm of its entries' denominators, in ``int``.
 
-    This is the one integrality decision of the row reductions: one
-    C-level pass over the entry types (``bool`` and ``Fraction`` are not
-    ``int``), and rows that hold only ``int`` come back as given.  When
-    that pass finds another type, the same pass over each row picks the
-    rows to scale, and every other row is returned as the same object.
-    Scaling a row leaves its span, and so every rref, unchanged.
+    Rows that hold only ``int`` (:func:`all_int`) come back as given.
+    Otherwise the same pass over each row picks the rows to scale, and
+    every other row is returned as the same object.  Scaling a row leaves
+    its span, and so every rref, unchanged.
     """
-    if set(map(type, chain.from_iterable(rows))) <= {int}:
+    if all_int(rows):
         return rows
     scaled = []
     for row in rows:
-        if set(map(type, row)) <= {int}:
+        if all_int([row]):
             scaled.append(row)
             continue
         d = math.lcm(*(Fraction(x).denominator for x in row))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -39,11 +39,20 @@ class ModelSubspace:
     ``gen_rows`` holds the generators once, as the exact row-major rows
     that :func:`generator_index` kept; ``basis`` builds the nested k x k
     matrices from them on each access.
+
+    ``integral`` is True when every entry of ``gen_rows`` and ``rref`` is
+    known to be an ``int``.  :func:`_span`, which builds every span of
+    the package, decides it once, by one ``linalg.all_int`` over both;
+    ``_filled`` and :func:`model_orbit` then skip their own type passes.
+    A span built directly has False, which means unknown, and its rows
+    are scanned wherever they are used.  The fact is excluded from
+    equality, hashing and repr.
     """
 
     order: int
     gen_rows: tuple[tuple[Scalar, ...], ...]
     rref: RrefKey
+    integral: bool = field(default=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -89,8 +98,14 @@ def generator_index(flats: Iterable[tuple[Scalar, ...]]) -> dict[tuple[Scalar, .
 
 
 def _span(order: int, rows: dict[tuple[Scalar, ...], int]) -> ModelSubspace:
-    """Span of the exact row-major generators that :func:`generator_index` kept."""
-    return ModelSubspace(order, tuple(rows), linalg.rref(list(rows)))
+    """Span of the exact row-major generators that :func:`generator_index` kept.
+
+    Decides the span's ``integral`` fact: whether the generator rows and
+    the rref that comes back hold only ``int``.
+    """
+    gen_rows = tuple(rows)
+    rref = linalg.rref(gen_rows)
+    return ModelSubspace(order, gen_rows, rref, linalg.all_int(gen_rows + rref))
 
 
 def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelSubspace:
@@ -164,8 +179,10 @@ class SpanStack:
     entries of all spans' rows read into the array by one ``np.fromiter``.
     A span that holds an entry other than ``int`` is first scaled to
     integers by one ``linalg.integral_rows`` of its rows read as one
-    row.  So each span is scaled by a positive factor c (1 for a span of
-    ``int`` rows), and every scaled pivot is c; scaling keeps signs and
+    row; a span whose ``integral`` fact is True goes in with no type
+    pass, since its integrality was decided where it was built.  So each
+    span is scaled by a positive factor c (1 for a span of ``int``
+    rows), and every scaled pivot is c; scaling keeps signs and
     spans, so memberships, the brackets up to the factor c^2, and
     supports are read off the integer stack.  Zero generators have zero
     products, which lie in every span; a stack of one span pads nothing.
@@ -259,7 +276,9 @@ def _filled(
     A span that holds only ``int`` (every order-4 span ``rate_basis``
     makes, and all but one at order 5) goes in as it is, with c = 1, the
     pivot of its rref row 0; for any other span c is the first nonzero
-    entry of its scaled rref rows.
+    entry of its scaled rref rows.  A span whose ``integral`` fact is
+    True is known to hold only ``int`` and takes no type pass; any other
+    span is scanned by ``linalg.integral_rows``.
     """
     kk = spans[0].order ** 2
     pad = [(0,) * kk] * max(n, d)
@@ -267,7 +286,7 @@ def _filled(
     scale = [1] * len(spans)
     for i, m in enumerate(spans):
         ng, rows = len(m.gen_rows), m.gen_rows + m.rref
-        if linalg.integral_rows(rows) is not rows:  # not all int: returned scaled
+        if not m.integral and linalg.integral_rows(rows) is not rows:  # not all int
             (flat,) = linalg.integral_rows([list(chain.from_iterable(rows))])
             rows = [flat[j : j + kk] for j in range(0, len(flat), kk)]
             scale[i] = next(filter(None, flat[ng * kk :]), 1)
@@ -403,7 +422,8 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
     support, and rrefs whose first pivot comes later compare smaller, so
     only the relabelings that push that cell furthest are candidates;
     every relabeling onto the key is among them.  Integrality is decided
-    once per span: ``m.rref`` is scaled to integer rows by one
+    once per span: ``m.rref`` is taken as it is when the span's
+    ``integral`` fact is True, else scaled to integer rows by one
     ``linalg.integral_rows`` (a no-op for an integral span), and a
     relabeling only permutes the entries within each row, so every
     candidate's rows are integral and go to ``linalg.rref_integral`` with
@@ -439,7 +459,7 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
     support = tuple(any(col) for col in zip(*m.rref))
     firsts = [g(support).index(True) for _, g in getters]
     last = max(firsts)
-    rows = linalg.integral_rows(m.rref)
+    rows = m.rref if m.integral else linalg.integral_rows(m.rref)
     key, bound = None, None
     sym: tuple[int, ...] = (0,)  # H, the symmetries found so far
     beaten: list[int] = []  # candidates known not to reach the key

@@ -18,10 +18,11 @@ from liemarkov import cli
 from liemarkov.catalog import (
     PipelineInvariantError,
     known_subspaces,
+    model_id,
     render,
     run_pipeline,
 )
-from liemarkov.cayley import enumerate_semigroups, make_table
+from liemarkov.cayley import canonical_form, enumerate_semigroups, make_table
 from liemarkov.closure import (
     check_algebra_closed,
     check_lie_closed,
@@ -214,8 +215,13 @@ def test_criterion_8_constructor_cross_checks():
         assert k2st.dim == 2
         assert k2st.rref == known["K2ST"].rref
 
-        for g in (cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_group(), s3):
-            assert group_based_model(g).rref == rate_basis(regular_rep(g.table)).rref
+        # each group's model id against the id that the enumeration pipeline
+        # gives the catalog entry whose sources hold the group's table
+        for g in (cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_group()):
+            k = g.table.order
+            table = canonical_form(g.table)
+            (entry,) = [e for e in run_pipeline(order=k) if table in e.report.provenance]
+            assert model_id(k, canonical_subspace(group_based_model(g))) == entry.model_id
 
 
 def test_criterion_9_numeric_closure():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -15,6 +16,7 @@ from liemarkov import cli, linalg
 from liemarkov.catalog import known_subspaces
 from liemarkov.cayley import enumerate_semigroups, make_table
 from liemarkov.closure import (
+    EXPM_THETA13,
     ClosureCheck,
     ClosureWitness,
     LogmConvergenceError,
@@ -1305,3 +1307,105 @@ def test_expm_stack_with_different_squaring_counts_matches_single_calls():
         # the reference scales to 0.5, not 5.37, so it squares about three
         # more times and its own error grows with the squarings
         assert np.abs(m - reference_expm(q, t)).max() < 1e-13
+
+
+# --- stacks that need no scaling ---------------------------------------------------
+
+
+def counting_wrappers(monkeypatch, calls, targets):
+    """Replace each (module, name) by a wrapper that counts its calls in ``calls``."""
+    for module, name in targets:
+        f = getattr(module, name)
+
+        def counting(*args, _f=f, _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+
+def theta_matrix():
+    """A 4 x 4 rate matrix of 1-norm exactly EXPM_THETA13: each column holds
+    -h on the diagonal and h/2, h/4, h/4 off it, h = theta / 2, so every
+    partial column sum is exact."""
+    h = EXPM_THETA13 / 2
+    q = np.zeros((4, 4))
+    for j in range(4):
+        others = [i for i in range(4) if i != j]
+        q[j, j] = -h
+        q[others, j] = [h / 2, h / 4, h / 4]
+    assert norm1(q) == EXPM_THETA13
+    return q
+
+
+def test_expm_unscaled_stack_matches_single_calls_and_reference(monkeypatch):
+    rng = np.random.default_rng(40)
+    qs = [random_rate_matrix(rng, 4) for _ in range(5)]
+    # from t = 0 up to the norm theta itself, with a matrix exactly at theta
+    fractions = [0.0, 1e-3, 0.3, 0.9, 1.0]
+    stack = np.array([q * (f * EXPM_THETA13 / norm1(q)) for q, f in zip(qs, fractions)])
+    stack = np.concatenate([stack, theta_matrix()[None]])
+    assert norm1(stack).max() == EXPM_THETA13
+    calls = {}
+    counting_wrappers(monkeypatch, calls, [(np, "ldexp"), (np, "frexp")])
+    out = expm(stack)
+    singles = [expm(a) for a in stack]
+    assert calls == {}  # no scaling step, stacked or single
+    for a, m, single in zip(stack, out, singles):
+        assert np.array_equal(m, single)
+        assert np.abs(m - reference_expm(a)).max() < 1e-13
+
+
+def test_expm_theta_edge_in_a_scaled_stack(monkeypatch):
+    # norm / theta = 1 has m == 0.5 in frexp, so a matrix at theta gets no
+    # scaling in a stack that takes the scaling step too; 2 theta gets one
+    q = theta_matrix()
+    alone = expm(q)
+    calls = {}
+    counting_wrappers(monkeypatch, calls, [(np, "ldexp")])
+    stacked = expm(np.array([q, 2 * q]))
+    assert calls == {"ldexp": 1}
+    assert np.array_equal(stacked[0], alone)
+    assert np.array_equal(stacked[1], expm(2 * q))
+    assert np.abs(stacked[1] - reference_expm(2 * q)).max() < 1e-13
+
+
+def test_expm_nan_input_takes_the_scaling_step(monkeypatch):
+    # NaN compares false with theta, so a stack with a NaN norm keeps the
+    # general path; the NaN matrix gives NaN and the others their own results
+    nan = np.array([[-1.0, np.nan], [1.0, -np.nan]])
+    q = np.array([[-0.3, 0.2], [0.3, -0.2]])
+    alone = expm(q)
+    calls = {}
+    counting_wrappers(monkeypatch, calls, [(np, "ldexp")])
+    out = expm(np.array([nan, q]))
+    assert calls == {"ldexp": 1}
+    assert np.isnan(out[0]).all()
+    assert np.array_equal(out[1], alone)
+    assert np.isnan(expm(nan)).all()
+
+
+def test_verify_closure_unscaled_stack_takes_no_type_pass_and_no_scaling(monkeypatch):
+    m = golden_spans(every=1)[60]
+    assert m.integral
+    norms = []
+    kernel = closure_mod._expm_stack
+
+    def recording(a):
+        norms.append(norm1(a).max())
+        return kernel(a)
+
+    monkeypatch.setattr(closure_mod, "_expm_stack", recording)
+    calls = {}
+    counting_wrappers(monkeypatch, calls, [(linalg, "integral_rows"), (np, "ldexp")])
+    report = verify_multiplicative_closure(m, trials=20, seed=1060, t_max=1.0)
+    assert (report.status, report.check) == ("pass", "product")
+    assert len(norms) == 1 and norms[0] <= EXPM_THETA13
+    assert calls == {}
+    # the wrappers count: longer times need squaring, and a span whose
+    # integral fact is withheld is scanned
+    verify_multiplicative_closure(m, trials=20, seed=1060, t_max=8.0)
+    assert norms[1] > EXPM_THETA13
+    assert calls == {"ldexp": 1}
+    verify_multiplicative_closure(dataclasses.replace(m, integral=False), trials=20, seed=1060)
+    assert calls == {"ldexp": 1, "integral_rows": 1}

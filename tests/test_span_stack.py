@@ -7,6 +7,7 @@ a reference built here from ``linalg.mat_mul`` and ``contains``, one pair
 and one span at a time, in exact arithmetic.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -27,11 +28,13 @@ from liemarkov.closure import (
 from liemarkov.constructors import fixture
 from liemarkov.modelgen import (
     STACK_BLOCK,
+    ModelSubspace,
     SpanStack,
     absorbing_states,
     contains,
     generic_support,
     is_reducible,
+    model_orbit,
     rate_basis,
     span_stacks,
     subspace_from_generators,
@@ -250,3 +253,64 @@ def test_span_stack_entries_beyond_int64_take_object():
         assert algebra_checks(stack) == [ref_algebra(m)]
         assert lie_checks(stack) == [ref_lie(m)]
     assert repr(commutator_table(huge[1])) == repr(ref_commutator_table(huge[1]))
+
+
+# --- the integral fact --------------------------------------------------------
+
+
+def fact_spans():
+    """Each kind of span for the ``integral`` fact, by name.
+
+    The golden spans, SYM and the 2**64 span come from ``_span``; the
+    halves span has int generators and a Fraction rref; the spans built
+    directly hold an int, a ``Fraction(2)`` and a Fraction entry.
+    """
+    spans = {f"golden {i}": m for i, m in enumerate(golden_spans())}
+    spans["SYM"] = fixture("SYM").subspace
+    spans["halves"] = rate_basis(regular_rep(make_table(HALVES_TABLE)))
+    spans["direct int"] = ModelSubspace(2, ((-1, 1, 1, -1),), ((1, -1, -1, 1),))
+    spans["direct Fraction(2)"] = ModelSubspace(
+        2, ((Fraction(-2), 2, 2, -2),), ((1, -1, -1, 1),)
+    )
+    spans["direct Fraction"] = ModelSubspace(
+        2, ((Fraction(-1, 2), 1, Fraction(1, 2), -1),), ((1, -2, -1, 2),)
+    )
+    spans["2**64"] = scaled(fixture("SYM").subspace, [2**64] * 6)
+    return spans
+
+
+def test_spans_decide_their_integral_fact():
+    spans = fact_spans()
+    for name, m in spans.items():
+        truth = linalg.all_int(m.gen_rows + m.rref)
+        # a span built directly has the fact unknown, which reads False
+        assert m.integral is (truth and not name.startswith("direct")), name
+        # the fact takes no part in equality, hashing or repr
+        other = dataclasses.replace(m, integral=not m.integral)
+        assert other == m and hash(other) == hash(m) and repr(other) == repr(m)
+    assert all(spans[f"golden {i}"].integral for i in range(131))
+    assert spans["SYM"].integral and spans["2**64"].integral
+    assert not spans["halves"].integral and linalg.all_int(spans["halves"].gen_rows)
+
+
+def assert_same_stack(a, b, name):
+    for part in ("gens", "rref", "scale", "products", "residuals"):
+        x, y = getattr(a, part), getattr(b, part)
+        assert x.dtype == y.dtype, (name, part)
+        assert np.array_equal(x, y), (name, part)
+        assert [type(v) for v in x.flat] == [type(v) for v in y.flat], (name, part)
+
+
+def test_span_stack_and_orbit_same_with_the_integral_fact_withheld():
+    spans = fact_spans()
+    known, withheld = {}, {}
+    for name, m in spans.items():
+        known[name] = dataclasses.replace(m, integral=linalg.all_int(m.gen_rows + m.rref))
+        withheld[name] = dataclasses.replace(m, integral=False)
+        assert_same_stack(SpanStack([known[name]]), SpanStack([withheld[name]]), name)
+        assert model_orbit(known[name]) == model_orbit(withheld[name]), name
+    assert SpanStack([known["2**64"]]).gens.dtype == object
+    # one stack of spans with the fact known and withheld, in turn
+    order4 = [n for n, m in spans.items() if m.order == 4 and n != "2**64"]
+    mixed = [(known if i % 2 else withheld)[n] for i, n in enumerate(order4)]
+    assert_same_stack(SpanStack(mixed), SpanStack([withheld[n] for n in order4]), "mixed")
