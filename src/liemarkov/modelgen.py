@@ -41,18 +41,19 @@ class ModelSubspace:
     matrices from them on each access.
 
     ``integral`` is True when every entry of ``gen_rows`` and ``rref`` is
-    known to be an ``int``.  :func:`_span`, which builds every span of
-    the package, decides it once, by one ``linalg.all_int`` over both;
+    known to be an ``int``.  It is no constructor argument: only
+    :func:`_span`, which builds every span of the package, sets it, from
+    the integrality that its row reduction decides anyway, and
     ``_filled`` and :func:`model_orbit` then skip their own type passes.
-    A span built directly has False, which means unknown, and its rows
-    are scanned wherever they are used.  The fact is excluded from
-    equality, hashing and repr.
+    A span built directly (or by ``dataclasses.replace``) has False,
+    which means unknown, and its rows are scanned wherever they are
+    used.  The fact is excluded from equality, hashing and repr.
     """
 
     order: int
     gen_rows: tuple[tuple[Scalar, ...], ...]
     rref: RrefKey
-    integral: bool = field(default=False, compare=False, repr=False)
+    integral: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -100,12 +101,17 @@ def generator_index(flats: Iterable[tuple[Scalar, ...]]) -> dict[tuple[Scalar, .
 def _span(order: int, rows: dict[tuple[Scalar, ...], int]) -> ModelSubspace:
     """Span of the exact row-major generators that :func:`generator_index` kept.
 
-    Decides the span's ``integral`` fact: whether the generator rows and
-    the rref that comes back hold only ``int``.
+    Sets the span's ``integral`` fact: the generator rows hold only
+    ``int`` when ``linalg.integral_rows`` returns them as given, as
+    ``linalg.rref`` would decide, so only the rref rows that come back
+    take a second type pass.
     """
     gen_rows = tuple(rows)
-    rref = linalg.rref(gen_rows)
-    return ModelSubspace(order, gen_rows, rref, linalg.all_int(gen_rows + rref))
+    ints = linalg.integral_rows(gen_rows)
+    rref = linalg.rref_integral(ints)
+    m = ModelSubspace(order, gen_rows, rref)
+    object.__setattr__(m, "integral", ints is gen_rows and linalg.all_int(rref))
+    return m
 
 
 def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelSubspace:

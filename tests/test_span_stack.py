@@ -279,18 +279,35 @@ def fact_spans():
     return spans
 
 
+def with_fact(m, integral):
+    """A copy of ``m`` with the ``integral`` fact set, as only ``_span`` sets it."""
+    copy = dataclasses.replace(m)
+    object.__setattr__(copy, "integral", integral)
+    return copy
+
+
 def test_spans_decide_their_integral_fact():
     spans = fact_spans()
     for name, m in spans.items():
         truth = linalg.all_int(m.gen_rows + m.rref)
         # a span built directly has the fact unknown, which reads False
         assert m.integral is (truth and not name.startswith("direct")), name
-        # the fact takes no part in equality, hashing or repr
-        other = dataclasses.replace(m, integral=not m.integral)
+        # a copy has it unknown, and the fact takes no part in equality,
+        # hashing or repr
+        assert dataclasses.replace(m).integral is False
+        other = with_fact(m, not m.integral)
         assert other == m and hash(other) == hash(m) and repr(other) == repr(m)
     assert all(spans[f"golden {i}"].integral for i in range(131))
     assert spans["SYM"].integral and spans["2**64"].integral
     assert not spans["halves"].integral and linalg.all_int(spans["halves"].gen_rows)
+    # no caller can assert the fact
+    m = spans["direct Fraction"]
+    with pytest.raises(TypeError):
+        ModelSubspace(m.order, m.gen_rows, m.rref, True)
+    with pytest.raises(TypeError):
+        ModelSubspace(m.order, m.gen_rows, m.rref, integral=True)
+    with pytest.raises(ValueError):
+        dataclasses.replace(m, integral=True)
 
 
 def assert_same_stack(a, b, name):
@@ -305,8 +322,8 @@ def test_span_stack_and_orbit_same_with_the_integral_fact_withheld():
     spans = fact_spans()
     known, withheld = {}, {}
     for name, m in spans.items():
-        known[name] = dataclasses.replace(m, integral=linalg.all_int(m.gen_rows + m.rref))
-        withheld[name] = dataclasses.replace(m, integral=False)
+        known[name] = with_fact(m, linalg.all_int(m.gen_rows + m.rref))
+        withheld[name] = dataclasses.replace(m)
         assert_same_stack(SpanStack([known[name]]), SpanStack([withheld[name]]), name)
         assert model_orbit(known[name]) == model_orbit(withheld[name]), name
     assert SpanStack([known["2**64"]]).gens.dtype == object
