@@ -4,7 +4,9 @@
 A semigroup is a set with an associative product, recorded as a Cayley
 table.  The library enumerates one canonical representative per
 isomorphism class; reversing the multiplication (transposing the table)
-gives the anti-isomorphic copy, which is counted but never merged.
+gives the anti-isomorphic copy, which is never merged there.
+``anti_iso_census(k)`` counts the classes up to anti-isomorphism as well
+(OEIS A001423), in one pass of the same search.
 """
 
 from liemarkov import (
@@ -17,11 +19,11 @@ from liemarkov import (
 
 for k in (1, 2, 3, 4):
     tables = enumerate_semigroups(k)
-    self_dual, pairs = anti_iso_census(tables)
+    self_dual, pairs = anti_iso_census(k)
     print(
         f"order {k}: {len(tables):3d} classes "
-        f"({self_dual} self-anti-isomorphic, {pairs} reversal pairs, "
-        f"{self_dual + pairs} classes if reversal were merged)"
+        f"({self_dual} self-anti-isomorphic, {pairs} reversal pairs); "
+        f"{self_dual + pairs} up to anti-isomorphism too (OEIS A001423)"
     )
 
 print()

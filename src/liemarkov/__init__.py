@@ -57,7 +57,6 @@ from .modelgen import (
     ModelSubspace,
     absorbing_states,
     canonical_subspace,
-    conjugate_subspace,
     contains,
     generic_support,
     is_reducible,

@@ -186,12 +186,17 @@ def _classify_stack(
     members: Sequence[Sequence[int]],
     tables: Sequence[CayleyTable],
 ) -> tuple[list[CatalogEntry], float, float]:
-    """:func:`classify_model` of every span, in one stack, ``members[s]`` the sources of span s.
+    """The catalog entry of every span, in one stack, ``members[s]`` the sources of span s.
 
-    Returns the entries, the seconds of the stacked exact checks (the
-    stack's build with its products and residuals, then closure,
-    support, absorbing states and reducibility) and the seconds spent
-    in ``model_orbit``.
+    A :class:`~liemarkov.modelgen.SpanStack` of the spans gives the exact
+    checks and the support facts; ``model_orbit`` gives each key,
+    symmetry group and variant count.  The sources are not checked
+    against their span.  Returns the entries, the seconds of the
+    stacked exact checks (the stack's build with its products and
+    residuals, then closure, support, absorbing states and
+    reducibility) and the seconds spent in ``model_orbit``.  Raises
+    PipelineInvariantError if a span is not Lie closed or its orbit
+    fails orbit-stabilizer.
     """
     start = time.perf_counter()
     stack = SpanStack(spans)
@@ -238,36 +243,12 @@ def _classify_stack(
     return entries, checks_s, orbits_s
 
 
-def _semigroup_rep(t: CayleyTable, what: str, pos: int) -> RegularRep:
-    """``regular_rep(t)``, whose ValueError for a table that is not associative names it."""
+def _semigroup_rep(t: CayleyTable, pos: int) -> RegularRep:
+    """``regular_rep(t)``, whose ValueError for a table that is not associative names its block."""
     try:
         return regular_rep(t)
     except ValueError:
-        raise ValueError(f"{what} {pos} is not associative") from None
-
-
-def classify_model(
-    sub: ModelSubspace,
-    member_indices: Sequence[int],
-    tables: Sequence[CayleyTable],
-) -> CatalogEntry:
-    """The catalog entry of one span, whose sources are ``tables[i]`` for i in ``member_indices``.
-
-    A :class:`~liemarkov.modelgen.SpanStack` of one span gives the exact
-    checks and the support facts; ``model_orbit`` gives the key, the
-    symmetry group and the variant count.  Raises ValueError, naming the
-    1-based position of the source in ``tables``, when a source is not
-    associative or its rate basis spans another subspace than ``sub``
-    (``run_pipeline`` groups its sources by that span and classifies
-    through ``_classify_stack``, which skips this check).  Raises
-    PipelineInvariantError if the span is not Lie closed or its orbit
-    fails orbit-stabilizer.
-    """
-    for i in member_indices:
-        span = rate_basis(_semigroup_rep(tables[i], "source table", i + 1))
-        if (span.order, span.rref) != (sub.order, sub.rref):
-            raise ValueError(f"source table {i + 1} does not span the given model")
-    return _classify_stack([sub], [member_indices], tables)[0][0]
+        raise ValueError(f"table block {pos} is not associative") from None
 
 
 def run_pipeline(
@@ -320,7 +301,7 @@ def run_pipeline(
 
     start = time.perf_counter()
     if order is None:
-        regular = [_semigroup_rep(t, "table block", pos) for pos, t in enumerate(tables, start=1)]
+        regular = [_semigroup_rep(t, pos) for pos, t in enumerate(tables, start=1)]
     else:
         regular = map(RegularRep, tables)  # the enumerator checked every triple
     subspaces = [rate_basis(r) for r in regular]

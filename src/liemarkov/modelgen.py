@@ -352,18 +352,6 @@ def is_reducible(m: ModelSubspace) -> bool:
     return bool(SpanStack([m]).reducible()[0])
 
 
-def conjugate_subspace(m: ModelSubspace, perm: Sequence[int]) -> ModelSubspace:
-    """The isomorphic model with states relabeled by ``perm``.
-
-    Each generator row is relabeled by one ``linalg.relabel_gather``.
-    Raises ValueError unless ``perm`` is a permutation of range(m.order).
-    """
-    if len(perm) != m.order:
-        raise ValueError(f"permutation on {len(perm)} points applied to an order-{m.order} span")
-    src = linalg.relabel_gather(tuple(perm))
-    return _span(m.order, generator_index(tuple(row[s] for s in src) for row in m.gen_rows))
-
-
 @dataclass(frozen=True)
 class ModelOrbit:
     """What the S_k orbit of a model's rref determines.

@@ -2,12 +2,14 @@
 
 The package checks column sums on flat rows and relabels spans by
 gathering flat rows (``linalg.relabel_gather``); these nested-matrix
-forms state the same facts for test assertions.
+forms state the same facts for test assertions, and
+:func:`conjugate_subspace` relabels a whole span, the oracle for the
+orbits that ``modelgen.model_orbit`` computes.
 """
 
 from typing import Sequence
 
-from liemarkov import linalg
+from liemarkov import linalg, modelgen
 from liemarkov.linalg import Matrix, Vector
 
 
@@ -42,3 +44,16 @@ def conjugate(a: Matrix, perm: Sequence[int]) -> Matrix:
         )
     flat = linalg.vectorize(a)
     return linalg.unvectorize([flat[s] for s in linalg.relabel_gather(tuple(perm))], len(a))
+
+
+def conjugate_subspace(m: modelgen.ModelSubspace, perm: Sequence[int]) -> modelgen.ModelSubspace:
+    """The isomorphic model with states relabeled by ``perm``.
+
+    Each generator row is relabeled by one ``linalg.relabel_gather``.
+    Raises ValueError unless ``perm`` is a permutation of range(m.order).
+    """
+    if len(perm) != m.order:
+        raise ValueError(f"permutation on {len(perm)} points applied to an order-{m.order} span")
+    src = linalg.relabel_gather(tuple(perm))
+    rows = modelgen.generator_index(tuple(row[s] for s in src) for row in m.gen_rows)
+    return modelgen._span(m.order, rows)

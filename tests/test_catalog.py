@@ -57,6 +57,14 @@ KNOWN_IDS = {
 }
 
 
+def classify(sub, members=(), tables=()):
+    """The catalog entry of one span, from ``catalog._classify_stack`` on a stack of one.
+
+    ``tables[i]`` for i in ``members`` are the entry's sources, taken as given.
+    """
+    return catalog._classify_stack([sub], [members], tables)[0][0]
+
+
 def test_registry_keys_distinct_and_labels_complete():
     registry = build_registry()
     assert len(registry) == len(known_subspaces()) == 11
@@ -90,34 +98,16 @@ def test_classify_model_checks_orbit_stabilizer(monkeypatch):
         lambda m: dataclasses.replace(orbit, variants=orbit.variants + 1),
     )
     with pytest.raises(PipelineInvariantError, match="orbit-stabilizer"):
-        catalog.classify_model(sub, [], [])
+        classify(sub)
 
 
 def test_classify_model_raises_on_lie_failure():
     with pytest.raises(PipelineInvariantError, match=r"witness pair \(0, 1\)"):
-        catalog.classify_model(fixture("SYM").subspace, [], [])
-
-
-def test_classify_model_refuses_sources_that_are_not_semigroups_of_the_span():
-    table = make_table([[0, 0, 0], [0, 0, 1], [0, 1, 0]])  # 1-based ((1,1,1),(1,1,2),(1,2,1))
-    assert not is_associative(table)
-    gens = [linalg.unvectorize(row, 3) for row in representation.rate_rows(table)]
-    sub = subspace_from_generators(3, gens)
-    c3 = make_table([[(i + j) % 3 for j in range(3)] for i in range(3)])
-    with pytest.raises(ValueError, match="^source table 2 is not associative$"):
-        catalog.classify_model(sub, [1], [c3, table])
-    # an associative source whose rate basis spans another model
-    with pytest.raises(ValueError, match="^source table 1 does not span the given model$"):
-        catalog.classify_model(sub, [0, 1], [c3, table])
-    with pytest.raises(ValueError, match="^source table 1 does not span the given model$"):
-        catalog.classify_model(rate_basis(regular_rep(c3)), [0], [make_table([[0, 1], [1, 0]])])
-    # the span's own semigroup is accepted, among the tables at any position
-    entry = catalog.classify_model(rate_basis(regular_rep(c3)), [1], [table, c3])
-    assert entry.report.provenance == (c3,) and entry.report.source_ids == (2,)
+        classify(fixture("SYM").subspace)
 
 
 def test_classify_model_keeps_lie_closure_when_algebra_fails():
-    report = catalog.classify_model(fixture("JJ3").subspace, [], []).report
+    report = classify(fixture("JJ3").subspace).report
     assert report.lie_closed
     assert not report.algebra_closed
 
@@ -555,7 +545,7 @@ def test_generator_entries_render_as_the_same_number_in_md_and_json():
         (((False, True), (False, -1)), ("0", "1", "0", "-1")),
         (((-0.5, 1), (0.5, -1)), ("-1/2", "1", "1/2", "-1")),
     ):
-        entry = catalog.classify_model(subspace_from_generators(2, [gen]), [], [])
+        entry = classify(subspace_from_generators(2, [gen]))
         assert [x for row in entry_to_dict(entry)["generators"][0] for x in row] == list(text)
         md = render([entry], "md")
         block = md.split("L1 =\n", 1)[1].split("```", 1)[0]
@@ -735,7 +725,7 @@ def test_render_markdown_checks_the_product_rule_per_entry(catalog4):
     # another combination than the elimination's
     table = make_table([[0, 2, 2, 3], [2, 1, 2, 2], [2, 2, 2, 2], [2, 3, 2, 2]])
     sub = rate_basis(regular_rep(table))
-    entry = catalog.classify_model(sub, [0], [table])
+    entry = classify(sub, [0], [table])
     assert len(sub.basis) == 4 and sub.dim == 3
     assert catalog._product_rule_table(with_report(entry, dimension=4)) != commutator_table(sub)
     # independent generators of a table that is not associative, whose
@@ -743,12 +733,7 @@ def test_render_markdown_checks_the_product_rule_per_entry(catalog4):
     table = make_table([[0, 0, 0], [0, 0, 1], [0, 1, 0]])
     assert not is_associative(table)
     gens = [linalg.unvectorize(row, 3) for row in representation.rate_rows(table)]
-    # classify_model refuses it as a source, so the entry is built by hand
-    odd = with_report(
-        catalog.classify_model(subspace_from_generators(3, gens), [], []),
-        provenance=(table,),
-        source_ids=(1,),
-    )
+    odd = classify(subspace_from_generators(3, gens), [0], [table])
     assert odd.report.dimension == 3
     for e in (entry, odd):
         assert catalog._product_rule_table(e) is None
@@ -865,13 +850,8 @@ def test_render_json_of_a_hand_built_entry():
         2, [((Fraction(-1, 2), 0), (Fraction(1, 2), 0)), ((0, 1), (0, -1))]
     )
     tables = [make_table(t) for t in ([[0, 1], [1, 0]], [[0, 0], [0, 1]], [[0, 0], [1, 1]])]
-    # none of the tables spans sub, which classify_model refuses, so the
-    # sources are set by hand
-    entry = with_report(
-        catalog.classify_model(sub, [], []),
-        provenance=tuple(tables[i] for i in (0, 2, 1)),
-        source_ids=(1, 3, 2),
-    )
+    # none of the tables spans sub; the entry takes its sources as given
+    entry = classify(sub, [0, 2, 1], tables)
     assert any(type(x) is Fraction for g in sub.basis for row in g for x in row)
     assert not entry.report.absorbing and len(entry.report.provenance) == 3
     unlabelled, labelled = (
@@ -939,7 +919,7 @@ def test_pipeline_and_renderings_build_no_nested_generator(monkeypatch):
 
 def test_render_markdown_closes_the_fence_of_an_entry_without_sources():
     # a library caller's entry with no source tables gets an empty, closed block
-    entry = catalog.classify_model(subspace_from_generators(2, [((-1, 1), (1, -1))]), [], [])
+    entry = classify(subspace_from_generators(2, [((-1, 1), (1, -1))]))
     assert render([entry], "md") == "\n".join([
         "# Model catalog (k = 2)",
         "",

@@ -257,10 +257,11 @@ def test_enumerate_k2_tables_exactly():
 
 
 def test_enumerate_rejects_large_order():
-    with pytest.raises(ValueError):
-        enumerate_semigroups(7)
-    with pytest.raises(ValueError):
-        enumerate_semigroups(0)
+    for k in (7, 0):
+        with pytest.raises(ValueError):
+            enumerate_semigroups(k)
+        with pytest.raises(ValueError):
+            anti_iso_census(k)
 
 
 def test_enumerated_tables_are_associative_canonical_sorted(semigroups4):
@@ -338,8 +339,6 @@ def test_enumerate_order5_matches_oeis(semigroups5):
     for t in tables:
         assert is_associative(t)
         assert canonical_form(t) == t
-    # 405 self-dual classes + 755 reversal pairs = 1160, OEIS A001423
-    assert anti_iso_census(tables) == (405, 755)
 
 
 @pytest.mark.order6
@@ -350,32 +349,72 @@ def test_enumerate_order6_matches_oeis(semigroups6):
     for t in tables:
         assert is_associative(t)
         assert canonical_form(t) == t
+
+
+@pytest.mark.order6
+def test_anti_iso_census_order6_matches_oeis():
     # 3312 self-dual classes + 12661 reversal pairs = 15973, OEIS A001423
-    assert anti_iso_census(tables) == (3312, 12661)
+    self_dual, pairs = anti_iso_census(6)
+    assert (self_dual, pairs) == (3312, 12661)
+    assert self_dual + pairs == 15973
+    assert self_dual + 2 * pairs == 28634  # OEIS A027851
+
+
+def reference_anti_iso_census(tables: list[CayleyTable]) -> tuple[int, int]:
+    # independent oracle: canonical_form of each reversed class representative
+    keys = {t.table for t in tables}
+    reversed_keys = [canonical_form(reverse(t)).table for t in tables]
+    assert set(reversed_keys) == keys  # reversal permutes the classes
+    self_dual = sum(r == t.table for r, t in zip(reversed_keys, tables))
+    paired = len(tables) - self_dual
+    assert paired % 2 == 0
+    return self_dual, paired // 2
+
+
+# (self_dual, pairs): self_dual + pairs classes up to isomorphism and
+# anti-isomorphism (OEIS A001423), self_dual + 2 * pairs up to
+# isomorphism (OEIS A027851)
+
+
+def test_anti_iso_census_k1():
+    self_dual, pairs = anti_iso_census(1)
+    assert (self_dual, pairs) == (1, 0)
+    assert self_dual + pairs == 1
 
 
 def test_anti_iso_census_k2():
     # the left/right constant tables form the unique reversal pair
-    assert anti_iso_census(enumerate_semigroups(2)) == (3, 1)
+    self_dual, pairs = anti_iso_census(2)
+    assert (self_dual, pairs) == (3, 1)
+    assert self_dual + pairs == 4
 
 
 def test_anti_iso_census_k3():
-    assert anti_iso_census(enumerate_semigroups(3)) == (12, 6)
+    self_dual, pairs = anti_iso_census(3)
+    assert (self_dual, pairs) == (12, 6)
+    assert self_dual + pairs == 18
 
 
-def test_anti_iso_census_k4(semigroups4):
-    self_dual, pairs = anti_iso_census(semigroups4)
+def test_anti_iso_census_k4():
+    self_dual, pairs = anti_iso_census(4)
     assert self_dual + 2 * pairs == 188
-    # computed split: 64 + 62 = 126 classes when reversal is also merged
     assert (self_dual, pairs) == (64, 62)
+    assert self_dual + pairs == 126
 
 
-def test_anti_iso_census_rejects_partial_input(semigroups4):
-    pair_member = next(
-        t for t in semigroups4 if canonical_form(reverse(t)) != t
-    )
-    with pytest.raises(ValueError):
-        anti_iso_census([pair_member])
+@pytest.mark.slow
+def test_anti_iso_census_k5():
+    self_dual, pairs = anti_iso_census(5)
+    assert self_dual + 2 * pairs == 1915
+    assert (self_dual, pairs) == (405, 755)
+    assert self_dual + pairs == 1160
+
+
+@pytest.mark.slow
+def test_anti_iso_census_matches_per_table_reference(semigroups2, semigroups3, semigroups4, semigroups5):
+    per_order = ([make_table([[0]])], semigroups2, semigroups3, semigroups4, semigroups5)
+    for k, tables in enumerate(per_order, start=1):
+        assert anti_iso_census(k) == reference_anti_iso_census(tables)
 
 
 def test_perm_helpers_cover_sn():

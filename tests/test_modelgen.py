@@ -7,7 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from matrix_helpers import conjugate, has_nonneg_offdiag, has_zero_column_sums, is_zero
+from matrix_helpers import (
+    conjugate,
+    conjugate_subspace,
+    has_nonneg_offdiag,
+    has_zero_column_sums,
+    is_zero,
+)
 from test_linalg import assert_int_exactly_when_integral, is_integral, random_matrix, reference_rref
 
 from liemarkov import linalg, modelgen
@@ -20,7 +26,6 @@ from liemarkov.modelgen import (
     ModelSubspace,
     absorbing_states,
     canonical_subspace,
-    conjugate_subspace,
     contains,
     generic_support,
     is_reducible,

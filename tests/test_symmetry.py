@@ -3,12 +3,13 @@ import random
 import re
 
 import pytest
+from matrix_helpers import conjugate_subspace
 
 from liemarkov import linalg
 from liemarkov.catalog import known_subspaces
 from liemarkov.cayley import compose, make_table
 from liemarkov.constructors import group_based_model, symmetric_group_3
-from liemarkov.modelgen import canonical_subspace, conjugate_subspace, rate_basis
+from liemarkov.modelgen import canonical_subspace, rate_basis
 from liemarkov.representation import regular_rep
 from liemarkov.symmetry import (
     SymmetryGroup,
