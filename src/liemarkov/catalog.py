@@ -522,28 +522,6 @@ def entry_to_dict(e: CatalogEntry) -> dict:
     }
 
 
-def _str_keys_only(x: object) -> None:
-    if isinstance(x, dict):
-        for k, v in x.items():
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            _str_keys_only(v)
-    elif isinstance(x, (list, tuple)):
-        for v in x:
-            _str_keys_only(v)
-
-
-def json_indent2(value: object) -> str:
-    """``json.dumps(value, indent=2)``, refusing any dict key that is not a ``str``.
-
-    The standard library writes an ``int``, ``float``, ``bool`` or
-    ``None`` key as a string, so such a document would read back with
-    other keys.  The command line's small documents are written here.
-    """
-    _str_keys_only(value)
-    return json.dumps(value, indent=2)
-
-
 @functools.cache
 def _json_formats(k: int) -> tuple[str, str, str]:
     """An entry, a k x k generator and a 1-based Cayley table of the JSON catalog, as %-formats.
@@ -672,7 +650,7 @@ def _md_formats(k: int) -> tuple[str, str]:
 
 def _render_markdown(entries: Sequence[CatalogEntry], order: int | None) -> str:
     start = time.perf_counter()
-    lines = [f"# Model catalog (k = {order})", ""]
+    lines = ["# Model catalog" + ("" if order is None else f" (k = {order})"), ""]
     lines.append(f"{len(entries)} model classes.")
     lines.append("")
     # every entry's commutator table: by the product rule where it applies,

@@ -87,7 +87,7 @@ def _single_model_doc(sub: ModelSubspace, label: str | None) -> str:
         "known_label": registry.get((sub.order, key), label),
         "generators": cat.generator_strings(sub),
     }
-    return cat.json_indent2({"order": sub.order, "entries": [entry_like]}) + "\n"
+    return json.dumps({"order": sub.order, "entries": [entry_like]}, indent=2) + "\n"
 
 
 def cmd_enumerate(args, cfg) -> int:
@@ -113,7 +113,7 @@ def cmd_classify(args, cfg) -> int:
             entry = cat.find_entry(entries, args.model_id)
         except KeyError:
             continue
-        sys.stdout.write(cat.json_indent2(cat.entry_to_dict(entry)) + "\n")
+        sys.stdout.write(json.dumps(cat.entry_to_dict(entry), indent=2) + "\n")
         return 0
     raise ValueError(f"model id {args.model_id!r} not found in orders {orders}")
 
@@ -136,7 +136,7 @@ def cmd_verify_closure(args, cfg) -> int:
     detail = dataclasses.asdict(report)
     detail["lie_witness"] = None if report.lie_witness is None else "present"
     detail["algebra_witness"] = None if report.algebra_witness is None else "present"
-    print(cat.json_indent2(detail))
+    print(json.dumps(detail, indent=2))
     return 0
 
 

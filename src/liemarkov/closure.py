@@ -12,9 +12,10 @@ Two exact decisions and one numerical verification:
   so P - I and log P both lie in the span.  Any other span has P pushed
   through the principal matrix logarithm.
 
-The first two are exact, and the sampled check runs them first.  They
-read one stack of generator products, ``modelgen.SpanStack``, built for
-one span or for a block of spans: each
+The first two are exact, decided together by one ``exact_checks`` pass,
+which the sampled check runs first.  It reads one stack of generator
+products, ``modelgen.SpanStack``, built for one span or for a block of
+spans: each
 span's generators and rref are scaled to integers once, the stack is
 ``int64`` when a magnitude bound shows that no product or membership
 residual can overflow and ``object`` (Python ints) otherwise, a product is
@@ -52,7 +53,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -122,70 +122,54 @@ def commutator(
     return linalg.mat_sub(linalg.mat_mul(a, b), linalg.mat_mul(b, a))
 
 
-def algebra_checks(stack: SpanStack) -> list[ClosureCheck]:
-    """:func:`check_algebra_closed` of every span of a stack, from its product residuals."""
-    residuals = stack.residuals
+def exact_checks(stack: SpanStack) -> list[tuple[ClosureCheck, ClosureCheck]]:
+    """The (algebra, Lie) checks of every span of a stack, from its product residuals.
+
+    Algebra closure implies Lie closure, so a span that passes the
+    algebra check passes both, and the brackets are read only for a span
+    that fails it.  An algebra witness is the first escaping g_i g_j,
+    i != j, in row-major order, else the first escaping square; a Lie
+    witness is the first escaping bracket, i < j, in row-major order.
+    Both are recomputed exactly from the span's ``basis``.
+    """
+    closed = ClosureCheck(True, None)
     checks = []
-    for s, failed in enumerate(residuals.any(axis=(1, 2, 3)).tolist()):
+    for s, failed in enumerate(stack.residuals.any(axis=(1, 2, 3)).tolist()):
         if not failed:
-            checks.append(ClosureCheck(True, None))
+            checks.append((closed, closed))
             continue
-        esc = (residuals[s] != 0).any(axis=-1)
+        res = stack.residuals[s]
+        esc = (res != 0).any(axis=-1)
         cross = esc & ~np.eye(len(esc), dtype=bool)
         i, j = np.argwhere(cross if cross.any() else esc)[0].tolist()
         g = stack.spans[s].basis
-        checks.append(ClosureCheck(False, ClosureWitness(i, j, linalg.mat_mul(g[i], g[j]))))
+        algebra = ClosureCheck(False, ClosureWitness(i, j, linalg.mat_mul(g[i], g[j])))
+        # a bracket escapes iff the residuals of its two products differ
+        escaped = np.argwhere(np.triu((res != res.swapaxes(0, 1)).any(axis=-1), 1))
+        lie = closed
+        if escaped.size:
+            i, j = escaped[0].tolist()
+            lie = ClosureCheck(False, ClosureWitness(i, j, commutator(g[i], g[j])))
+        checks.append((algebra, lie))
     return checks
-
-
-def lie_checks(stack: SpanStack) -> list[ClosureCheck]:
-    """:func:`check_lie_closed` of every span of a stack, from its bracket residuals."""
-    escaped = np.triu(stack.bracket_escaped(), 1)
-    checks = []
-    for s, closed in enumerate((~escaped.any(axis=(1, 2))).tolist()):
-        if closed:
-            checks.append(ClosureCheck(True, None))
-            continue
-        i, j = np.argwhere(escaped[s])[0].tolist()
-        g = stack.spans[s].basis
-        checks.append(ClosureCheck(False, ClosureWitness(i, j, commutator(g[i], g[j]))))
-    return checks
-
-
-def exact_checks(stack: SpanStack) -> list[tuple[ClosureCheck, ClosureCheck]]:
-    """The (algebra, Lie) checks of every span of a stack.
-
-    Algebra closure implies Lie closure, so a passing algebra check serves
-    as the Lie check too, and the brackets are checked only when some span
-    of the stack fails the algebra check.
-    """
-    algebra = algebra_checks(stack)
-    if all(map(operator.attrgetter("closed"), algebra)):
-        return list(zip(algebra, algebra))
-    return [(a, a if a.closed else b) for a, b in zip(algebra, lie_checks(stack))]
 
 
 def check_lie_closed(m: ModelSubspace) -> ClosureCheck:
     """Exact test of commutator closure over all generator pairs i < j.
 
-    The witness of a failure is the first escaping bracket in row-major
-    order.  A :class:`~liemarkov.modelgen.SpanStack` of one span, whose
-    brackets are differences of its products.
+    The Lie half of :func:`exact_checks` on a stack of one span.
     """
-    return lie_checks(SpanStack([m]))[0]
+    return exact_checks(SpanStack([m]))[0][1]
 
 
 def check_algebra_closed(m: ModelSubspace) -> ClosureCheck:
     """Exact test of product closure over all ordered generator pairs.
 
+    The algebra half of :func:`exact_checks` on a stack of one span.
     Semigroup-derived generators satisfy L_i L_j = -L_i - L_j + L_k with
     a_i a_j = a_k, so derived models always pass; fixture models may not.
-    All n^2 products and their membership come from a
-    :class:`~liemarkov.modelgen.SpanStack` of one span.  The witness of a
-    failure is the first escaping g_i g_j, i != j, in row-major order,
-    else the first escaping square.
     """
-    return algebra_checks(SpanStack([m]))[0]
+    return exact_checks(SpanStack([m]))[0][0]
 
 
 def _norm1(a: np.ndarray) -> np.ndarray:
@@ -430,12 +414,12 @@ def verify_multiplicative_closure(
     a stack whose 1-norms are all at most EXPM_THETA13, as at ``t_max=1``
     for most spans, takes no scaling step) and, on the log check, one
     ``_logm_stack`` call, which reports per product whether it found a
-    finite principal log.  The exact checks' stack reads the span's rows
-    with no type pass when its ``integral`` fact is known.  A trial without a
-    result is counted in ``discarded_trials`` and is not redrawn.  A
-    residual of ``tol`` or more is a "fail" whatever the other trials
-    did; otherwise, if any trial has no result the verdict is
-    "inconclusive" rather than a pass.  Raises ValueError, before any
+    finite principal log.  The exact checks' stack scales the span's rows
+    only when its ``integral`` fact, decided once per span object, is
+    False.  A trial without a result is counted in ``discarded_trials``
+    and is not redrawn.  A residual of ``tol`` or more is a "fail"
+    whatever the other trials did; otherwise, if any trial has no result
+    the verdict is "inconclusive" rather than a pass.  Raises ValueError, before any
     check runs, for a dimension-0 model, for ``trials`` not an integer of
     at least 1 or ``seed`` not an integer of at least 0 (an integer is an
     ``int`` or numpy integer, not a ``bool``), and for ``t_max`` or

@@ -17,8 +17,8 @@ generator products and their membership are ``modelgen.SpanStack``'s.
 ``reach``, the transitive closure of a stack of off-diagonal nonzero
 patterns, is boolean and so exact too: it decides
 ``modelgen.is_reducible`` for a whole stack of spans, and which entries
-``closure.expm`` keeps at exactly 0.  ``closure.logm`` reads no zero
-pattern: it has one route, Denman-Beavers square roots and a series.
+``closure._expm_stack`` keeps at exactly 0.  ``closure.logm`` reads no
+zero pattern: it has one route, Denman-Beavers square roots and a series.
 Floating point enters the package only in :mod:`liemarkov.closure`.
 """
 

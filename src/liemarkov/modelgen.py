@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -40,24 +40,28 @@ class ModelSubspace:
     that :func:`generator_index` kept; ``basis`` builds the nested k x k
     matrices from them on each access.
 
-    ``integral`` is True when every entry of ``gen_rows`` and ``rref`` is
-    known to be an ``int``.  It is no constructor argument: only
-    :func:`_span`, which builds every span of the package, sets it, from
-    the integrality that its row reduction decides anyway, and
-    ``_filled`` and :func:`model_orbit` then skip their own type passes.
-    A span built directly (or by ``dataclasses.replace``) has False,
-    which means unknown, and its rows are scanned wherever they are
-    used.  The fact is excluded from equality, hashing and repr.
+    ``integral`` is derived from the rows, so every span has it right,
+    however it was built (directly, or by ``dataclasses.replace``); it is
+    no field, so it takes no part in equality, hashing or repr.
     """
 
     order: int
     gen_rows: tuple[tuple[Scalar, ...], ...]
     rref: RrefKey
-    integral: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.rref)
+
+    @functools.cached_property
+    def integral(self) -> bool:
+        """True exactly when every entry of ``gen_rows`` and ``rref`` is an ``int``.
+
+        One ``linalg.all_int`` pass on first use, kept for the span's
+        life; ``_filled`` and :func:`model_orbit` read it instead of
+        scanning the rows again.
+        """
+        return linalg.all_int(self.gen_rows + self.rref)
 
     @property
     def basis(self) -> tuple[Matrix, ...]:
@@ -101,17 +105,11 @@ def generator_index(flats: Iterable[tuple[Scalar, ...]]) -> dict[tuple[Scalar, .
 def _span(order: int, rows: dict[tuple[Scalar, ...], int]) -> ModelSubspace:
     """Span of the exact row-major generators that :func:`generator_index` kept.
 
-    Sets the span's ``integral`` fact: the generator rows hold only
-    ``int`` when ``linalg.integral_rows`` returns them as given, as
-    ``linalg.rref`` would decide, so only the rref rows that come back
-    take a second type pass.
+    The rref comes from ``linalg.rref``; the span's ``integral`` fact is
+    left to its first use.
     """
     gen_rows = tuple(rows)
-    ints = linalg.integral_rows(gen_rows)
-    rref = linalg.rref_integral(ints)
-    m = ModelSubspace(order, gen_rows, rref)
-    object.__setattr__(m, "integral", ints is gen_rows and linalg.all_int(rref))
-    return m
+    return ModelSubspace(order, gen_rows, linalg.rref(gen_rows))
 
 
 def subspace_from_generators(order: int, generators: Iterable[Matrix]) -> ModelSubspace:
@@ -179,18 +177,18 @@ at once would be about 190 MB.
 class SpanStack:
     """Exact generator products and supports of same-order spans, in one stack.
 
-    This is the one code that forms generator products.  Span s is entry
-    s of one (S, n + d, k^2) array: its ``gen_rows``, then its rref rows,
-    each part zero-padded to the stack's largest counts n and d, and the
-    entries of all spans' rows read into the array by one ``np.fromiter``.
-    A span that holds an entry other than ``int`` is first scaled to
-    integers by one ``linalg.integral_rows`` of its rows read as one
-    row; a span whose ``integral`` fact is True goes in with no type
-    pass, since its integrality was decided where it was built.  So each
-    span is scaled by a positive factor c (1 for a span of ``int``
-    rows), and every scaled pivot is c; scaling keeps signs and
-    spans, so memberships, the brackets up to the factor c^2, and
-    supports are read off the integer stack.  Zero generators have zero
+    Every generator product whose membership is decided is formed here;
+    the witness of a failed check is recomputed exactly from the span's
+    ``basis``.  Span s is entry s of one (S, n + d, k^2) array: its
+    ``gen_rows``, then its rref rows, each part zero-padded to the
+    stack's largest counts n and d, and the entries of all spans' rows
+    read into the array by one ``np.fromiter``.  A span whose
+    ``integral`` fact is False is first scaled to integers by one
+    ``linalg.integral_rows`` of its rows read as one row.  So each span
+    is scaled by a positive factor c (1 for a span of ``int`` rows), and
+    every scaled pivot is c; scaling keeps signs and spans, so
+    memberships, the brackets up to the factor c^2, and supports are read
+    off the integer stack.  Zero generators have zero
     products, which lie in every span; a stack of one span pads nothing.
 
     Over an rref basis the coordinates of v are its entries at the pivot
@@ -282,9 +280,8 @@ def _filled(
     A span that holds only ``int`` (every order-4 span ``rate_basis``
     makes, and all but one at order 5) goes in as it is, with c = 1, the
     pivot of its rref row 0; for any other span c is the first nonzero
-    entry of its scaled rref rows.  A span whose ``integral`` fact is
-    True is known to hold only ``int`` and takes no type pass; any other
-    span is scanned by ``linalg.integral_rows``.
+    entry of its scaled rref rows.  Which spans those are is the span's
+    ``integral`` fact, decided once per span object.
     """
     kk = spans[0].order ** 2
     pad = [(0,) * kk] * max(n, d)
@@ -292,7 +289,7 @@ def _filled(
     scale = [1] * len(spans)
     for i, m in enumerate(spans):
         ng, rows = len(m.gen_rows), m.gen_rows + m.rref
-        if not m.integral and linalg.integral_rows(rows) is not rows:  # not all int
+        if not m.integral:
             (flat,) = linalg.integral_rows([list(chain.from_iterable(rows))])
             rows = [flat[j : j + kk] for j in range(0, len(flat), kk)]
             scale[i] = next(filter(None, flat[ng * kk :]), 1)
@@ -415,13 +412,12 @@ def model_orbit(m: ModelSubspace) -> ModelOrbit:
     Key: a conjugate's first pivot is the first cell of its relabeled
     support, and rrefs whose first pivot comes later compare smaller, so
     only the relabelings that push that cell furthest are candidates;
-    every relabeling onto the key is among them.  Integrality is decided
-    once per span: ``m.rref`` is taken as it is when the span's
-    ``integral`` fact is True, else scaled to integer rows by one
-    ``linalg.integral_rows`` (a no-op for an integral span), and a
-    relabeling only permutes the entries within each row, so every
-    candidate's rows are integral and go to ``linalg.rref_integral`` with
-    no type check.  The identity relabeling comes first, and when it is a
+    every relabeling onto the key is among them.  Integrality is read
+    from the span's ``integral`` fact: ``m.rref`` is taken as it is when
+    it is True, else scaled to integer rows by one
+    ``linalg.integral_rows``, and a relabeling only permutes the entries
+    within each row, so every candidate's rows are integral and go to
+    ``linalg.rref_integral`` with no type check.  The identity relabeling comes first, and when it is a
     candidate its rref is ``m.rref`` itself, taken with no elimination
     (108 of the 131 golden order-4 spans, 1093 of the 1344 at order 5).
     Bound: every candidate has its first pivot in the same column, and

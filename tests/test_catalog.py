@@ -21,7 +21,6 @@ from liemarkov.catalog import (
     entry_to_dict,
     find_entry,
     format_combination,
-    json_indent2,
     known_subspaces,
     model_id,
     new_model_table,
@@ -794,39 +793,6 @@ def test_render_json_round_trip(catalog3):
     assert json.dumps(doc, indent=2) + "\n" == render(catalog3, "json")
 
 
-@pytest.mark.parametrize(
-    "value",
-    [
-        [],
-        {},
-        {"a": [], "b": {}, "c": [[], {}], "d": [{}]},
-        [None, True, False],
-        {"none": None, "yes": True, "no": False},
-        [-1, 0, -(10**29) - 7, 123456789012345678901234567890],
-        [0.1, -0.0, 1e-300, float("nan"), float("inf"), -float("inf"), 2.0],
-        ["quote \" and backslash \\", "ctl \x00\x01\t\n\r\x1f\x7f", "—", "\U0001f600"],
-        {"\"key\"\n—": "\U0001f600"},
-        (1, ("a", (None,)), [(), (2.5,)]),
-        [[[1, 2], ["1/2", "-1"]], {"mixed": [1, "a", None, 1.5, True]}],
-        "top-level string",
-        -12,
-        3.5,
-        None,
-    ],
-)
-def test_json_indent2_matches_stdlib(value):
-    assert json_indent2(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize(
-    "value",
-    [{1, 2}, [np.int64(1)], {"a": {1: "b"}}, {None: 0}, [b"bytes"], object()],
-)
-def test_json_indent2_refuses_other_values(value):
-    with pytest.raises(TypeError):
-        json_indent2(value)
-
-
 def _stdlib_json(entries, order):
     """The oracle of the json rendering: the standard library's text of entry_to_dict."""
     doc = {"order": order, "entries": [entry_to_dict(e) for e in entries]}
@@ -867,6 +833,12 @@ def test_render_empty_catalog():
     assert json.loads(render([], "json", order=4)) == {"order": 4, "entries": []}
     assert render([], "csv").startswith("model_id,")
     assert "0 model classes" in render([], "md", order=4)
+
+
+def test_render_markdown_header_without_an_order():
+    # with no entries and no order the order is unknown: no "(k = None)"
+    assert render([], "md").startswith("# Model catalog\n\n0 model classes.")
+    assert render([], "md", order=4).startswith("# Model catalog (k = 4)\n")
 
 
 def test_render_csv(catalog2):

@@ -1388,6 +1388,8 @@ def test_expm_nan_input_takes_the_scaling_step(monkeypatch):
 def test_verify_closure_unscaled_stack_takes_no_type_pass_and_no_scaling(monkeypatch):
     m = golden_spans(every=1)[60]
     assert m.integral
+    half = Fraction(1, 2)
+    halves = subspace_from_generators(2, [[[-half, half], [half, -half]]])
     norms = []
     kernel = closure_mod._expm_stack
 
@@ -1402,10 +1404,15 @@ def test_verify_closure_unscaled_stack_takes_no_type_pass_and_no_scaling(monkeyp
     assert (report.status, report.check) == ("pass", "product")
     assert len(norms) == 1 and norms[0] <= EXPM_THETA13
     assert calls == {}
-    # the wrappers count: longer times need squaring, and a span whose
-    # integral fact is withheld (a copy has it unknown) is scanned
+    # the wrappers count: longer times need squaring; a fresh copy decides
+    # its integral fact by one all_int pass and still scales nothing, while
+    # a span with Fraction generator entries is scaled
     verify_multiplicative_closure(m, trials=20, seed=1060, t_max=8.0)
     assert norms[1] > EXPM_THETA13
     assert calls == {"ldexp": 1}
+    counting_wrappers(monkeypatch, calls, [(linalg, "all_int")])
     verify_multiplicative_closure(dataclasses.replace(m), trials=20, seed=1060)
-    assert calls == {"ldexp": 1, "integral_rows": 1}
+    assert calls == {"ldexp": 1, "all_int": 1}
+    verify_multiplicative_closure(halves, trials=20, seed=1060)
+    # its fact, then the type passes of the one scaling of its rows
+    assert calls == {"ldexp": 1, "all_int": 4, "integral_rows": 1}

@@ -18,13 +18,7 @@ import pytest
 from liemarkov import linalg
 from liemarkov.catalog import _commutator_tables, commutator_table, known_subspaces, new_model_table
 from liemarkov.cayley import make_table
-from liemarkov.closure import (
-    ClosureCheck,
-    ClosureWitness,
-    algebra_checks,
-    exact_checks,
-    lie_checks,
-)
+from liemarkov.closure import ClosureCheck, ClosureWitness, exact_checks
 from liemarkov.constructors import fixture
 from liemarkov.modelgen import (
     STACK_BLOCK,
@@ -184,8 +178,7 @@ def test_stacked_checks_match_reference(spans):
         assert repr(lie) == repr(want_lie)
         failures.append((algebra.closed, lie.closed))
     for stack in span_stacks(spans):
-        assert algebra_checks(stack) == [ref_algebra(m) for m in stack.spans]
-        assert lie_checks(stack) == [ref_lie(m) for m in stack.spans]
+        assert exact_checks(stack) == [(ref_algebra(m), ref_lie(m)) for m in stack.spans]
     # SYM, its halving, its 2**40 multiple and its two-generator subspan fail
     # both checks; JJ3 fails only the algebra check
     assert failures.count((False, False)) == 4
@@ -250,8 +243,7 @@ def test_span_stack_entries_beyond_int64_take_object():
     for m in huge:
         stack = SpanStack([m])
         assert stack.gens.dtype == object
-        assert algebra_checks(stack) == [ref_algebra(m)]
-        assert lie_checks(stack) == [ref_lie(m)]
+        assert exact_checks(stack) == [(ref_algebra(m), ref_lie(m))]
     assert repr(commutator_table(huge[1])) == repr(ref_commutator_table(huge[1]))
 
 
@@ -279,35 +271,49 @@ def fact_spans():
     return spans
 
 
-def with_fact(m, integral):
-    """A copy of ``m`` with the ``integral`` fact set, as only ``_span`` sets it."""
-    copy = dataclasses.replace(m)
-    object.__setattr__(copy, "integral", integral)
-    return copy
-
-
 def test_spans_decide_their_integral_fact():
     spans = fact_spans()
     for name, m in spans.items():
-        truth = linalg.all_int(m.gen_rows + m.rref)
-        # a span built directly has the fact unknown, which reads False
-        assert m.integral is (truth and not name.startswith("direct")), name
-        # a copy has it unknown, and the fact takes no part in equality,
-        # hashing or repr
-        assert dataclasses.replace(m).integral is False
-        other = with_fact(m, not m.integral)
-        assert other == m and hash(other) == hash(m) and repr(other) == repr(m)
+        copy = dataclasses.replace(m)
+        # the fact is derived from the rows, for a built, direct or copied span
+        for span in (m, copy):
+            assert span.integral is linalg.all_int(span.gen_rows + span.rref), name
+        # and takes no part in equality, hashing or repr
+        assert copy == m and hash(copy) == hash(m) and repr(copy) == repr(m)
+        assert "integral" not in repr(m)
     assert all(spans[f"golden {i}"].integral for i in range(131))
     assert spans["SYM"].integral and spans["2**64"].integral
+    assert spans["direct int"].integral
+    assert not spans["direct Fraction(2)"].integral and not spans["direct Fraction"].integral
     assert not spans["halves"].integral and linalg.all_int(spans["halves"].gen_rows)
-    # no caller can assert the fact
+    # it is no constructor argument
     m = spans["direct Fraction"]
     with pytest.raises(TypeError):
         ModelSubspace(m.order, m.gen_rows, m.rref, True)
     with pytest.raises(TypeError):
         ModelSubspace(m.order, m.gen_rows, m.rref, integral=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         dataclasses.replace(m, integral=True)
+
+
+def test_integral_fact_is_decided_once_per_span(monkeypatch):
+    m = fact_spans()["halves"]
+    rows = m.gen_rows + m.rref
+    calls = []
+    all_int = linalg.all_int
+
+    def recording(x):
+        calls.append(x)
+        return all_int(x)
+
+    monkeypatch.setattr(linalg, "all_int", recording)
+    SpanStack([m])
+    model_orbit(m)
+    SpanStack([m])
+    assert calls.count(rows) == 1
+    # a copy is a new span object, which decides the fact anew
+    SpanStack([dataclasses.replace(m)])
+    assert calls.count(rows) == 2
 
 
 def assert_same_stack(a, b, name):
@@ -319,15 +325,18 @@ def assert_same_stack(a, b, name):
 
 
 def test_span_stack_and_orbit_same_with_the_integral_fact_withheld():
+    # a fresh copy has its fact withheld until its first use, and gives the
+    # same stack and orbit as a span whose fact is already decided
     spans = fact_spans()
-    known, withheld = {}, {}
     for name, m in spans.items():
-        known[name] = with_fact(m, linalg.all_int(m.gen_rows + m.rref))
-        withheld[name] = dataclasses.replace(m)
-        assert_same_stack(SpanStack([known[name]]), SpanStack([withheld[name]]), name)
-        assert model_orbit(known[name]) == model_orbit(withheld[name]), name
-    assert SpanStack([known["2**64"]]).gens.dtype == object
-    # one stack of spans with the fact known and withheld, in turn
+        assert m.integral is linalg.all_int(m.gen_rows + m.rref)
+        fresh = dataclasses.replace(m)
+        assert "integral" not in vars(fresh)
+        assert_same_stack(SpanStack([m]), SpanStack([fresh]), name)
+        assert model_orbit(m) == model_orbit(dataclasses.replace(m)), name
+    assert SpanStack([spans["2**64"]]).gens.dtype == object
+    # one stack of decided spans and fresh copies, in turn
     order4 = [n for n, m in spans.items() if m.order == 4 and n != "2**64"]
-    mixed = [(known if i % 2 else withheld)[n] for i, n in enumerate(order4)]
-    assert_same_stack(SpanStack(mixed), SpanStack([withheld[n] for n in order4]), "mixed")
+    mixed = [dataclasses.replace(spans[n]) if i % 2 else spans[n] for i, n in enumerate(order4)]
+    copies = [dataclasses.replace(spans[n]) for n in order4]
+    assert_same_stack(SpanStack(mixed), SpanStack(copies), "mixed")
