@@ -4,13 +4,17 @@ Matrices are immutable tuples of row tuples with ``int`` or
 ``fractions.Fraction`` entries.  Everything here is exact: no floating
 point, so subspace membership and equality are decisions rather than
 tolerance judgements.  Integrality is decided once, where exact data
-enters: ``integral_rows`` scales each row to integers, and
-``rref_integral`` runs the one fraction-free elimination kernel on such
-rows with no type check.  ``rref`` is the two in turn, so callers that
+enters: ``integral_rows`` reads each entry through :func:`exact` (numpy
+scalars too) and scales each row to integers, and ``rref_integral`` runs
+the one fraction-free elimination kernel, ``_eliminate``, on such rows
+with no type check.  ``rref`` is the two in turn, so callers that
 row-reduce many relabelings of one span (``modelgen.model_orbit``) scale
 once and call ``rref_integral``, with the least rref found so far as a
-bound that cuts a candidate once its row 0 compares greater.  An rref
-entry is ``int`` exactly when its value is integral.
+bound that cuts a candidate once its row 0 compares greater.  The kernel
+keeps its rank as a counter, scans for a pivot only while some row has
+none, clears with x - y or x + y when the multiplier is 1 or -1, and
+stops at full rank once the bound is decided.  An rref entry is ``int``
+exactly when its value is integral.
 Coordinates over an rref are a vector's entries at its pivot columns
 (:func:`pivot_columns`), read in exact Python by ``modelgen.contains``;
 generator products and their membership are ``modelgen.SpanStack``'s.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
@@ -124,8 +129,10 @@ def integral_rows(rows: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[int]]:
 
     Rows that hold only ``int`` (:func:`all_int`) come back as given.
     Otherwise the same pass over each row picks the rows to scale, and
-    every other row is returned as the same object.  Scaling a row leaves
-    its span, and so every rref, unchanged.
+    every other row is returned as the same object; a row to scale has
+    its entries read by :func:`exact`, so ``bool``, numpy scalars and
+    floats of any width count at their exact values.  Scaling a row
+    leaves its span, and so every rref, unchanged.
     """
     if all_int(rows):
         return rows
@@ -134,8 +141,9 @@ def integral_rows(rows: Sequence[Sequence[Scalar]]) -> Sequence[Sequence[int]]:
         if all_int([row]):
             scaled.append(row)
             continue
-        d = math.lcm(*(Fraction(x).denominator for x in row))
-        scaled.append([int(Fraction(x) * d) for x in row])
+        row = [exact(x) for x in row]
+        d = math.lcm(*(x.denominator for x in row))
+        scaled.append([x.numerator * (d // x.denominator) for x in row])
     return scaled
 
 
@@ -145,13 +153,19 @@ def _eliminate(
     """Fraction-free Gauss-Jordan elimination of ``work`` in place; returns the rank.
 
     Every entry must be ``int``; nothing here checks it (``integral_rows``
-    decides that).  Pivots are sought only in the first ``ncols`` columns
-    and cleared above and below; the rank rows come first, the zero rows
-    after.  Pivot p clears entry f of a row x by x - (f // p) y when p
-    divides f, else by p x - f y divided by the row's content, so the loop
-    runs in ``int`` only.  Rows are replaced, never written into, so they
-    may be tuples.  Rank rows are divided by their pivots at the end, so
-    an entry is ``int`` exactly when its value is integral.
+    decides that).  The loop runs column by column over the first
+    ``ncols`` columns, keeping the rank r as a counter.  While some row
+    has no pivot, the first row from r down that is nonzero in the column
+    is the pivot row; it is swapped into place r when it is elsewhere, and
+    once every row has a pivot no column is scanned.  Pivot p clears entry
+    f of every other row x: when p divides f, by x - q y with q = f // p,
+    mapped as ``operator.sub`` (x - y) for q = 1 and ``operator.add``
+    (x + y) for q = -1; else by p x - f y divided by the row's content, so
+    the loop runs in ``int`` only.  The rank rows come first, the zero
+    rows after.  Rows are replaced, never written into, so they may be
+    tuples.  At the end each rank row is divided by its pivot, a pivot -1
+    by negation, so an entry is ``int`` exactly when its value is
+    integral.
 
     ``bound`` is ``(b, c0)``: an integral row b whose first nonzero entry,
     at c0, is positive, for rows that are zero before column c0 and not
@@ -161,52 +175,68 @@ def _eliminate(
     later steps only add multiples of such rows to row 0 or scale it.  So
     rref row 0 and b / b[c0] compare at j by the signs of
     ``work[0][j] * b[c0]`` and ``b[j] * work[0][c0]``, flipped when
-    ``work[0][c0] < 0``.  At the first column where they differ the run
-    returns None if row 0 is the greater (it is cut), and stops comparing
-    if it is the smaller.  Once every row has a pivot the run stops, unless
-    row 0 still ties b: then the loop goes on comparing column by column,
-    with nothing left to eliminate.  A tie is never cut.
+    ``work[0][c0] < 0``.  The bound is unpacked once and compared after
+    each column past c0 while it is undecided.  At the first column where
+    they differ the run returns None if row 0 is the greater (it is cut),
+    and the bound is decided if it is the smaller.  The loop ends at full
+    rank once the bound is decided or absent; while row 0 still ties b at
+    full rank it goes on comparing column by column, with nothing left to
+    eliminate.  A tie is never cut.
     """
     n = len(work)
     pivots: list[int] = []  # the pivot column of each rank row
+    rank = 0
+    if bound is not None:
+        b, c0 = bound
+        bc0 = b[c0]
     for col in range(ncols):
-        top = len(pivots)
-        for found in range(top, n):
-            if work[found][col] != 0:
-                break
-        else:
-            found = n
-        if found < n:
-            work[top], work[found] = work[found], work[top]
-            prow = work[top]
-            p = prow[col]
-            for r in range(n):
-                f = work[r][col]
-                if r == top or f == 0:
-                    continue
-                if f % p == 0:
-                    q = f // p
-                    work[r] = [x - q * y for x, y in zip(work[r], prow)]
-                else:
-                    row = [p * x - f * y for x, y in zip(work[r], prow)]
-                    c = math.gcd(*row)  # 0 for an all-zero row
-                    work[r] = [x // c for x in row] if c > 1 else row
-            pivots.append(col)
-        if bound is not None and col > bound[1]:
-            b, c0 = bound
-            s = work[0][c0]
-            x, y = work[0][col] * b[c0], b[col] * s
-            if x != y:
-                if (x > y) == (s > 0):
-                    return None
-                bound = None
-        if len(pivots) == n and bound is None:
+        if rank < n:
+            found = rank
+            while found < n and work[found][col] == 0:
+                found += 1
+            if found < n:
+                prow = work[found]
+                if found != rank:
+                    work[found] = work[rank]
+                    work[rank] = prow
+                p = prow[col]
+                for r, row in enumerate(work):
+                    f = row[col]
+                    if f == 0 or r == rank:
+                        continue
+                    if f % p == 0:
+                        q = f // p
+                        if q == 1:
+                            work[r] = list(map(operator.sub, row, prow))
+                        elif q == -1:
+                            work[r] = list(map(operator.add, row, prow))
+                        else:
+                            work[r] = [x - q * y for x, y in zip(row, prow)]
+                    else:
+                        row = [p * x - f * y for x, y in zip(row, prow)]
+                        c = math.gcd(*row)  # 0 for an all-zero row
+                        work[r] = [x // c for x in row] if c > 1 else row
+                pivots.append(col)
+                rank += 1
+        if bound is not None:
+            if col > c0:
+                s = work[0][c0]
+                x, y = work[0][col] * bc0, b[col] * s
+                if x != y:
+                    if (x > y) == (s > 0):
+                        return None
+                    bound = None
+                    if rank == n:
+                        break
+        elif rank == n:
             break
     for i, col in enumerate(pivots):
         p = work[i][col]
-        if p != 1:
+        if p == -1:
+            work[i] = [-x for x in work[i]]
+        elif p != 1:
             work[i] = [x // p if x % p == 0 else Fraction(x, p) for x in work[i]]
-    return len(pivots)
+    return rank
 
 
 def rref_integral(
@@ -228,7 +258,7 @@ def rref_integral(
     rank = _eliminate(work, len(work[0]), bound)
     if rank is None:
         return None
-    return tuple(tuple(row) for row in work[:rank])
+    return tuple(map(tuple, work[:rank]))
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Vector, ...]:

@@ -19,7 +19,8 @@ def reference_rref(rows, ncols=None):
     The oracle for linalg's integer elimination: the nonzero rows of the
     reduced matrix, in order.
     """
-    work = [[Fraction(x) for x in row] for row in rows]
+    # linalg.exact reads numpy scalars, which Fraction refuses
+    work = [[Fraction(linalg.exact(x)) for x in row] for row in rows]
     ncols = len(work[0]) if ncols is None else ncols
     pivot_row = 0
     for col in range(ncols):
@@ -128,8 +129,10 @@ def assert_int_exactly_when_integral(rows):
         float,
         lambda x: x / 8,
         lambda x: bool(x % 2),
+        lambda x: np.float32(x / 8),
+        lambda x: np.bool_(x % 2),
     ],
-    ids=["int", "Fraction", "quarters", "float", "eighths", "bool"],
+    ids=["int", "Fraction", "quarters", "float", "eighths", "bool", "float32 eighths", "numpy bool"],
 )
 def test_rref_type_contract_for_every_input_type(convert):
     # the output type follows the value, whatever type the input came in

@@ -427,15 +427,19 @@ def test_model_orbit_of_trivial_span_matches_full_pass():
 
 
 @pytest.mark.slow
-def test_model_orbit_matches_full_pass_order5(semigroups5):
+def test_model_orbit_matches_full_pass_order5(semigroups5, monkeypatch):
     spans = {}
     for t in semigroups5:
         m = rate_basis(regular_rep(t))
         spans.setdefault(m.rref, m)
     del spans[()]
     assert len(spans) == 1344
-    for m in spans.values():
-        assert model_orbit(m) == full_model_orbit(m)
+    orbits, calls = record_kernel_calls(monkeypatch, spans.values())
+    for m, orbit in zip(spans.values(), orbits):
+        assert orbit == full_model_orbit(m)
+    # the kernel's calls and full results: any change to a cut shows in these counts
+    assert len(calls) == 52210
+    assert sum(result is not None for *_, result in calls) == 6717
 
 
 @pytest.mark.order6
@@ -465,36 +469,26 @@ def entry_types(rows):
 
 def test_model_orbit_int_kernel_matches_reference_on_candidate_rows(orbit_models, monkeypatch):
     # every conjugated candidate that model_orbit row-reduces, golden and registry spans,
-    # with the span's key and what the bounded kernel returned for it
-    inputs = []
-    kernel = linalg.rref_integral
-    key = None
-
-    def recording(rows, bound=None):
-        result = kernel(rows, bound)
-        inputs.append((rows, key, result))
-        return result
-
-    monkeypatch.setattr(linalg, "rref_integral", recording)
-    for m, orbit in orbit_models:
-        key = orbit.key
-        assert model_orbit(m) == orbit
-    monkeypatch.undo()
+    # against the reference rref and the bound rule: the bounded kernel returns None
+    # exactly when the reference row 0 is greater than b / b[c0]
+    orbits, calls = record_kernel_calls(monkeypatch, [m for m, _ in orbit_models])
+    assert orbits == [orbit for _, orbit in orbit_models]
     # K2ST's rref has halves; its candidates reach the kernel scaled to integers
     assert any(type(x) is Fraction for m, _ in orbit_models for row in m.rref for x in row)
-    assert len(inputs) > 700
+    assert len(calls) > 700
     cut = 0
-    for rows, span_key, bounded in inputs:
+    for rows, bound, bounded in calls:
         assert all(type(x) is int for row in rows for x in row)
+        ref = reference_rref(rows)
         result = linalg.rref_integral(rows)
-        assert result == reference_rref(rows)
+        assert result == ref
         assert_int_exactly_when_integral(result)
-        if bounded is None:
-            # a cut candidate is never the key
-            assert reference_rref(rows) > span_key
+        if bound is not None and ref[0] > tuple(Fraction(x, bound[0][bound[1]]) for x in bound[0]):
+            assert bounded is None
             cut += 1
         else:
             assert bounded == result
+            assert_int_exactly_when_integral(bounded)
     # a bound that never cuts would leave every candidate to run to the end
     assert cut > 0
 
@@ -532,21 +526,28 @@ def test_model_orbit_matches_full_pass_on_rational_spans():
     assert len({len(model_orbit(m).group) for m in spans}) > 1
 
 
-def count_eliminations(monkeypatch, models):
-    """Each model's orbit and how many candidates ``model_orbit`` row-reduced for it."""
+def record_kernel_calls(monkeypatch, models):
+    """The models' orbits, and the (rows, bound, result) of every kernel call ``model_orbit`` made."""
     kernel = linalg.rref_integral
     calls = []
 
-    def counting(rows, bound=None):
-        calls.append(None)
-        return kernel(rows, bound)
+    def recording(rows, bound=None):
+        result = kernel(rows, bound)
+        calls.append((rows, bound, result))
+        return result
 
-    monkeypatch.setattr(linalg, "rref_integral", counting)
+    monkeypatch.setattr(linalg, "rref_integral", recording)
+    orbits = [model_orbit(m) for m in models]
+    monkeypatch.undo()
+    return orbits, calls
+
+
+def count_eliminations(monkeypatch, models):
+    """Each model's orbit and how many candidates ``model_orbit`` row-reduced for it."""
     out = []
     for m in models:
-        calls.clear()
-        out.append((model_orbit(m), len(calls)))
-    monkeypatch.undo()
+        (orbit,), calls = record_kernel_calls(monkeypatch, [m])
+        out.append((orbit, len(calls)))
     return out
 
 
@@ -561,12 +562,13 @@ def test_model_orbit_eliminates_one_relabeling_per_coset(monkeypatch):
 
 
 def test_model_orbit_eliminations_on_golden_spans(orbit_models, monkeypatch):
-    golden = [m for m, _ in orbit_models[:131]]
-    counted = count_eliminations(monkeypatch, golden)
-    assert [orbit for orbit, _ in counted] == [orbit for _, orbit in orbit_models[:131]]
+    orbits, calls = record_kernel_calls(monkeypatch, [m for m, _ in orbit_models[:131]])
+    assert orbits == [orbit for _, orbit in orbit_models[:131]]
     # one elimination per candidate row-reduces 1612; the identity, when it is a
-    # candidate, takes the span's own rref and is not row-reduced
-    assert sum(calls for _, calls in counted) <= 1063
+    # candidate, takes the span's own rref and is not row-reduced, coset reuse skips
+    # more, and the bound cuts all but the full results: any change to a cut shows here
+    assert len(calls) == 1063
+    assert sum(result is not None for *_, result in calls) == 310
 
 
 def test_model_orbit_mirror_cosets_give_wrong_orbits(orbit_models, monkeypatch):
